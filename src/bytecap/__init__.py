@@ -37,6 +37,7 @@ from .views import (
     byte_distribution,
     class_catalog,
     filter_packets,
+    read_capture,
     read_dataset,
     split_indices,
     split_view,
@@ -65,7 +66,6 @@ from .nn import (
     adam_init,
     adam_step,
     conv1d_forward,
-    debug_checks,
     default_config,
     dense_forward,
     global_avg_pool_forward,

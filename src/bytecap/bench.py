@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import DenseSpec, Model, ModelConfig, default_config, pairing_for
-from .pcap import PROTO_TCP, PROTO_UDP, read_pcap, dissect
+from .pcap import PROTO_TCP, PROTO_UDP
 from .train import evaluate, train
 from .views import (
     HeaderCategory,
@@ -24,6 +24,8 @@ from .views import (
     build_dataset,
     class_catalog,
     filter_packets,
+    label_index,
+    read_capture,
     split_view,
     split_indices,
     train_val_split,
@@ -244,19 +246,18 @@ class TimingReport:
 
 
 def _collect_units(corpus, task):
-    """Session units with labels, for the feature baseline."""
-    from .views import label_index  # same label semantics as build_dataset
+    """Session units with their capture's ts_scale, and labels, for the
+    feature baseline."""
     units = []
     labels = []
     for path, name in corpus:
-        label = label_index(name, task)
+        label = label_index(name, task)  # same label semantics as build_dataset
         if label is None:
             continue
-        with read_pcap(path) as reader:
-            pairs = [(rec, dissect(rec, reader.meta.link_type)) for rec in reader]
+        scale, pairs = read_capture(path)
         pairs = filter_packets(pairs, ViewKind.SESSION)
         for unit in split_view(pairs, ViewKind.SESSION).values():
-            units.append(unit)
+            units.append((unit, scale))
             labels.append(label)
     return units, np.asarray(labels, dtype=np.int64)
 
@@ -310,7 +311,7 @@ def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADER
 
     def build_baseline():
         units, labels = _collect_units(corpus, task)
-        feats = np.stack([extract_stat_features(u) for u in units])
+        feats = np.stack([extract_stat_features(u, scale) for u, scale in units])
         train_idx, val_idx = split_indices(labels, val_fraction, seed)
         mu = feats[train_idx].mean(axis=0)
         sd = feats[train_idx].std(axis=0)

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .nn import default_config, load_weights, save_weights
-from .pcap import dissect, read_pcap
 from .synth import (
     binary_synth_classes,
     multi_synth_classes,
@@ -29,6 +28,7 @@ from .views import (
     build_dataset,
     class_catalog,
     filter_packets,
+    read_capture,
     read_dataset,
     split_view,
     train_val_split,
@@ -189,9 +189,8 @@ def cmd_build(args) -> int:
     if not cfg.out:
         raise ValueError("build needs --out <path>")
     inputs = read_labels_file(cfg.labels)
-    views = list(VIEW_FLAGS.values()) if args.all_views else [VIEW_FLAGS[cfg.view]]
-    cats = (list(CATEGORY_FLAGS.values()) if args.all_categories
-            else [CATEGORY_FLAGS[cfg.category]])
+    views = list(ViewKind) if args.all_views else [VIEW_FLAGS[cfg.view]]
+    cats = list(HeaderCategory) if args.all_categories else [CATEGORY_FLAGS[cfg.category]]
     grid = len(views) * len(cats) > 1
     out = Path(cfg.out)
     if grid:
@@ -225,8 +224,7 @@ def cmd_inspect(args) -> int:
     non_ip = 0
     for path, name in inputs:
         try:
-            with read_pcap(path) as reader:
-                pairs = [(rec, dissect(rec, reader.meta.link_type)) for rec in reader]
+            _, pairs = read_capture(path)
         except OSError as e:
             raise ValueError(f"cannot read {path}: {e}") from e
         total_packets += len(pairs)

@@ -11,28 +11,15 @@ The default profile reproduces the reference shape column
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 _EPS = 1e-7  # probability clamp for cross-entropy
-
-_DEBUG_FINITE = False
-
-
-def debug_checks(enabled: bool):
-    """Toggle NaN/Inf assertions after every forward/backward step."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
-
-
-def _check_finite(name, *arrays):
-    if _DEBUG_FINITE:
-        for a in arrays:
-            if a is not None and not np.all(np.isfinite(a)):
-                raise FloatingPointError(f"non-finite values after {name}")
 
 
 class ShapeError(ValueError):
@@ -73,6 +60,57 @@ class DenseSpec:
 
 LayerSpec = Union[Conv1dSpec, MaxPool1dSpec, GlobalAvgPoolSpec, DenseSpec]
 
+
+class LayerKind(NamedTuple):
+    """Every per-kind fact the shape walk and the weights file need.
+
+    FTLW stores `fields` after the kind code, packed with `fmt`, with
+    activations as one-byte codes. `out` sees the input shape with the
+    window already applied; `params` sees the raw input shape.
+    """
+
+    name: str
+    code: int
+    fields: tuple
+    fmt: str
+    spatial: bool  # needs an (L, C) input
+    window: Optional[tuple]  # names of the (size, stride) attributes
+    out: Callable
+    params: Callable
+
+
+_KINDS = {
+    Conv1dSpec: LayerKind(
+        "conv1d", 0, ("filters", "kernel", "stride", "activation"), "<IIIB",
+        True, ("kernel", "stride"),
+        lambda s, shape: (shape[0], s.filters),
+        lambda s, shape: ((s.filters, s.kernel, shape[1]), (s.filters,))),
+    MaxPool1dSpec: LayerKind(
+        "max_pool1d", 1, ("pool", "stride"), "<II", True, ("pool", "stride"),
+        lambda s, shape: shape,
+        lambda s, shape: ()),
+    GlobalAvgPoolSpec: LayerKind(
+        "global_avg_pool1d", 2, (), "<", True, None,
+        lambda s, shape: (shape[1],),
+        lambda s, shape: ()),
+    DenseSpec: LayerKind(  # flattens its input implicitly
+        "dense", 3, ("units", "activation"), "<IB", False, None,
+        lambda s, shape: (s.units,),
+        lambda s, shape: ((s.units, math.prod(shape)), (s.units,))),
+}
+
+
+class LayerPlan(NamedTuple):
+    """One layer of a validated config: its kind, shapes and window."""
+
+    spec: LayerSpec
+    kind: LayerKind
+    in_shape: tuple
+    out_shape: tuple
+    window: Optional[tuple]  # (size, stride) for sliding-window kinds
+    param_shapes: tuple  # (weight shape, bias shape), or () if none
+
+
 LOSS_BCE = "binary_cross_entropy"
 LOSS_CCE = "categorical_cross_entropy"
 
@@ -91,46 +129,47 @@ class ModelConfig:
     epochs: int = 50
     seed: int = 0
 
-    def output_shapes(self) -> list[tuple]:
-        """Shape after each layer; raises ShapeError if the algebra fails."""
-        shapes = []
+    def plan(self) -> list[LayerPlan]:
+        """Walk the layer stack once; raises ShapeError if the algebra fails."""
+        plan = []
         shape: tuple = (self.input_len, 1)
         for i, spec in enumerate(self.layers):
-            if isinstance(spec, Conv1dSpec):
-                if len(shape) != 2:
-                    raise ShapeError(f"layer {i}: conv1d needs an (L, C) input, got {shape}")
-                l_in, _ = shape
-                if l_in < spec.kernel:
-                    raise ShapeError(f"layer {i}: input length {l_in} < kernel {spec.kernel}")
-                shape = ((l_in - spec.kernel) // spec.stride + 1, spec.filters)
-            elif isinstance(spec, MaxPool1dSpec):
-                if len(shape) != 2:
-                    raise ShapeError(f"layer {i}: max_pool1d needs an (L, C) input, got {shape}")
-                l_in, c = shape
-                if l_in < spec.pool:
-                    raise ShapeError(f"layer {i}: input length {l_in} < pool {spec.pool}")
-                shape = ((l_in - spec.pool) // spec.stride + 1, c)
-            elif isinstance(spec, GlobalAvgPoolSpec):
-                if len(shape) != 2:
-                    raise ShapeError(f"layer {i}: global_avg_pool1d needs an (L, C) input")
-                shape = (shape[1],)
-            elif isinstance(spec, DenseSpec):
-                shape = (spec.units,)  # flattens its input implicitly
-            else:
+            kind = _KINDS.get(type(spec))
+            if kind is None:
                 raise ShapeError(f"layer {i}: unknown spec {spec!r}")
-            if shape[0] < 1:
+            if kind.spatial and len(shape) != 2:
+                raise ShapeError(f"layer {i}: {kind.name} needs an (L, C) input, got {shape}")
+            in_shape, window = shape, None
+            if kind.window:
+                size_name, stride_name = kind.window
+                window = size, stride = getattr(spec, size_name), getattr(spec, stride_name)
+                if size < 1 or stride < 1:
+                    raise ShapeError(f"layer {i}: {kind.name} {size_name} and "
+                                     f"{stride_name} must be >= 1, got {size}/{stride}")
+                if shape[0] < size:
+                    raise ShapeError(f"layer {i}: input length {shape[0]} < {size_name} {size}")
+                shape = ((shape[0] - size) // stride + 1, shape[1])
+            shape = kind.out(spec, shape)
+            if min(shape) < 1:
                 raise ShapeError(f"layer {i}: collapsed to empty output")
-            shapes.append(shape)
-        return shapes
+            plan.append(LayerPlan(spec, kind, in_shape, shape, window,
+                                  kind.params(spec, in_shape)))
+        return plan
 
-    def validate(self):
-        shapes = self.output_shapes()
+    def output_shapes(self) -> list[tuple]:
+        """Shape after each layer; raises ShapeError if the algebra fails."""
+        return [layer.out_shape for layer in self.plan()]
+
+    def validate(self) -> list[LayerPlan]:
+        """The layer plan of a well-formed model; raises ShapeError otherwise."""
+        plan = self.plan()
         if not self.layers or not isinstance(self.layers[-1], DenseSpec):
             raise ShapeError("model must end with a dense layer")
-        if shapes[-1] != (self.class_count,):
+        if plan[-1].out_shape != (self.class_count,):
             raise ShapeError(
-                f"final dense units {shapes[-1]} != class count {self.class_count}"
+                f"final dense units {plan[-1].out_shape} != class count {self.class_count}"
             )
+        return plan
 
 
 def pairing_for(task: str, pairing: str) -> tuple[str, str]:
@@ -204,7 +243,13 @@ def _apply_activation(z, activation):
     raise ValueError(f"unknown activation {activation!r}")
 
 
+@lru_cache(maxsize=64)
 def _window_index(l_in, size, stride):
+    """Input positions of every output window.
+
+    Cached, so every model shares one array per geometry: callers must not
+    write to it. It stays writeable because np.take copies read-only indices.
+    """
     l_out = (l_in - size) // stride + 1
     return np.arange(l_out)[:, None] * stride + np.arange(size)[None, :]
 
@@ -251,7 +296,6 @@ def conv1d_forward(x, w, b, stride: int, activation: str = "none"):
         raise ShapeError(f"input length {x3.shape[1]} < kernel {w.shape[1]}")
     z, _ = _conv_apply(x3, w, np.asarray(b, dtype=x3.dtype), stride)
     y = _apply_activation(z, activation)
-    _check_finite("conv1d_forward", y)
     return y[0] if squeeze else y
 
 
@@ -260,14 +304,12 @@ def maxpool1d_forward(x, pool: int, stride: int):
     if x3.shape[1] < pool:
         raise ShapeError(f"input length {x3.shape[1]} < pool {pool}")
     y, _ = _maxpool_apply(x3, pool, stride)
-    _check_finite("maxpool1d_forward", y)
     return y[0] if squeeze else y
 
 
 def global_avg_pool_forward(x):
     x3, squeeze = _batched(x, 3)
     y = x3.mean(axis=1)
-    _check_finite("global_avg_pool_forward", y)
     return y[0] if squeeze else y
 
 
@@ -285,7 +327,6 @@ def dense_forward(x, w, b, activation: str = "none"):
         x2, squeeze = x.reshape(x.shape[0], -1), False
     z = x2 @ w.T + b
     y = _apply_activation(z, activation)
-    _check_finite("dense_forward", y)
     return y[0] if squeeze else y
 
 
@@ -338,12 +379,30 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
     batch = pred2.shape[0]
     loss_value = float(per_sample.mean())
     dz = dz / batch
-    _check_finite("loss_and_grad", dz)
     return loss_value, (dz[0] if squeeze else dz)
 
 
 # ---------------------------------------------------------------------------
 # Model with caching forward and exact reverse-mode backward
+
+def _fresh_params(plan, rng):
+    """Glorot-uniform weights, zero biases, in fixed layer order.
+
+    A weight of shape (out, *window, in) has fan_in = window * in and
+    fan_out = out * window, for conv1d and dense alike.
+    """
+    params = []
+    for layer in plan:
+        if not layer.param_shapes:
+            params.append([])
+            continue
+        w_shape, b_shape = layer.param_shapes
+        fan_in = math.prod(w_shape[1:])
+        fan_out = w_shape[0] * math.prod(w_shape[1:-1])
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append([rng.uniform(-limit, limit, w_shape), np.zeros(b_shape)])
+    return params
+
 
 class Model:
     """Parameterized layer stack built from a ModelConfig.
@@ -354,57 +413,17 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, init: bool = True):
-        config.validate()
+        plan = config.validate()
         self.config = config
         self.dtype = dtype
-        self.shapes = config.output_shapes()
-        self._window_idx = self._build_window_indices()
+        self.shapes = [layer.out_shape for layer in plan]
+        self._window_idx = [_window_index(layer.in_shape[0], *layer.window)
+                            if layer.window else None for layer in plan]
         if init:
-            self._install(self._fresh_params(np.random.default_rng(config.seed)))
+            self._install(_fresh_params(plan, np.random.default_rng(config.seed)))
         else:
             self.flat_params = np.zeros(0, dtype=dtype)
             self.params = [[] for _ in config.layers]
-
-    def _build_window_indices(self):
-        idx = []
-        l = self.config.input_len
-        for spec in self.config.layers:
-            if isinstance(spec, Conv1dSpec):
-                idx.append(_window_index(l, spec.kernel, spec.stride))
-                l = (l - spec.kernel) // spec.stride + 1
-            elif isinstance(spec, MaxPool1dSpec):
-                idx.append(_window_index(l, spec.pool, spec.stride))
-                l = (l - spec.pool) // spec.stride + 1
-            else:
-                idx.append(None)
-        return idx
-
-    def _fresh_params(self, rng):
-        """Glorot-uniform weights, zero biases, in fixed layer order."""
-        params = []
-        shape: tuple = (self.config.input_len, 1)
-        for spec in self.config.layers:
-            if isinstance(spec, Conv1dSpec):
-                c_in = shape[1]
-                fan_in = spec.kernel * c_in
-                fan_out = spec.kernel * spec.filters
-                limit = np.sqrt(6.0 / (fan_in + fan_out))
-                w = rng.uniform(-limit, limit, (spec.filters, spec.kernel, c_in))
-                params.append([w, np.zeros(spec.filters)])
-                shape = ((shape[0] - spec.kernel) // spec.stride + 1, spec.filters)
-            elif isinstance(spec, MaxPool1dSpec):
-                params.append([])
-                shape = ((shape[0] - spec.pool) // spec.stride + 1, shape[1])
-            elif isinstance(spec, GlobalAvgPoolSpec):
-                params.append([])
-                shape = (shape[1],)
-            elif isinstance(spec, DenseSpec):
-                c_in = int(np.prod(shape))
-                limit = np.sqrt(6.0 / (c_in + spec.units))
-                params.append([rng.uniform(-limit, limit, (spec.units, c_in)),
-                               np.zeros(spec.units)])
-                shape = (spec.units,)
-        return params
 
     def _install(self, weights):
         """Pack per-layer tensors into the flat buffer and carve views."""
@@ -452,7 +471,6 @@ class Model:
                 z = xflat @ w.T + b
                 caches.append((a.shape, xflat))
                 a = _apply_activation(z, spec.activation)
-        _check_finite("forward", a)
         return (a, caches) if want_cache else a
 
     def backward(self, caches, dlogits):
@@ -505,7 +523,6 @@ class Model:
                 for k in range(spec.kernel):
                     dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
                 g = dx
-        _check_finite("backward", *(a for layer in grads for a in layer))
         return grads
 
     def param_arrays(self) -> list[np.ndarray]:
@@ -566,7 +583,7 @@ class Checkpoint:
 
 _WEIGHTS_MAGIC = b"FTLW"
 _WEIGHTS_VERSION = 1
-_KIND_CODES = {Conv1dSpec: 0, MaxPool1dSpec: 1, GlobalAvgPoolSpec: 2, DenseSpec: 3}
+_KIND_FROM_CODE = {kind.code: (spec_type, kind) for spec_type, kind in _KINDS.items()}
 _ACT_CODES = {"none": 0, "relu": 1, "softmax": 2, "sigmoid": 3}
 _ACT_FROM_CODE = {v: k for k, v in _ACT_CODES.items()}
 
@@ -575,41 +592,19 @@ def save_weights(path, ckpt: Checkpoint):
     """Little-endian layout: FTLW, version, input_len, layer specs, then per
     parameterized layer the weight and bias tensors as raw float32."""
     cfg = ckpt.config
+    plan = cfg.validate()
     with open(path, "wb") as fp:
         fp.write(_WEIGHTS_MAGIC)
         fp.write(struct.pack("<HIH", _WEIGHTS_VERSION, cfg.input_len, len(cfg.layers)))
-        for spec in cfg.layers:
-            fp.write(struct.pack("<B", _KIND_CODES[type(spec)]))
-            if isinstance(spec, Conv1dSpec):
-                fp.write(struct.pack("<IIIB", spec.filters, spec.kernel, spec.stride,
-                                     _ACT_CODES[spec.activation]))
-            elif isinstance(spec, MaxPool1dSpec):
-                fp.write(struct.pack("<II", spec.pool, spec.stride))
-            elif isinstance(spec, DenseSpec):
-                fp.write(struct.pack("<IB", spec.units, _ACT_CODES[spec.activation]))
+        for layer in plan:
+            values = (getattr(layer.spec, name) for name in layer.kind.fields)
+            fp.write(struct.pack("<B", layer.kind.code))
+            fp.write(struct.pack(layer.kind.fmt, *(
+                _ACT_CODES[v] if isinstance(v, str) else v for v in values)))
         for layer in ckpt.weights:
             for tensor in layer:
                 fp.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
         fp.write(struct.pack("<If", ckpt.best_epoch, ckpt.best_val_accuracy))
-
-
-def _expected_param_shapes(input_len: int, layers) -> list[list[tuple]]:
-    shapes = []
-    shape: tuple = (input_len, 1)
-    for spec in layers:
-        if isinstance(spec, Conv1dSpec):
-            shapes.append([(spec.filters, spec.kernel, shape[1]), (spec.filters,)])
-            shape = ((shape[0] - spec.kernel) // spec.stride + 1, spec.filters)
-        elif isinstance(spec, MaxPool1dSpec):
-            shapes.append([])
-            shape = ((shape[0] - spec.pool) // spec.stride + 1, shape[1])
-        elif isinstance(spec, GlobalAvgPoolSpec):
-            shapes.append([])
-            shape = (shape[1],)
-        elif isinstance(spec, DenseSpec):
-            shapes.append([(spec.units, int(np.prod(shape))), (spec.units,)])
-            shape = (spec.units,)
-    return shapes
 
 
 def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
@@ -617,7 +612,8 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
 
     Training hyperparameters are not stored; the restored ModelConfig keeps
     defaults for them. Passing `expect` additionally enforces that the file
-    matches that architecture.
+    matches that architecture. A file whose layer specs do not form a valid
+    model raises WeightsFormatError.
     """
     with open(path, "rb") as fp:
         magic = fp.read(4)
@@ -638,20 +634,19 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
 
         layers: list[LayerSpec] = []
         for i in range(layer_count):
-            (kind,) = struct.unpack("<B", need(1, f"layer {i} kind"))
-            if kind == 0:
-                f_, k_, s_, act = struct.unpack("<IIIB", need(13, f"layer {i} (conv1d)"))
-                layers.append(Conv1dSpec(f_, k_, s_, _ACT_FROM_CODE[act]))
-            elif kind == 1:
-                p_, s_ = struct.unpack("<II", need(8, f"layer {i} (max_pool1d)"))
-                layers.append(MaxPool1dSpec(p_, s_))
-            elif kind == 2:
-                layers.append(GlobalAvgPoolSpec())
-            elif kind == 3:
-                u_, act = struct.unpack("<IB", need(5, f"layer {i} (dense)"))
-                layers.append(DenseSpec(u_, _ACT_FROM_CODE[act]))
-            else:
-                raise WeightsFormatError(f"{path}: unknown layer kind {kind}")
+            (code,) = struct.unpack("<B", need(1, f"layer {i} kind"))
+            if code not in _KIND_FROM_CODE:
+                raise WeightsFormatError(f"{path}: unknown layer kind {code}")
+            spec_type, kind = _KIND_FROM_CODE[code]
+            values = struct.unpack(kind.fmt, need(struct.calcsize(kind.fmt),
+                                                  f"layer {i} ({kind.name})"))
+            args = dict(zip(kind.fields, values))
+            if "activation" in args:
+                if args["activation"] not in _ACT_FROM_CODE:
+                    raise WeightsFormatError(f"{path}: layer {i} ({kind.name}) has "
+                                             f"unknown activation code {args['activation']}")
+                args["activation"] = _ACT_FROM_CODE[args["activation"]]
+            layers.append(spec_type(**args))
 
         if not layers or not isinstance(layers[-1], DenseSpec):
             raise WeightsFormatError(f"{path}: weights file does not end with a dense layer")
@@ -659,21 +654,23 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         loss = LOSS_BCE if class_count == 2 else LOSS_CCE
         config = ModelConfig(input_len=input_len, layers=tuple(layers),
                              loss=loss, class_count=class_count)
+        try:
+            plan = config.validate()
+        except ShapeError as e:
+            raise WeightsFormatError(f"{path}: {e}") from None
         if expect is not None and (expect.input_len != input_len
                                    or tuple(expect.layers) != tuple(layers)):
             raise WeightsFormatError(f"{path}: architecture does not match expected config")
 
         weights = []
-        kind_names = {0: "conv1d", 1: "max_pool1d", 2: "global_avg_pool1d", 3: "dense"}
-        for i, per_layer in enumerate(_expected_param_shapes(input_len, layers)):
+        for i, layer in enumerate(plan):
             tensors = []
-            for shape in per_layer:
-                count = int(np.prod(shape))
+            for shape in layer.param_shapes:
+                count = math.prod(shape)
                 raw = fp.read(count * 4)
                 if len(raw) < count * 4:
-                    name = kind_names[_KIND_CODES[type(layers[i])]]
                     raise WeightsFormatError(
-                        f"{path}: truncated mid-tensor in layer {i} ({name})")
+                        f"{path}: truncated mid-tensor in layer {i} ({layer.kind.name})")
                 tensors.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
             weights.append(tensors)
 

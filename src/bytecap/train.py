@@ -230,12 +230,12 @@ def evaluate(ckpt: Checkpoint, data) -> MetricsReport:
     cfg = ckpt.config
     x, y = _as_tensors(data, cfg.input_len, cfg.class_count)
     model = ckpt.to_model()
-    cm = np.zeros((cfg.class_count, cfg.class_count), dtype=np.int64)
+    c = cfg.class_count
+    pred = np.zeros(len(y), dtype=np.int64)
     for start in range(0, len(y), EVAL_BATCH):
         probs = model.forward(x[start:start + EVAL_BATCH])
-        pred = probs.argmax(axis=1)  # ties resolve to the lowest class index
-        for t, p in zip(y[start:start + EVAL_BATCH], pred):
-            cm[t, p] += 1
+        pred[start:start + EVAL_BATCH] = probs.argmax(axis=1)  # ties: lowest class
+    cm = np.bincount(y * c + pred, minlength=c * c).reshape(c, c)
     names = data.class_names if isinstance(data, DatasetFile) else None
     return metrics_from_confusion(cm, names)
 

@@ -120,6 +120,13 @@ def filter_packets(pairs: Iterable[PacketPair], view: ViewKind,
     return kept
 
 
+def read_capture(path) -> tuple[float, list[PacketPair]]:
+    """Read and dissect one capture: its ts_scale and (record, dissection) pairs."""
+    with read_pcap(path) as reader:
+        scale, link_type = reader.meta.ts_scale, reader.meta.link_type
+        return scale, [(rec, dissect(rec, link_type)) for rec in reader]
+
+
 def split_view(pairs: Sequence[PacketPair], view: ViewKind) -> dict:
     """Group packets into units; keys are flow/session keys or packet index.
 
@@ -160,7 +167,7 @@ def strip_headers(data: bytes, d: Dissection, cat: HeaderCategory) -> bytes:
 
 def assemble_sample(unit: Sequence[PacketPair], cat: HeaderCategory,
                     n: int) -> tuple[bytes, int]:
-    """Concatenate stripped packet bytes in time order into an n-byte vector.
+    """Concatenate stripped packet bytes in capture file order into an n-byte vector.
 
     Returns (vector, total stripped length before truncation). Truncation
     keeps the first n bytes; shorter streams are right-padded with zeros.
@@ -217,8 +224,7 @@ def build_dataset(inputs: Sequence[tuple[str, str]], view: ViewKind,
         label = label_index(label_name, task)
         if label is None:
             continue
-        with read_pcap(path) as reader:
-            pairs = [(rec, dissect(rec, reader.meta.link_type)) for rec in reader]
+        _, pairs = read_capture(path)
         pairs = filter_packets(pairs, view, include_non_ip)
         for key, unit in split_view(pairs, view).items():
             data, total = assemble_sample(unit, cat, n)

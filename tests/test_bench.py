@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from bytecap import bench
 from bytecap.bench import (
     FEATURE_COUNT,
     TimingReport,
@@ -9,7 +10,7 @@ from bytecap.bench import (
     time_pipelines,
     timed,
 )
-from bytecap.pcap import PacketRecord, dissect
+from bytecap.pcap import PacketRecord, dissect, read_pcap_records, write_pcap
 from bytecap.views import ViewKind
 from conftest import ipv4_frame
 
@@ -87,6 +88,27 @@ class TestTimePipelines:
         b = time_pipelines(corpus_small, [ViewKind.SESSION], 115, "binary",
                            epochs=2, seed=3)
         assert [r.accuracy for r in a.rows] == [r.accuracy for r in b.rows]
+
+    def test_nano_capture_matches_micro_twin(self, corpus_small, tmp_path, monkeypatch):
+        twins = []
+        for path, name in corpus_small:
+            _, recs = read_pcap_records(path)
+            nano = tmp_path / f"{name}_nano.pcap"
+            write_pcap(nano, [(r.ts_sec, r.ts_frac * 1000, r.data) for r in recs],
+                       ts_resolution="nano")
+            twins.append((nano, name))
+        seen = []
+
+        def recording(unit, ts_scale=1e-6):
+            seen.append(extract_stat_features(unit, ts_scale))
+            return seen[-1]
+
+        monkeypatch.setattr(bench, "extract_stat_features", recording)
+        time_pipelines(corpus_small, [], 115, "binary", epochs=1)
+        micro = np.stack(seen)
+        seen.clear()
+        time_pipelines(twins, [], 115, "binary", epochs=1)
+        assert np.array_equal(np.stack(seen), micro)
 
     def test_report_format_stable(self):
         report = TimingReport(rows=[])

@@ -8,6 +8,7 @@ import pytest
 from bytecap.cli import RunConfig, effective_config, main, parse_config, render_config
 from bytecap.pcap import read_pcap_records
 from bytecap.views import read_dataset
+from test_nn import HOSTILE_SPECS, write_hostile_weights
 
 
 def run_cli(*argv):
@@ -89,7 +90,7 @@ class TestBuild:
         assert ds.category.value == "no_headers"
         assert len(ds.samples) == 20
 
-    def test_full_grid_is_twelve_files(self, cli_corpus, tmp_path):
+    def test_full_grid_is_twelve_files(self, cli_corpus, tmp_path, capsys):
         out = tmp_path / "grid"
         rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
                      "--all-views", "--all-categories", "--n", "64",
@@ -97,6 +98,8 @@ class TestBuild:
         assert rc == 0
         files = sorted(p.name for p in out.glob("*.ftld"))
         assert len(files) == 12
+        # one dataset line per cell: each cell is built and written once
+        assert len(capsys.readouterr().out.strip().splitlines()) == 12
         assert "session_no_headers.ftld" in files
         assert "packet_all_headers.ftld" in files
 
@@ -160,6 +163,14 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "accuracy" in out and "weighted f1" in out
         assert "benign" in out and "malicious" in out
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
+    def test_eval_hostile_weights_is_an_error(self, dataset, tmp_path, capsys, case):
+        w = tmp_path / "hostile.ftlw"
+        write_hostile_weights(w, case)
+        assert run_cli("eval", str(dataset), str(w)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_task_mismatch_is_descriptive(self, dataset, tmp_path, capsys):
         rc = run_cli("train", str(dataset), "--task", "multi", "--epochs", "1",

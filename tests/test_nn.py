@@ -1,6 +1,8 @@
 """Kernel math: layer forwards, finite-difference gradient oracles, Adam,
 and the weights file."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,35 @@ class TestAdam:
         assert final < first / 10
 
 
+# Stock binary model (prose profile): per layer its FTLW field format, and
+# per hostile case the (layer, field, value) written over the saved file
+# plus the expected error message.
+STOCK_FORMATS = ["<IIIB", "<II", "<IIIB", "<", "<IB"]
+HOSTILE_SPECS = {
+    "unknown_activation": (4, 1, 9, "activation code 9"),
+    "zero_kernel": (0, 1, 0, "must be >= 1"),
+    "zero_conv_stride": (2, 2, 0, "must be >= 1"),
+    "zero_pool": (1, 0, 0, "must be >= 1"),
+    "zero_pool_stride": (1, 1, 0, "must be >= 1"),
+    "zero_filters": (2, 0, 0, "empty output"),
+    "zero_units": (4, 0, 0, "empty output"),
+}
+
+
+def write_hostile_weights(path, case):
+    """Save the stock binary model, then overwrite one layer spec field."""
+    layer, field, value, _ = HOSTILE_SPECS[case]
+    cfg = default_config("binary")
+    save_weights(path, Checkpoint(config=cfg, weights=Model(cfg).copy_weights(),
+                                  best_epoch=0, best_val_accuracy=0.0))
+    blob = bytearray(path.read_bytes())
+    off = 12 + sum(1 + struct.calcsize(fmt) for fmt in STOCK_FORMATS[:layer])
+    fmt = STOCK_FORMATS[layer]
+    off += 1 + struct.calcsize("<" + fmt[1:1 + field])
+    struct.pack_into("<" + fmt[1 + field], blob, off, value)
+    path.write_bytes(bytes(blob))
+
+
 class TestWeightsFile:
     def trained_checkpoint(self, seed=0):
         cfg = default_config("binary", seed=seed)
@@ -402,6 +433,13 @@ class TestWeightsFile:
         other = default_config("multi")
         with pytest.raises(WeightsFormatError, match="architecture"):
             load_weights(p, expect=other)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
+    def test_malformed_layer_spec_rejected(self, tmp_path, case):
+        p = tmp_path / "h.ftlw"
+        write_hostile_weights(p, case)
+        with pytest.raises(WeightsFormatError, match=HOSTILE_SPECS[case][3]):
+            load_weights(p)
 
     def test_file_size_formula(self, tmp_path):
         ckpt = self.trained_checkpoint()
