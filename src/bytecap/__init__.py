@@ -28,7 +28,9 @@ from .pcap import (
 from .views import (
     BINARY_CLASSES,
     BOTNET_CLASSES,
+    Capture,
     DatasetFile,
+    DatasetFormatError,
     HeaderCategory,
     Sample,
     ViewKind,
@@ -39,6 +41,7 @@ from .views import (
     filter_packets,
     read_capture,
     read_dataset,
+    read_dataset_header,
     split_indices,
     split_view,
     strip_headers,

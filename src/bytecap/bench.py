@@ -210,7 +210,9 @@ def extract_stat_features(unit, ts_scale: float = 1e-6) -> np.ndarray:
         feats += [0.0] * 4
 
     out = np.asarray(feats, dtype=np.float64)
-    assert out.shape == (FEATURE_COUNT,), f"feature recipe produced {out.shape}"
+    if out.shape != (FEATURE_COUNT,):
+        raise ValueError(f"feature recipe produced shape {out.shape}, "
+                         f"expected ({FEATURE_COUNT},)")
     return out
 
 

@@ -23,14 +23,15 @@ from .synth import (
 )
 from .train import evaluate, train
 from .views import (
+    Capture,
+    DatasetFormatError,
     HeaderCategory,
     ViewKind,
     build_dataset,
     class_catalog,
-    filter_packets,
-    read_capture,
+    label_index,
     read_dataset,
-    split_view,
+    read_dataset_header,
     train_val_split,
     write_dataset,
 )
@@ -173,8 +174,8 @@ def cmd_synth(args) -> int:
 def _guard_existing_dataset(path: Path, n: int):
     if path.exists():
         try:
-            existing = read_dataset(path)
-        except Exception:
+            existing, _ = read_dataset_header(path)
+        except DatasetFormatError:
             return  # not a dataset, plain overwrite
         if existing.sample_len != n:
             raise ValueError(f"{path}: existing dataset has sample length "
@@ -195,9 +196,12 @@ def cmd_build(args) -> int:
     out = Path(cfg.out)
     if grid:
         out.mkdir(parents=True, exist_ok=True)
+    # each capture the task keeps is parsed once and shared by every cell
+    captures = [(Capture.read(path), name) for path, name in inputs
+                if label_index(name, cfg.task) is not None]
     for view in views:
         for cat in cats:
-            ds = build_dataset(inputs, view, cat, cfg.n, cfg.task,
+            ds = build_dataset(captures, view, cat, cfg.n, cfg.task,
                                include_non_ip=cfg.include_non_ip,
                                drop_empty=cfg.drop_empty_samples)
             path = out / f"{view.value}_{cat.value}.ftld" if grid else out
@@ -224,17 +228,15 @@ def cmd_inspect(args) -> int:
     non_ip = 0
     for path, name in inputs:
         try:
-            _, pairs = read_capture(path)
+            cap = Capture.read(path)
         except OSError as e:
             raise ValueError(f"cannot read {path}: {e}") from e
-        total_packets += len(pairs)
-        per_class_packets[name] = per_class_packets.get(name, 0) + len(pairs)
-        per_class_bytes[name] = per_class_bytes.get(name, 0) + sum(
-            rec.cap_len for rec, _ in pairs)
-        non_ip += sum(1 for _, d in pairs if d.five_tuple is None)
+        total_packets += len(cap)
+        per_class_packets[name] = per_class_packets.get(name, 0) + len(cap)
+        per_class_bytes[name] = per_class_bytes.get(name, 0) + int(cap.cap_len.sum())
+        non_ip += int(cap.non_ip.sum())
         for view in unit_counts:
-            kept = filter_packets(pairs, view, cfg.include_non_ip)
-            unit_counts[view] += len(split_view(kept, view))
+            unit_counts[view] += len(cap.units(view, cfg.include_non_ip)[2])
     print(f"files          {len(inputs)}")
     print(f"packets        {total_packets}")
     print(f"non-ip packets {non_ip}")

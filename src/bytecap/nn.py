@@ -12,6 +12,8 @@ The default profile reproduces the reference shape column
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -666,11 +668,14 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         for i, layer in enumerate(plan):
             tensors = []
             for shape in layer.param_shapes:
-                count = math.prod(shape)
-                raw = fp.read(count * 4)
-                if len(raw) < count * 4:
+                nbytes = math.prod(shape) * 4
+                # checked before reading, as read() allocates the full claim
+                # up front; a pipe has no size to check against
+                st = os.fstat(fp.fileno())
+                if stat.S_ISREG(st.st_mode) and nbytes > st.st_size - fp.tell():
                     raise WeightsFormatError(
                         f"{path}: truncated mid-tensor in layer {i} ({layer.kind.name})")
+                raw = fp.read(nbytes)
                 tensors.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
             weights.append(tensors)
 

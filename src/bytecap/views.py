@@ -4,10 +4,20 @@ A capture is grouped into units per view (packet / flow / session), each
 unit's packets are stripped per header category, and the concatenated
 bytes become one fixed-length labeled sample. Datasets serialize to a
 small binary format (magic "FTLD") that round-trips byte-exactly.
+
+`Capture.read` parses a capture once into flat arrays: one frame buffer,
+per-packet layer offsets and flow/session unit ids. `build_dataset`
+assembles every view x category cell from a `Capture` by slicing with
+those offsets, so a grid of cells needs one parse per capture. The
+per-packet path (`read_capture`, `filter_packets`, `split_view`,
+`strip_headers`, `assemble_sample`) states the same rules one packet at a
+time and is the reference the tests hold the array path to.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,7 +77,7 @@ def class_catalog(task: str) -> list[str]:
     raise ValueError(f"unknown task {task!r}, expected 'binary' or 'multi'")
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     """One fixed-length labeled byte vector.
 
@@ -190,6 +200,137 @@ def assemble_sample(unit: Sequence[PacketPair], cat: HeaderCategory,
     return data, total
 
 
+@dataclass(frozen=True, eq=False)
+class Capture:
+    """One capture, read and dissected once, as flat per-packet arrays.
+
+    Packet i is frames[start[i]:start[i] + cap_len[i]]; eth_end and ip_end
+    are offsets into that frame, ip_end is -1 for non-IP packets (the only
+    ones without an IP header end). flow_id and session_id number each
+    IP packet's unit in first-appearance order (-1 for non-IP packets) and
+    index flow_keys / session_keys. In the packet view a unit's key is its
+    packet's record index.
+    """
+
+    source: str
+    ts_scale: float
+    frames: np.ndarray
+    start: np.ndarray
+    cap_len: np.ndarray
+    eth_end: np.ndarray
+    ip_end: np.ndarray
+    flow_id: np.ndarray
+    session_id: np.ndarray
+    flow_keys: list
+    session_keys: list
+
+    @classmethod
+    def read(cls, path) -> "Capture":
+        """One pass of read_pcap and dissect; no per-packet objects are kept."""
+        chunks = []
+        columns = []  # (cap_len, eth_end, ip_end, flow id, session id)
+        flows: dict = {}
+        sessions: dict = {}
+        with read_pcap(path) as reader:
+            scale, link_type = reader.meta.ts_scale, reader.meta.link_type
+            for rec in reader:
+                dis = dissect(rec, link_type)
+                chunks.append(rec.data)
+                if dis.l3_kind is L3Kind.NON_IP:
+                    columns.append((rec.cap_len, dis.eth_end, -1, -1, -1))
+                    continue
+                flow, session = keys(dis)
+                columns.append((rec.cap_len, dis.eth_end, dis.ip_end,
+                                flows.setdefault(flow, len(flows)),
+                                sessions.setdefault(session, len(sessions))))
+        cap_len, eth_end, ip_end, flow_id, session_id = (
+            np.array(columns, dtype=np.int64).reshape(-1, 5).T)
+        return cls(source=str(path), ts_scale=scale,
+                   frames=np.frombuffer(b"".join(chunks), dtype=np.uint8),
+                   start=np.cumsum(cap_len) - cap_len, cap_len=cap_len,
+                   eth_end=eth_end, ip_end=ip_end, flow_id=flow_id,
+                   session_id=session_id, flow_keys=list(flows),
+                   session_keys=list(sessions))
+
+    def __len__(self) -> int:
+        return len(self.cap_len)
+
+    @property
+    def non_ip(self) -> np.ndarray:
+        return self.ip_end < 0
+
+    def units(self, view: ViewKind,
+              include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
+        """Group one view like filter_packets + split_view.
+
+        Returns the kept packets' indices unit by unit (capture order
+        within a unit), the unit row of each of those packets, and the
+        key of each unit in first-appearance order.
+        """
+        if view is ViewKind.PACKET:
+            order = (np.arange(len(self)) if include_non_ip
+                     else np.flatnonzero(~self.non_ip))
+            return order, np.arange(len(order)), order.tolist()
+        ids, unit_keys = ((self.flow_id, self.flow_keys) if view is ViewKind.FLOW
+                          else (self.session_id, self.session_keys))
+        # non-IP packets (id -1) sort first and are left out
+        order = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
+        return order, ids[order], unit_keys
+
+    def _cuts(self, cat: HeaderCategory) -> tuple[np.ndarray, np.ndarray]:
+        """strip_headers as two cuts per packet: frame[:head] + frame[tail:]."""
+        zero = np.zeros_like(self.cap_len)
+        has_ip = self.ip_end >= 0
+        if cat is HeaderCategory.ALL_HEADERS:
+            return zero, zero
+        if cat is HeaderCategory.WITHOUT_ETHERNET:
+            return zero, np.minimum(self.eth_end, self.cap_len)
+        if cat is HeaderCategory.ONLY_ETHERNET:
+            return (np.where(has_ip, self.eth_end, 0),
+                    np.where(has_ip, self.ip_end, 0))
+        if cat is HeaderCategory.NO_HEADERS:
+            return zero, np.minimum(np.where(has_ip, self.ip_end, self.eth_end),
+                                    self.cap_len)
+        raise ValueError(f"unknown category {cat!r}")
+
+    def assemble(self, view: ViewKind, cat: HeaderCategory, n: int,
+                 include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
+        """assemble_sample for every unit of one view at once.
+
+        Returns a (units, n) uint8 matrix, each unit's stripped length
+        before truncation, and the unit keys.
+        """
+        if n < 1:
+            raise ValueError("sample length must be >= 1")
+        order, rows, unit_keys = self.units(view, include_non_ip)
+        head, tail = (a[order] for a in self._cuts(cat))
+        start = self.start[order]
+        length = head + self.cap_len[order] - tail
+        totals = np.zeros(len(unit_keys), dtype=np.int64)
+        np.add.at(totals, rows, length)
+        # byte position of each packet within its unit's stripped stream
+        before = np.cumsum(length) - length
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        pos = before - before[first][rows]
+        take = np.clip(n - pos, 0, length)
+        # Packets that contribute bytes, one window row each; valid bytes
+        # run unit by unit in capture order, so they fill each unit's row
+        # left to right.
+        piece = take > 0
+        take, start, head, tail = take[piece], start[piece], head[piece], tail[piece]
+        width = int(take.max()) if take.size else 1
+        col = np.arange(width)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([self.frames, np.zeros(width, dtype=np.uint8)]), width)
+        piece_bytes = windows[start + tail - head]
+        if head.any():
+            piece_bytes = np.where(col < head[:, None], windows[start], piece_bytes)
+        out = np.zeros((len(unit_keys), n), dtype=np.uint8)
+        out[np.arange(n) < np.minimum(totals, n)[:, None]] = \
+            piece_bytes[col < take[:, None]]
+        return out, totals, unit_keys
+
+
 def label_index(name: str, task: str) -> Optional[int]:
     """Map a scenario name to its class index; None means 'skip this file'."""
     if task == "binary":
@@ -208,32 +349,32 @@ def label_index(name: str, task: str) -> Optional[int]:
     raise ValueError(f"unknown task {task!r}")
 
 
-def build_dataset(inputs: Sequence[tuple[str, str]], view: ViewKind,
+def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
                   cat: HeaderCategory, n: int, task: str, *,
                   include_non_ip: bool = False,
                   drop_empty: bool = False) -> DatasetFile:
-    """Turn labeled pcaps into one dataset: per-file units, merged in order.
+    """Turn labeled captures into one dataset: per-file units, merged in order.
 
-    `inputs` is a list of (pcap path, class name). Every unit inherits its
-    capture's label. Output order is source file order, then unit
-    first-packet order, so rebuilding the same inputs is deterministic.
+    `inputs` is a list of (source, class name), where a source is a pcap
+    path, read here, or a `Capture` already read from one, so that many
+    cells can share one parse. Every unit inherits its capture's label.
+    Output order is source file order, then unit first-packet order, so
+    rebuilding the same inputs is deterministic.
     """
     names = class_catalog(task)
     ds = DatasetFile(view=view, category=cat, sample_len=n, class_names=names)
-    for path, label_name in inputs:
+    for source, label_name in inputs:
         label = label_index(label_name, task)
         if label is None:
             continue
-        _, pairs = read_capture(path)
-        pairs = filter_packets(pairs, view, include_non_ip)
-        for key, unit in split_view(pairs, view).items():
-            data, total = assemble_sample(unit, cat, n)
+        cap = source if isinstance(source, Capture) else Capture.read(source)
+        data, totals, unit_keys = cap.assemble(view, cat, n, include_non_ip)
+        blob = data.tobytes()
+        for row, (key, total) in enumerate(zip(unit_keys, totals.tolist())):
             if drop_empty and total == 0:
                 continue
-            ds.samples.append(Sample(
-                label=label, data=data, source=str(path), unit=key,
-                stripped_len=total,
-            ))
+            ds.samples.append(Sample(label, blob[row * n:(row + 1) * n],
+                                     cap.source, key, total))
     return ds
 
 
@@ -294,44 +435,69 @@ def write_dataset(path, ds: DatasetFile):
             fp.write(s.data)
 
 
+def _read_header(fp, path) -> tuple[DatasetFile, int]:
+    """Parse everything before the sample records: a DatasetFile with no
+    samples yet, and the sample count the file claims."""
+    magic = fp.read(4)
+    if magic != _DATASET_MAGIC:
+        raise DatasetFormatError(f"{path}: bad dataset magic {magic!r}")
+    head = fp.read(10)
+    if len(head) < 10:
+        raise DatasetFormatError(f"{path}: truncated dataset header")
+    version, view_code, cat_code, sample_len, class_count = struct.unpack("<HBBIH", head)
+    if version != _DATASET_VERSION:
+        raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
+    if view_code not in _VIEW_FROM_CODE or cat_code not in _CATEGORY_FROM_CODE:
+        raise DatasetFormatError(f"{path}: unknown view/category codes")
+    if class_count == 0:
+        raise DatasetFormatError(f"{path}: empty class table")
+    names = []
+    for i in range(class_count):
+        ln = fp.read(2)
+        if len(ln) < 2:
+            raise DatasetFormatError(f"{path}: truncated class table")
+        (name_len,) = struct.unpack("<H", ln)
+        raw = fp.read(name_len)
+        if len(raw) < name_len:
+            raise DatasetFormatError(f"{path}: truncated class name")
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise DatasetFormatError(f"{path}: class name {i} is not UTF-8") from None
+    cnt_raw = fp.read(8)
+    if len(cnt_raw) < 8:
+        raise DatasetFormatError(f"{path}: truncated sample count")
+    (count,) = struct.unpack("<Q", cnt_raw)
+    ds = DatasetFile(view=_VIEW_FROM_CODE[view_code],
+                     category=_CATEGORY_FROM_CODE[cat_code],
+                     sample_len=sample_len, class_names=names)
+    return ds, count
+
+
+def read_dataset_header(path) -> tuple[DatasetFile, int]:
+    """An FTLD file's header without its samples: a DatasetFile whose
+    sample list is empty, and the sample count the file claims."""
+    with open(path, "rb") as fp:
+        return _read_header(fp, path)
+
+
 def read_dataset(path) -> DatasetFile:
     with open(path, "rb") as fp:
-        magic = fp.read(4)
-        if magic != _DATASET_MAGIC:
-            raise DatasetFormatError(f"{path}: bad dataset magic {magic!r}")
-        head = fp.read(10)
-        if len(head) < 10:
-            raise DatasetFormatError(f"{path}: truncated dataset header")
-        version, view_code, cat_code, sample_len, class_count = struct.unpack("<HBBIH", head)
-        if version != _DATASET_VERSION:
-            raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
-        if view_code not in _VIEW_FROM_CODE or cat_code not in _CATEGORY_FROM_CODE:
-            raise DatasetFormatError(f"{path}: unknown view/category codes")
-        if class_count == 0:
-            raise DatasetFormatError(f"{path}: empty class table")
-        names = []
-        for _ in range(class_count):
-            ln = fp.read(2)
-            if len(ln) < 2:
-                raise DatasetFormatError(f"{path}: truncated class table")
-            (name_len,) = struct.unpack("<H", ln)
-            raw = fp.read(name_len)
-            if len(raw) < name_len:
-                raise DatasetFormatError(f"{path}: truncated class name")
-            names.append(raw.decode("utf-8"))
-        cnt_raw = fp.read(8)
-        if len(cnt_raw) < 8:
-            raise DatasetFormatError(f"{path}: truncated sample count")
-        (count,) = struct.unpack("<Q", cnt_raw)
-        ds = DatasetFile(view=_VIEW_FROM_CODE[view_code],
-                         category=_CATEGORY_FROM_CODE[cat_code],
-                         sample_len=sample_len, class_names=names)
+        ds, count = _read_header(fp, path)
+        rec_len = 2 + ds.sample_len
+        # checked before reading, as read() allocates the full claim up
+        # front; a pipe has no size to check against
+        st = os.fstat(fp.fileno())
+        if stat.S_ISREG(st.st_mode):
+            left = st.st_size - fp.tell()
+            if count * rec_len > left:
+                raise DatasetFormatError(f"{path}: truncated at sample {left // rec_len}")
         for i in range(count):
-            rec = fp.read(2 + sample_len)
-            if len(rec) < 2 + sample_len:
+            rec = fp.read(rec_len)
+            if len(rec) < rec_len:
                 raise DatasetFormatError(f"{path}: truncated at sample {i}")
             (label,) = struct.unpack("<H", rec[:2])
-            if label >= class_count:
+            if label >= len(ds.class_names):
                 raise DatasetFormatError(f"{path}: sample {i} label {label} out of range")
             ds.samples.append(Sample(label=label, data=rec[2:]))
         return ds

@@ -1,6 +1,7 @@
 """Feature-vector recipe and the timing harness."""
 
 import numpy as np
+import pytest
 
 from bytecap import bench
 from bytecap.bench import (
@@ -33,6 +34,12 @@ class TestFeatures:
             v = extract_stat_features(unit_of(frames))
             assert v.shape == (FEATURE_COUNT,)
             assert np.all(np.isfinite(v))
+
+    def test_shape_mismatch_raises_value_error(self, monkeypatch):
+        # an explicit check, not an assert that `python -O` would strip
+        monkeypatch.setattr(bench, "FEATURE_COUNT", FEATURE_COUNT + 1)
+        with pytest.raises(ValueError, match="feature recipe"):
+            extract_stat_features(unit_of([ipv4_frame()]))
 
     def test_single_packet_unit_spreads_are_zero(self):
         v = extract_stat_features(unit_of([ipv4_frame(payload=b"xy")]))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bytecap import views
 from bytecap.cli import RunConfig, effective_config, main, parse_config, render_config
 from bytecap.pcap import read_pcap_records
 from bytecap.views import read_dataset
@@ -103,6 +104,24 @@ class TestBuild:
         assert "session_no_headers.ftld" in files
         assert "packet_all_headers.ftld" in files
 
+    def test_grid_dissects_each_packet_once(self, cli_corpus, tmp_path, monkeypatch):
+        calls = 0
+        real = views.dissect
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(views, "dissect", counting)
+        rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
+                     "--all-views", "--all-categories", "--n", "64",
+                     "--out", str(tmp_path / "grid"))
+        assert rc == 0
+        packets = sum(len(read_pcap_records(p)[1])
+                      for p in cli_corpus.glob("*.pcap"))
+        assert calls == packets
+
     def test_missing_labels_usage_error(self, capsys):
         assert run_cli("build", "--out", "/tmp/x.ftld") == 1
         assert "labels" in capsys.readouterr().err
@@ -114,6 +133,25 @@ class TestBuild:
         rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
                      "--n", "32", "--out", str(out))
         assert rc == 1
+
+    def test_guard_reads_only_the_header(self, cli_corpus, tmp_path):
+        # an existing dataset with another sample length is refused even when
+        # its sample records are damaged: only the header is parsed
+        out = tmp_path / "damaged.ftld"
+        run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
+                "--n", "32", "--out", str(out))
+        out.write_bytes(out.read_bytes()[:-5])
+        rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
+                     "--n", "64", "--out", str(out))
+        assert rc == 1
+
+    def test_non_dataset_output_is_overwritten(self, cli_corpus, tmp_path):
+        out = tmp_path / "notes.ftld"
+        out.write_text("not a dataset\n")
+        rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
+                     "--n", "64", "--out", str(out))
+        assert rc == 0
+        assert read_dataset(out).sample_len == 64
 
     def test_include_non_ip_flag_accepted(self, cli_corpus, tmp_path):
         out = tmp_path / "ni.ftld"

@@ -2,6 +2,7 @@
 and the weights file."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,20 @@ class TestWeightsFile:
         write_hostile_weights(p, case)
         with pytest.raises(WeightsFormatError, match=HOSTILE_SPECS[case][3]):
             load_weights(p)
+
+    def test_claimed_size_checked_before_reading(self, tmp_path):
+        # one dense layer over a 2^23-long input: 2^24 weights (64 MiB) claimed
+        p = tmp_path / "huge.ftlw"
+        p.write_bytes(b"FTLW" + struct.pack("<HIH", 1, 1 << 23, 1)
+                      + struct.pack("<BIB", 3, 2, 2) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightsFormatError, match=r"layer 0 \(dense\)"):
+                load_weights(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_file_size_formula(self, tmp_path):
         ckpt = self.trained_checkpoint()

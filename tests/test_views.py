@@ -1,27 +1,34 @@
 """View splitting, header categories, sample assembly and dataset IO."""
 
+import os
 import random
+import struct
+import tracemalloc
 
 import pytest
 
-from bytecap.pcap import PacketRecord, dissect, read_pcap_records
+from bytecap.pcap import PacketRecord, dissect, read_pcap_records, write_pcap
 from bytecap.synth import binary_synth_classes, synth_corpus
 from bytecap.views import (
     BOTNET_CLASSES,
+    Capture,
     DatasetFile,
+    DatasetFormatError,
     HeaderCategory,
     Sample,
     ViewKind,
     assemble_sample,
     build_dataset,
     byte_distribution,
+    filter_packets,
+    read_capture,
     read_dataset,
     split_view,
     strip_headers,
     train_val_split,
     write_dataset,
 )
-from conftest import arp_frame, ipv4_frame
+from conftest import arp_frame, ipv4_frame, ipv6_frame
 
 ALL = HeaderCategory.ALL_HEADERS
 ONLY_ETH = HeaderCategory.ONLY_ETHERNET
@@ -240,6 +247,88 @@ class TestBuildDataset:
         assert len(dropped.samples) == 0
 
 
+def hostile_frames():
+    """Interleaved sessions plus every frame shape the dissector degrades."""
+    a, b, c = (10, 0, 0, 1), (10, 0, 0, 2), (192, 168, 1, 9)
+    tcp = ipv4_frame(payload=b"\x11" * 90, src=a, dst=b)
+    return [
+        tcp,
+        ipv4_frame(payload=b"\x22" * 30, src=b, dst=a, sport=80, dport=5000),
+        ipv4_frame(payload=b"\x33" * 7, proto=17, src=a, dst=c, vlan_tags=1),
+        ipv4_frame(payload=b"\x44" * 12, src=a, dst=b, vlan_tags=2),
+        ipv6_frame(payload=b"\x55" * 50),
+        ipv6_frame(payload=b"\x66" * 9, next_header=17, sport=80, dport=5000),
+        ipv6_frame(payload=b"\x77" * 20, next_header=0),  # extension header
+        arp_frame(),
+        tcp[:24],  # truncated inside the IP header
+        tcp[:44],  # truncated inside the TCP header
+        ipv4_frame(payload=b"\x88" * 40, src=a, dst=b, frag_offset=185),
+        ipv4_frame(proto=1, src=c, dst=a),  # ICMP: empty under no_headers
+        tcp[:9],  # runt frame with no ethertype
+        b"",  # empty record
+        tcp[:12] + struct.pack(">HH", 0x8100, 1),  # VLAN stack runs off
+        ipv4_frame(payload=b"\x99" * 200, src=b, dst=a, sport=80, dport=5000),
+        tcp,
+    ]
+
+
+def reference_samples(path, view, cat, n, include_non_ip, drop_empty):
+    """The per-packet path: filter_packets -> split_view -> assemble_sample."""
+    _, pairs = read_capture(path)
+    units = split_view(filter_packets(pairs, view, include_non_ip), view)
+    out = []
+    for key, unit in units.items():
+        data, total = assemble_sample(unit, cat, n)
+        if not (drop_empty and total == 0):
+            out.append((data, str(path), key, total))
+    return out
+
+
+class TestCapture:
+    @pytest.mark.parametrize("byte_order,resolution",
+                             [("<", "micro"), (">", "micro"), ("<", "nano")])
+    def test_cells_match_per_packet_path(self, tmp_path, byte_order, resolution):
+        path = tmp_path / "hostile.pcap"
+        write_pcap(path, [(i, i * 7, f) for i, f in enumerate(hostile_frames())],
+                   byte_order=byte_order, ts_resolution=resolution)
+        cap = Capture.read(path)
+        for view in ViewKind:
+            for cat in HeaderCategory:
+                for n in (1, 30, 115, 400):
+                    for include_non_ip in (False, True):
+                        for drop_empty in (False, True):
+                            ds = build_dataset([(cap, "benign")], view, cat, n,
+                                               "binary", include_non_ip=include_non_ip,
+                                               drop_empty=drop_empty)
+                            got = [(s.data, s.source, s.unit, s.stripped_len)
+                                   for s in ds.samples]
+                            assert got == reference_samples(
+                                path, view, cat, n, include_non_ip, drop_empty), \
+                                (view, cat, n, include_non_ip, drop_empty)
+
+    def test_counts_and_ts_scale(self, tmp_path):
+        frames = hostile_frames()
+        path = tmp_path / "nano.pcap"
+        write_pcap(path, [(0, 0, f) for f in frames], ts_resolution="nano")
+        cap = Capture.read(path)
+        _, pairs = read_capture(path)
+        assert cap.ts_scale == 1e-9
+        assert len(cap) == len(frames)
+        assert cap.frames.tobytes() == b"".join(frames)
+        assert int(cap.non_ip.sum()) == sum(d.five_tuple is None for _, d in pairs)
+        for view in ViewKind:
+            for include_non_ip in (False, True):
+                assert len(cap.units(view, include_non_ip)[2]) == len(
+                    split_view(filter_packets(pairs, view, include_non_ip), view))
+
+    def test_path_and_capture_inputs_agree(self, corpus_small):
+        captures = [(Capture.read(p), name) for p, name in corpus_small]
+        for view in ViewKind:
+            from_paths = build_dataset(corpus_small, view, ONLY_ETH, 115, "binary")
+            shared = build_dataset(captures, view, ONLY_ETH, 115, "binary")
+            assert from_paths == shared
+
+
 class TestByteDistribution:
     def test_single_sample(self):
         ds = DatasetFile(ViewKind.PACKET, ALL, 4, ["benign", "malicious"],
@@ -313,6 +402,48 @@ class TestDatasetIO:
         write_dataset(p, ds)
         name_table = sum(2 + len(n.encode()) for n in ds.class_names)
         assert p.stat().st_size == 14 + name_table + 8 + 1 * (2 + 115)
+
+    def header_only(self, tmp_path, sample_len, names=(b"benign", b"malicious")):
+        """An FTLD header claiming one sample of `sample_len` bytes,
+        followed by 16 bytes."""
+        blob = b"FTLD" + struct.pack("<HBBIH", 1, 0, 0, sample_len, len(names))
+        for raw in names:
+            blob += struct.pack("<H", len(raw)) + raw
+        p = tmp_path / "claim.ftld"
+        p.write_bytes(blob + struct.pack("<Q", 1) + b"\x00" * 16)
+        return p
+
+    def test_claimed_size_checked_before_reading(self, tmp_path):
+        p = self.header_only(tmp_path, 1 << 24)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="truncated"):
+                read_dataset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_read_from_pipe(self, tmp_path):
+        ds = DatasetFile(ViewKind.PACKET, ALL, 8, ["benign", "malicious"],
+                         [Sample(0, b"\x01" * 8), Sample(1, b"\x02" * 8)])
+        p = tmp_path / "p.ftld"
+        write_dataset(p, ds)
+        r, w = os.pipe()
+        try:
+            os.write(w, p.read_bytes())
+            os.close(w)
+            back = read_dataset(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert [(s.label, s.data) for s in back.samples] == \
+               [(s.label, s.data) for s in ds.samples]
+
+    def test_non_utf8_class_name(self, tmp_path):
+        p = self.header_only(tmp_path, 8, names=(b"benign", b"\xff\xfe"))
+        with pytest.raises(DatasetFormatError, match="UTF-8"):
+            read_dataset(p)
 
     def test_label_out_of_range_refused(self, tmp_path):
         ds = DatasetFile(ViewKind.PACKET, ALL, 2, ["benign", "malicious"],
