@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import DenseSpec, Model, ModelConfig, default_config, pairing_for
+from .nn import DenseSpec, Model, ModelConfig, adam_init, default_config, pairing_for
 from .pcap import PROTO_TCP, PROTO_UDP
-from .train import evaluate, train
+from .train import evaluate, train, train_step
 from .views import (
     HeaderCategory,
     ViewKind,
@@ -265,16 +265,11 @@ def _collect_units(corpus, task):
 
 
 def _warmup(n, task, pairing):
-    """One discarded run so first-use costs stay out of the timed phases."""
-    from .nn import adam_init, adam_step, grad_arrays, loss_and_grad
+    """One discarded training step keeps first-use costs out of the timed phases."""
     cfg = default_config(task, "prose", pairing, input_len=n, epochs=1, seed=0)
     model = Model(cfg)
     x = np.random.default_rng(0).random((4, n, 1), dtype=np.float32)
-    probs, caches = model.forward(x, want_cache=True)
-    _, dlogits = loss_and_grad(probs, np.zeros(4, dtype=np.int64), cfg.loss,
-                               model.final_activation)
-    grads = model.backward(caches, dlogits)
-    adam_step(model.param_arrays(), grad_arrays(grads), adam_init(model.param_arrays()), 1)
+    train_step(model, adam_init([model.flat_params]), 1, x, np.zeros(4, dtype=np.int64))
 
 
 def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADERS,

@@ -36,15 +36,16 @@ from .views import (
     write_dataset,
 )
 
-VIEW_FLAGS = {"packet": ViewKind.PACKET, "flow": ViewKind.FLOW,
-              "session": ViewKind.SESSION}
 CATEGORY_FLAGS = {"all": HeaderCategory.ALL_HEADERS,
                   "only-eth": HeaderCategory.ONLY_ETHERNET,
                   "no-eth": HeaderCategory.WITHOUT_ETHERNET,
                   "none": HeaderCategory.NO_HEADERS}
 # long-form names are accepted as aliases
 CATEGORY_FLAGS.update({cat.value: cat for cat in HeaderCategory})
-TASKS = ("binary", "multi")
+# the values each choice setting accepts, as a flag and in a config file
+CHOICES = {"view": sorted(v.value for v in ViewKind), "category": sorted(CATEGORY_FLAGS),
+           "task": ["binary", "multi"], "profile": ["prose", "table"],
+           "pairing": ["paper", "standard"]}
 
 
 @dataclass
@@ -72,13 +73,19 @@ class RunConfig:
     early_stop: bool = False
 
 
+def _choice(key: str, value: str, where: str) -> str:
+    if value not in CHOICES[key]:
+        raise ValueError(f"{where}: {key} must be one of {', '.join(CHOICES[key])}, "
+                         f"got {value!r}")
+    return value
+
+
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 
 def parse_config(text: str) -> dict:
     """Flat `key = value` lines with # comments; unknown keys are rejected."""
-    known = {f.name: f.type for f in fields(RunConfig)}
     types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
     out = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -88,8 +95,10 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        if key in CHOICES:
+            _choice(key, value, f"config line {line_no}")
         ty = types[key]
         if ty is bool:
             if value.lower() not in _BOOL_WORDS:
@@ -190,7 +199,7 @@ def cmd_build(args) -> int:
     if not cfg.out:
         raise ValueError("build needs --out <path>")
     inputs = read_labels_file(cfg.labels)
-    views = list(ViewKind) if args.all_views else [VIEW_FLAGS[cfg.view]]
+    views = list(ViewKind) if args.all_views else [ViewKind(cfg.view)]
     cats = list(HeaderCategory) if args.all_categories else [CATEGORY_FLAGS[cfg.category]]
     grid = len(views) * len(cats) > 1
     out = Path(cfg.out)
@@ -223,7 +232,7 @@ def cmd_inspect(args) -> int:
         return 0
     per_class_packets: dict[str, int] = {}
     per_class_bytes: dict[str, int] = {}
-    unit_counts = {v: 0 for v in VIEW_FLAGS.values()}
+    unit_counts = {v: 0 for v in ViewKind}
     total_packets = 0
     non_ip = 0
     for path, name in inputs:
@@ -294,7 +303,8 @@ def cmd_bench(args) -> int:
     if not cfg.labels:
         raise ValueError("bench needs --labels <file>")
     corpus = read_labels_file(cfg.labels)
-    views = [VIEW_FLAGS[v.strip()] for v in args.views.split(",") if v.strip()]
+    views = [ViewKind(_choice("view", v.strip(), "--views"))
+             for v in args.views.split(",") if v.strip()]
     epochs = cfg.epochs if "epochs" in provided else 10  # bench default is short
     report = bench_mod.time_pipelines(
         corpus, views, cfg.n, cfg.task,
@@ -308,15 +318,12 @@ def cmd_bench(args) -> int:
 
 
 def _add_shared_options(p: argparse.ArgumentParser):
-    p.add_argument("--view", choices=sorted(VIEW_FLAGS))
-    p.add_argument("--category", choices=sorted(CATEGORY_FLAGS))
+    for key, choices in CHOICES.items():
+        p.add_argument(f"--{key}", choices=choices)
     p.add_argument("--n", type=int)
-    p.add_argument("--task", choices=TASKS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--profile", choices=("prose", "table"))
-    p.add_argument("--pairing", choices=("paper", "standard"))
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--labels")

@@ -2,8 +2,10 @@
 
 Exactly four layer kinds (conv1d, max_pool1d, global_avg_pool1d, dense),
 all "valid" (no padding), implemented on numpy arrays laid out
-position-major, channel-minor. Activations are (L, C) per sample or
-(B, L, C) batched; every public op accepts either.
+position-major, channel-minor. One table, `_KINDS`, holds each kind's
+shape rules, FTLW fields, allowed activations, forward and backward;
+`Model` and the public ops run those same functions. Activations are
+(L, C) per sample or (B, L, C) batched; every public op accepts either.
 
 The default profile reproduces the reference shape column
 18x64 -> 3x64 -> 1x64 -> 64 -> {2|12} from a length-115 input.
@@ -62,54 +64,175 @@ class DenseSpec:
 
 LayerSpec = Union[Conv1dSpec, MaxPool1dSpec, GlobalAvgPoolSpec, DenseSpec]
 
+# ---------------------------------------------------------------------------
+# Layer kinds: one forward and one backward each, on batched arrays
+
+def _apply_activation(z, activation):
+    if activation == "none":
+        return z
+    if activation == "relu":
+        return np.maximum(z, 0)
+    if activation == "softmax":
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    if activation == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    raise ValueError(f"unknown activation {activation!r}")
+
+
+@lru_cache(maxsize=64)
+def _window_index(l_in, size, stride):
+    """Input positions of every output window.
+
+    Cached, so every model shares one array per geometry: callers must not
+    write to it. It stays writeable because np.take copies read-only indices.
+    """
+    l_out = (l_in - size) // stride + 1
+    return np.arange(l_out)[:, None] * stride + np.arange(size)[None, :]
+
+
+def _conv_forward(spec, params, a):
+    """Windows gathered into one matrix (rows are output positions, columns
+    ordered (k, c)) times the flattened kernel."""
+    w, b = params
+    f, k, c = w.shape
+    idx = _window_index(a.shape[1], k, spec.stride)
+    xcol = np.take(a, idx, axis=1)  # (B, L_out, K, C), contiguous
+    b_dim, l_out = xcol.shape[0], xcol.shape[1]
+    xflat = xcol.reshape(b_dim * l_out, k * c)
+    wmat = w.transpose(1, 2, 0).reshape(k * c, f)
+    z = (xflat @ wmat).reshape(b_dim, l_out, f) + b
+    return _apply_activation(z, spec.activation), (a.shape, xflat, z)
+
+
+def _conv_backward(spec, params, cache, g, need_dx):
+    in_shape, xflat, z = cache
+    w, _ = params
+    if spec.activation == "relu":
+        g = g * (z > 0)
+    bsz, l_out, f = g.shape
+    gflat = g.reshape(bsz * l_out, f)
+    # xflat columns are (k, c); dw[f, (k, c)] lands contiguous
+    dw = (gflat.T @ xflat).reshape(w.shape)
+    db = g.sum(axis=(0, 1))
+    grads = [dw.astype(w.dtype, copy=False), db.astype(w.dtype)]
+    if not need_dx:
+        return grads, None
+    # scatter window contributions; per k the targets are disjoint
+    contrib = np.tensordot(g, w, axes=([2], [0]))  # (B, L_out, K, C)
+    dx = np.zeros(in_shape, dtype=g.dtype)
+    for k in range(w.shape[1]):
+        dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
+    return grads, dx
+
+
+def _maxpool_forward(spec, params, a):
+    """Windowed max from strided slice views; the cache holds the in-window
+    argmax positions, first on ties."""
+    l_out = (a.shape[1] - spec.pool) // spec.stride + 1
+    best = a[:, 0:spec.stride * l_out:spec.stride, :].copy()
+    am = np.zeros(best.shape, dtype=np.intp)
+    for p in range(1, spec.pool):
+        sl = a[:, p:p + spec.stride * l_out:spec.stride, :]
+        better = sl > best
+        am[better] = p
+        np.maximum(best, sl, out=best)
+    return best, (a.shape, am)
+
+
+def _maxpool_backward(spec, params, cache, g, need_dx):
+    in_shape, am = cache
+    dx = np.zeros(in_shape, dtype=g.dtype)
+    bsz, l_out, c = am.shape
+    b_idx = np.arange(bsz)[:, None, None]
+    l_idx = np.arange(l_out)[None, :, None] * spec.stride + am
+    c_idx = np.arange(c)[None, None, :]
+    if spec.stride >= spec.pool:
+        dx[b_idx, l_idx, c_idx] = g  # windows disjoint
+    else:
+        np.add.at(dx, (b_idx, l_idx, c_idx), g)
+    return [], dx
+
+
+def _gap_forward(spec, params, a):
+    return a.mean(axis=1), a.shape
+
+
+def _gap_backward(spec, params, cache, g, need_dx):
+    return [], np.broadcast_to(g[:, None, :] / cache[1], cache).astype(g.dtype)
+
+
+def _dense_forward(spec, params, a):
+    w, b = params
+    xflat = a.reshape(a.shape[0], -1)
+    z = xflat @ w.T + b
+    return _apply_activation(z, spec.activation), (a.shape, xflat)
+
+
+def _dense_backward(spec, params, cache, g, need_dx):
+    """`g` is dLoss/d(pre-activation): loss_and_grad folds the activation in."""
+    in_shape, xflat = cache
+    w, _ = params
+    grads = [(g.T @ xflat).astype(w.dtype), g.sum(axis=0).astype(w.dtype)]
+    return grads, ((g @ w).reshape(in_shape) if need_dx else None)
+
 
 class LayerKind(NamedTuple):
-    """Every per-kind fact the shape walk and the weights file need.
+    """Every per-kind fact: shape rules, FTLW fields, runnable activations,
+    and the kind's one forward and one backward.
 
     FTLW stores `fields` after the kind code, packed with `fmt`, with
     activations as one-byte codes. `out` sees the input shape with the
     window already applied; `params` sees the raw input shape.
+    `forward(spec, params, a)` -> (out, cache); `backward(spec, params,
+    cache, g, need_dx)` -> (param grads, input grad), the latter possibly
+    None when `need_dx` is False, as for the first layer.
     """
 
     name: str
     code: int
     fields: tuple
     fmt: str
+    activations: tuple
     spatial: bool  # needs an (L, C) input
     window: Optional[tuple]  # names of the (size, stride) attributes
     out: Callable
     params: Callable
+    forward: Callable
+    backward: Callable
 
 
 _KINDS = {
     Conv1dSpec: LayerKind(
         "conv1d", 0, ("filters", "kernel", "stride", "activation"), "<IIIB",
-        True, ("kernel", "stride"),
+        ("relu", "none"), True, ("kernel", "stride"),
         lambda s, shape: (shape[0], s.filters),
-        lambda s, shape: ((s.filters, s.kernel, shape[1]), (s.filters,))),
+        lambda s, shape: ((s.filters, s.kernel, shape[1]), (s.filters,)),
+        _conv_forward, _conv_backward),
     MaxPool1dSpec: LayerKind(
-        "max_pool1d", 1, ("pool", "stride"), "<II", True, ("pool", "stride"),
+        "max_pool1d", 1, ("pool", "stride"), "<II", (), True, ("pool", "stride"),
         lambda s, shape: shape,
-        lambda s, shape: ()),
+        lambda s, shape: (),
+        _maxpool_forward, _maxpool_backward),
     GlobalAvgPoolSpec: LayerKind(
-        "global_avg_pool1d", 2, (), "<", True, None,
+        "global_avg_pool1d", 2, (), "<", (), True, None,
         lambda s, shape: (shape[1],),
-        lambda s, shape: ()),
+        lambda s, shape: (),
+        _gap_forward, _gap_backward),
     DenseSpec: LayerKind(  # flattens its input implicitly
-        "dense", 3, ("units", "activation"), "<IB", False, None,
+        "dense", 3, ("units", "activation"), "<IB", ("softmax", "sigmoid", "none"), False, None,
         lambda s, shape: (s.units,),
-        lambda s, shape: ((s.units, math.prod(shape)), (s.units,))),
+        lambda s, shape: ((s.units, math.prod(shape)), (s.units,)),
+        _dense_forward, _dense_backward),
 }
 
 
 class LayerPlan(NamedTuple):
-    """One layer of a validated config: its kind, shapes and window."""
+    """One layer of a validated config: its kind and shapes."""
 
     spec: LayerSpec
     kind: LayerKind
-    in_shape: tuple
     out_shape: tuple
-    window: Optional[tuple]  # (size, stride) for sliding-window kinds
     param_shapes: tuple  # (weight shape, bias shape), or () if none
 
 
@@ -139,12 +262,15 @@ class ModelConfig:
             kind = _KINDS.get(type(spec))
             if kind is None:
                 raise ShapeError(f"layer {i}: unknown spec {spec!r}")
+            if kind.activations and spec.activation not in kind.activations:
+                raise ShapeError(f"layer {i}: {kind.name} cannot run activation "
+                                 f"{spec.activation!r}")
             if kind.spatial and len(shape) != 2:
                 raise ShapeError(f"layer {i}: {kind.name} needs an (L, C) input, got {shape}")
-            in_shape, window = shape, None
+            in_shape = shape
             if kind.window:
                 size_name, stride_name = kind.window
-                window = size, stride = getattr(spec, size_name), getattr(spec, stride_name)
+                size, stride = getattr(spec, size_name), getattr(spec, stride_name)
                 if size < 1 or stride < 1:
                     raise ShapeError(f"layer {i}: {kind.name} {size_name} and "
                                      f"{stride_name} must be >= 1, got {size}/{stride}")
@@ -154,8 +280,7 @@ class ModelConfig:
             shape = kind.out(spec, shape)
             if min(shape) < 1:
                 raise ShapeError(f"layer {i}: collapsed to empty output")
-            plan.append(LayerPlan(spec, kind, in_shape, shape, window,
-                                  kind.params(spec, in_shape)))
+            plan.append(LayerPlan(spec, kind, shape, kind.params(spec, in_shape)))
         return plan
 
     def output_shapes(self) -> list[tuple]:
@@ -221,7 +346,7 @@ def default_config(task: str = "binary", profile: str = "prose",
 
 
 # ---------------------------------------------------------------------------
-# Layer forwards (public ops accept per-sample or batched arrays)
+# Public layer ops: per-sample or batched arrays, through the kind forwards
 
 def _batched(x, rank):
     x = np.asarray(x)
@@ -232,72 +357,14 @@ def _batched(x, rank):
     return x, False
 
 
-def _apply_activation(z, activation):
-    if activation == "none":
-        return z
-    if activation == "relu":
-        return np.maximum(z, 0)
-    if activation == "softmax":
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-@lru_cache(maxsize=64)
-def _window_index(l_in, size, stride):
-    """Input positions of every output window.
-
-    Cached, so every model shares one array per geometry: callers must not
-    write to it. It stays writeable because np.take copies read-only indices.
-    """
-    l_out = (l_in - size) // stride + 1
-    return np.arange(l_out)[:, None] * stride + np.arange(size)[None, :]
-
-
-def _conv_apply(x3, w, b, stride, idx=None):
-    """Returns (pre-activation z, flattened window matrix for backward).
-
-    The window matrix rows are output positions, columns ordered (k, c).
-    """
-    f, k, c = w.shape
-    if idx is None:
-        idx = _window_index(x3.shape[1], k, stride)
-    xcol = np.take(x3, idx, axis=1)  # (B, L_out, K, C), contiguous
-    b_dim, l_out = xcol.shape[0], xcol.shape[1]
-    xflat = xcol.reshape(b_dim * l_out, k * c)
-    wmat = w.transpose(1, 2, 0).reshape(k * c, f)
-    z = (xflat @ wmat).reshape(b_dim, l_out, f) + b
-    return z, xflat
-
-
-def _maxpool_apply(a, pool, stride):
-    """Windowed max plus argmax, built from strided slice views.
-
-    Returns (out, am) with am holding in-window argmax positions,
-    first on ties.
-    """
-    l_out = (a.shape[1] - pool) // stride + 1
-    first = a[:, 0:stride * l_out:stride, :]
-    best = first.copy()
-    am = np.zeros(best.shape, dtype=np.intp)
-    for p in range(1, pool):
-        sl = a[:, p:p + stride * l_out:stride, :]
-        better = sl > best
-        am[better] = p
-        np.maximum(best, sl, out=best)
-    return best, am
-
-
 def conv1d_forward(x, w, b, stride: int, activation: str = "none"):
     """Valid cross-correlation: out[t, f] = act(b[f] + sum w[f,k,c] x[t*S+k, c])."""
     x3, squeeze = _batched(x, 3)
     w = np.asarray(w, dtype=x3.dtype)
     if x3.shape[1] < w.shape[1]:
         raise ShapeError(f"input length {x3.shape[1]} < kernel {w.shape[1]}")
-    z, _ = _conv_apply(x3, w, np.asarray(b, dtype=x3.dtype), stride)
-    y = _apply_activation(z, activation)
+    spec = Conv1dSpec(w.shape[0], w.shape[1], stride, activation)
+    y, _ = _conv_forward(spec, (w, np.asarray(b, dtype=x3.dtype)), x3)
     return y[0] if squeeze else y
 
 
@@ -305,13 +372,13 @@ def maxpool1d_forward(x, pool: int, stride: int):
     x3, squeeze = _batched(x, 3)
     if x3.shape[1] < pool:
         raise ShapeError(f"input length {x3.shape[1]} < pool {pool}")
-    y, _ = _maxpool_apply(x3, pool, stride)
+    y, _ = _maxpool_forward(MaxPool1dSpec(pool, stride), [], x3)
     return y[0] if squeeze else y
 
 
 def global_avg_pool_forward(x):
     x3, squeeze = _batched(x, 3)
-    y = x3.mean(axis=1)
+    y, _ = _gap_forward(GlobalAvgPoolSpec(), [], x3)
     return y[0] if squeeze else y
 
 
@@ -319,17 +386,11 @@ def dense_forward(x, w, b, activation: str = "none"):
     """Affine map plus activation; inputs above rank 1 are flattened."""
     x = np.asarray(x)
     w = np.asarray(w)
-    if x.ndim == 1:
-        x2, squeeze = x[None, :], True
-    elif x.ndim == 2 and x.shape[1] == w.shape[1]:
-        x2, squeeze = x, False  # already a batch of flat vectors
-    elif x.ndim == 2:
-        x2, squeeze = x.reshape(1, -1), True  # one (L, C) activation
-    else:
-        x2, squeeze = x.reshape(x.shape[0], -1), False
-    z = x2 @ w.T + b
-    y = _apply_activation(z, activation)
-    return y[0] if squeeze else y
+    # one sample is a flat vector or an (L, C) activation; anything else a batch
+    one = x.ndim == 1 or (x.ndim == 2 and x.shape[1] != w.shape[1])
+    y, _ = _dense_forward(DenseSpec(w.shape[0], activation), (w, b),
+                          x.reshape(1, -1) if one else x)
+    return y[0] if one else y
 
 
 # ---------------------------------------------------------------------------
@@ -407,40 +468,21 @@ def _fresh_params(plan, rng):
 
 
 class Model:
-    """Parameterized layer stack built from a ModelConfig.
+    """Parameterized layer stack built from a ModelConfig, with fresh Glorot
+    weights unless `weights` are given (see `set_weights`).
 
     Parameters live in one flat buffer (`flat_params`); the per-layer
     arrays in `params` are views into it, so optimizer updates through
     either alias are equivalent.
     """
 
-    def __init__(self, config: ModelConfig, dtype=np.float32, init: bool = True):
-        plan = config.validate()
+    def __init__(self, config: ModelConfig, dtype=np.float32, weights=None):
         self.config = config
         self.dtype = dtype
-        self.shapes = [layer.out_shape for layer in plan]
-        self._window_idx = [_window_index(layer.in_shape[0], *layer.window)
-                            if layer.window else None for layer in plan]
-        if init:
-            self._install(_fresh_params(plan, np.random.default_rng(config.seed)))
-        else:
-            self.flat_params = np.zeros(0, dtype=dtype)
-            self.params = [[] for _ in config.layers]
-
-    def _install(self, weights):
-        """Pack per-layer tensors into the flat buffer and carve views."""
-        total = sum(a.size for layer in weights for a in layer)
-        self.flat_params = np.empty(total, dtype=self.dtype)
-        self.params = []
-        off = 0
-        for layer in weights:
-            views = []
-            for a in layer:
-                view = self.flat_params[off:off + a.size].reshape(np.shape(a))
-                view[...] = a
-                views.append(view)
-                off += a.size
-            self.params.append(views)
+        self._plan = config.validate()
+        if weights is None:
+            weights = _fresh_params(self._plan, np.random.default_rng(config.seed))
+        self.set_weights(weights)
 
     @property
     def final_activation(self) -> str:
@@ -452,88 +494,44 @@ class Model:
         if a.ndim == 2:
             a = a[..., None]
         caches = []
-        for spec, params, idx in zip(self.config.layers, self.params,
-                                     self._window_idx):
-            if isinstance(spec, Conv1dSpec):
-                w, b = params
-                z, xflat = _conv_apply(a, w, b, spec.stride, idx)
-                out = np.maximum(z, 0) if spec.activation == "relu" else z
-                caches.append((a.shape, xflat, z))
-                a = out
-            elif isinstance(spec, MaxPool1dSpec):
-                in_shape = a.shape
-                a, am = _maxpool_apply(a, spec.pool, spec.stride)
-                caches.append((in_shape, am))
-            elif isinstance(spec, GlobalAvgPoolSpec):
-                caches.append(a.shape)
-                a = a.mean(axis=1)
-            elif isinstance(spec, DenseSpec):
-                w, b = params
-                xflat = a.reshape(a.shape[0], -1)
-                z = xflat @ w.T + b
-                caches.append((a.shape, xflat))
-                a = _apply_activation(z, spec.activation)
+        for layer, params in zip(self._plan, self.params):
+            a, cache = layer.kind.forward(layer.spec, params, a)
+            caches.append(cache)
         return (a, caches) if want_cache else a
 
     def backward(self, caches, dlogits):
         """Parameter gradients (same nesting as params) from dLoss/dLogits."""
-        grads: list[list[np.ndarray]] = [[] for _ in self.config.layers]
+        grads: list[list[np.ndarray]] = [[] for _ in self._plan]
         g = np.asarray(dlogits, dtype=self.dtype)
-        for i in range(len(self.config.layers) - 1, -1, -1):
-            spec = self.config.layers[i]
-            cache = caches[i]
-            if isinstance(spec, DenseSpec):
-                in_shape, xflat = cache
-                w, _ = self.params[i]
-                grads[i] = [(g.T @ xflat).astype(self.dtype),
-                            g.sum(axis=0).astype(self.dtype)]
-                g = (g @ w).reshape(in_shape)
-            elif isinstance(spec, GlobalAvgPoolSpec):
-                in_shape = cache
-                g = np.broadcast_to(g[:, None, :] / in_shape[1],
-                                    in_shape).astype(self.dtype)
-            elif isinstance(spec, MaxPool1dSpec):
-                in_shape, am = cache
-                dx = np.zeros(in_shape, dtype=self.dtype)
-                bsz, l_out, c = am.shape
-                b_idx = np.arange(bsz)[:, None, None]
-                l_idx = np.arange(l_out)[None, :, None] * spec.stride + am
-                c_idx = np.arange(c)[None, None, :]
-                if spec.stride >= spec.pool:
-                    dx[b_idx, l_idx, c_idx] = g  # windows disjoint
-                else:
-                    np.add.at(dx, (b_idx, l_idx, c_idx), g)
-                g = dx
-            elif isinstance(spec, Conv1dSpec):
-                in_shape, xflat, z = cache
-                w, _ = self.params[i]
-                if spec.activation == "relu":
-                    g = g * (z > 0)
-                bsz, l_out, f = g.shape
-                c = in_shape[2]
-                gflat = g.reshape(bsz * l_out, f)
-                # xflat columns are (k, c); dw[f, (k, c)] lands contiguous
-                dw = (gflat.T @ xflat).reshape(f, spec.kernel, c)
-                db = g.sum(axis=(0, 1))
-                grads[i] = [dw.astype(self.dtype, copy=False),
-                            db.astype(self.dtype)]
-                if i == 0:
-                    continue  # nothing consumes the input gradient
-                # scatter window contributions; per k the targets are disjoint
-                contrib = np.tensordot(g, w, axes=([2], [0]))  # (B, L_out, K, C)
-                dx = np.zeros(in_shape, dtype=self.dtype)
-                for k in range(spec.kernel):
-                    dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
-                g = dx
+        for i in range(len(self._plan) - 1, -1, -1):
+            layer = self._plan[i]
+            grads[i], g = layer.kind.backward(layer.spec, self.params[i], caches[i],
+                                              g, i > 0)
         return grads
 
     def param_arrays(self) -> list[np.ndarray]:
         return [a for layer in self.params for a in layer]
 
     def set_weights(self, weights: list[list[np.ndarray]]):
-        if len(weights) != len(self.config.layers):
+        """Copy per-layer tensors, each shape-checked against the plan, into
+        a new flat buffer and carve the per-layer views from it."""
+        if len(weights) != len(self._plan):
             raise ShapeError("weight list does not match layer count")
-        self._install([[np.asarray(a) for a in layer] for layer in weights])
+        flat = np.empty(sum(math.prod(shape) for layer in self._plan
+                            for shape in layer.param_shapes), dtype=self.dtype)
+        params, off = [], 0
+        for i, (layer, tensors) in enumerate(zip(self._plan, weights)):
+            tensors = [np.asarray(a) for a in tensors]
+            if tuple(a.shape for a in tensors) != layer.param_shapes:
+                raise ShapeError(f"layer {i} ({layer.kind.name}): weight shapes "
+                                 f"{[a.shape for a in tensors]} != {layer.param_shapes}")
+            views = []
+            for a in tensors:
+                views.append(flat[off:off + a.size].reshape(a.shape))
+                views[-1][...] = a
+                off += a.size
+            params.append(views)
+        self.flat_params, self.params = flat, params
 
     def copy_weights(self) -> list[list[np.ndarray]]:
         return [[a.copy() for a in layer] for layer in self.params]
@@ -578,9 +576,7 @@ class Checkpoint:
     best_val_accuracy: float
 
     def to_model(self, dtype=np.float32) -> Model:
-        m = Model(self.config, dtype=dtype, init=False)
-        m.set_weights(self.weights)
-        return m
+        return Model(self.config, dtype=dtype, weights=self.weights)
 
 
 _WEIGHTS_MAGIC = b"FTLW"
@@ -629,7 +625,11 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
             raise WeightsFormatError(f"{path}: unsupported weights version {version}")
 
         def need(nbytes, what):
-            raw = fp.read(nbytes)
+            # a regular file's size is checked first, as read() allocates the
+            # full claim up front; a pipe has no size to check against
+            st = os.fstat(fp.fileno())
+            fits = not stat.S_ISREG(st.st_mode) or nbytes <= st.st_size - fp.tell()
+            raw = fp.read(nbytes) if fits else b""
             if len(raw) < nbytes:
                 raise WeightsFormatError(f"{path}: truncated while reading {what}")
             return raw
@@ -668,18 +668,10 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         for i, layer in enumerate(plan):
             tensors = []
             for shape in layer.param_shapes:
-                nbytes = math.prod(shape) * 4
-                # checked before reading, as read() allocates the full claim
-                # up front; a pipe has no size to check against
-                st = os.fstat(fp.fileno())
-                if stat.S_ISREG(st.st_mode) and nbytes > st.st_size - fp.tell():
-                    raise WeightsFormatError(
-                        f"{path}: truncated mid-tensor in layer {i} ({layer.kind.name})")
-                raw = fp.read(nbytes)
+                raw = need(math.prod(shape) * 4, f"layer {i} ({layer.kind.name}) tensor")
                 tensors.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
             weights.append(tensors)
 
-        tail = need(8, "trailer")
-        best_epoch, best_acc = struct.unpack("<If", tail)
+        best_epoch, best_acc = struct.unpack("<If", need(8, "trailer"))
         return Checkpoint(config=config, weights=weights,
                           best_epoch=best_epoch, best_val_accuracy=best_acc)

@@ -134,6 +134,19 @@ def _loss_acc(model: Model, x, y, loss: str) -> tuple[float, float]:
     return total_loss / n, correct / n
 
 
+def train_step(model: Model, state, step: int, xb, yb) -> tuple[float, np.ndarray]:
+    """One in-place Adam step on a batch; `state` is `adam_init([model.flat_params])`,
+    `step` is 1-based. Returns the batch loss and the pre-update probabilities."""
+    cfg = model.config
+    probs, caches = model.forward(xb, want_cache=True)
+    loss, dlogits = loss_and_grad(probs, yb, cfg.loss, model.final_activation)
+    grads = model.backward(caches, dlogits)
+    flat_grad = np.concatenate([a.ravel() for a in grad_arrays(grads)])
+    adam_step([model.flat_params], [flat_grad], state, step,
+              lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.epsilon)
+    return loss, probs
+
+
 def train(config: ModelConfig, train_data, val_data, *,
           early_stop: bool = False) -> tuple[Checkpoint, TrainHistory]:
     """Run the epoch loop and return the best-validation-accuracy weights.
@@ -168,15 +181,8 @@ def train(config: ModelConfig, train_data, val_data, *,
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            probs, caches = model.forward(xb, want_cache=True)
-            batch_loss, dlogits = loss_and_grad(probs, yb, config.loss,
-                                                model.final_activation)
-            grads = model.backward(caches, dlogits)
-            flat_grad = np.concatenate([a.ravel() for a in grad_arrays(grads)])
             step += 1
-            adam_step([model.flat_params], [flat_grad], state, step,
-                      lr=config.learning_rate, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.epsilon)
+            batch_loss, probs = train_step(model, state, step, xb, yb)
             epoch_loss += batch_loss * len(yb)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
         val_loss, val_acc = _loss_acc(model, x_val, y_val, config.loss)

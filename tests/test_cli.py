@@ -47,6 +47,22 @@ class TestConfigFile:
         cfg = RunConfig()
         assert cfg.epochs == 50 and cfg.batch == 20 and cfg.n == 115
 
+    @pytest.mark.parametrize("command, conf, extra, where", [
+        ("build", "view = bogus", [], "config line 1"),
+        ("build", "category = bogus", [], "config line 1"),
+        ("bench", "", ["--views", "session,bogus"], "--views"),
+    ])
+    def test_unknown_choice_is_an_error(self, cli_corpus, tmp_path, capsys,
+                                        command, conf, extra, where):
+        conf_path = tmp_path / "run.conf"
+        conf_path.write_text(conf + "\n")
+        rc = run_cli(command, "--config", str(conf_path),
+                     "--labels", str(cli_corpus / "labels.txt"),
+                     "--out", str(tmp_path / "out"), *extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {where}" in err and "'bogus'" in err
+
 
 @pytest.fixture(scope="module")
 def cli_corpus(tmp_path_factory):

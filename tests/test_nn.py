@@ -1,6 +1,7 @@
 """Kernel math: layer forwards, finite-difference gradient oracles, Adam,
 and the weights file."""
 
+import os
 import struct
 import tracemalloc
 
@@ -112,6 +113,18 @@ class TestForwards:
         for pa, pb in zip(a.param_arrays(), b.param_arrays()):
             assert np.array_equal(pa, pb)
 
+    def test_weights_shape_checked_against_plan(self):
+        cfg = default_config("binary")
+        model = Model(cfg)
+        before = model.flat_params.copy()
+        bad = model.copy_weights()
+        bad[4][0] = bad[4][0].T  # dense weight (2, 64) given as (64, 2)
+        with pytest.raises(ShapeError, match=r"layer 4 \(dense\)"):
+            model.set_weights(bad)
+        with pytest.raises(ShapeError, match=r"layer 4 \(dense\)"):
+            Model(cfg, weights=bad)
+        assert np.array_equal(model.flat_params, before)
+
 
 class TestLoss:
     def test_perfect_prediction_near_zero(self):
@@ -175,9 +188,7 @@ def analytic_param_grads(model, x, y):
 
 def f64_twin(model):
     """Same weights at float64, for evaluating the FD oracle accurately."""
-    twin = Model(model.config, dtype=np.float64, init=False)
-    twin.set_weights(model.params)
-    return twin
+    return Model(model.config, dtype=np.float64, weights=model.params)
 
 
 def rel_err(a, b):
@@ -366,6 +377,9 @@ HOSTILE_SPECS = {
     "zero_pool_stride": (1, 1, 0, "must be >= 1"),
     "zero_filters": (2, 0, 0, "empty output"),
     "zero_units": (4, 0, 0, "empty output"),
+    "conv_softmax": (0, 3, 2, "conv1d cannot run activation 'softmax'"),
+    "conv_sigmoid": (2, 3, 3, "conv1d cannot run activation 'sigmoid'"),
+    "dense_relu": (4, 1, 1, "dense cannot run activation 'relu'"),
 }
 
 
@@ -413,6 +427,19 @@ class TestWeightsFile:
         p.write_bytes(blob[:200])  # inside the first conv weight tensor
         with pytest.raises(WeightsFormatError, match=r"layer 0 \(conv1d\)"):
             load_weights(p)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_truncation_through_pipe_names_layer(self, tmp_path):
+        p = tmp_path / "t.ftlw"
+        save_weights(p, self.trained_checkpoint())
+        r, w = os.pipe()
+        try:
+            os.write(w, p.read_bytes()[:200])  # inside the first conv weight tensor
+            os.close(w)
+            with pytest.raises(WeightsFormatError, match=r"layer 0 \(conv1d\)"):
+                load_weights(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
     def test_bad_magic_and_version(self, tmp_path):
         p = tmp_path / "m.ftlw"
