@@ -1,8 +1,10 @@
 """Command-line front end: synth, build, inspect, train, eval, bench.
 
-Options compose from defaults, then a flat key=value config file, then
-command-line flags (flags win). The effective configuration is echoed on
-stderr at the start of every run; stdout carries only data.
+Each command takes only the settings it reads (`SETTINGS`), as flags and
+as config-file keys. Options compose from defaults, then a flat key=value
+config file, then command-line flags (flags win). The command's effective
+settings are echoed on stderr at the start of every run; stdout carries
+only data.
 """
 
 from __future__ import annotations
@@ -73,6 +75,23 @@ class RunConfig:
     early_stop: bool = False
 
 
+# the RunConfig fields each command reads: its flags, config keys and echo
+SETTINGS = {
+    "synth": ("out", "task", "sessions", "seed"),
+    "build": ("labels", "out", "view", "category", "n", "task", "include_non_ip",
+              "drop_empty_samples"),
+    "inspect": ("labels", "include_non_ip"),
+    "train": ("out", "task", "profile", "pairing", "epochs", "batch", "seed",
+              "learning_rate", "beta1", "beta2", "epsilon", "early_stop"),
+    "eval": ("out",),
+    "bench": ("labels", "out", "n", "task", "category", "profile", "pairing",
+              "epochs", "batch", "seed"),
+}
+# defaults a command keeps in place of RunConfig's: bench runs short
+COMMAND_DEFAULTS = {"bench": {"epochs": 10}}
+_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
 def _choice(key: str, value: str, where: str) -> str:
     if value not in CHOICES[key]:
         raise ValueError(f"{where}: {key} must be one of {', '.join(CHOICES[key])}, "
@@ -84,9 +103,9 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 
-def parse_config(text: str) -> dict:
-    """Flat `key = value` lines with # comments; unknown keys are rejected."""
-    types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+def parse_config(text: str, command: str) -> dict:
+    """Flat `key = value` lines with # comments; keys the command does not
+    read are rejected."""
     out = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -95,58 +114,45 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
+        if key not in SETTINGS[command]:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
         if key in CHOICES:
             _choice(key, value, f"config line {line_no}")
-        ty = types[key]
+        ty = _TYPES[key]
         if ty is bool:
             if value.lower() not in _BOOL_WORDS:
                 raise ValueError(f"config line {line_no}: bad boolean {value!r}")
             out[key] = _BOOL_WORDS[value.lower()]
-        elif ty is int:
-            out[key] = int(value)
-        elif ty is float:
-            out[key] = float(value)
         else:
-            out[key] = value
+            out[key] = ty(value)
     return out
 
 
-def render_config(cfg: RunConfig) -> str:
+def render_config(cfg: RunConfig, command: str) -> str:
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+    for name in SETTINGS[command]:
+        value = getattr(cfg, name)
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = repr(value)
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{name} = {value}")
     return "\n".join(lines)
 
 
-def effective_config(args) -> tuple[RunConfig, set[str]]:
-    """defaults <- config file <- flags; returns the config and which keys
-    were explicitly provided."""
-    cfg = RunConfig()
-    provided: set[str] = set()
+def effective_config(args, command: str) -> RunConfig:
+    """The command's defaults <- config file <- flags."""
+    cfg = replace(RunConfig(), **COMMAND_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
-        file_values = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        cfg = replace(cfg, **file_values)
-        provided |= set(file_values)
-    flag_values = {}
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            flag_values[f.name] = v
-    cfg = replace(cfg, **flag_values)
-    provided |= set(flag_values)
-    return cfg, provided
+        text = Path(args.config).read_text(encoding="utf-8")
+        cfg = replace(cfg, **parse_config(text, command))
+    flags = {name: getattr(args, name, None) for name in SETTINGS[command]}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _echo_config(cfg: RunConfig, command: str):
     print(f"# bytecap {command}: effective configuration", file=sys.stderr)
-    for line in render_config(cfg).splitlines():
+    for line in render_config(cfg, command).splitlines():
         print(f"# {line}", file=sys.stderr)
 
 
@@ -164,9 +170,7 @@ def _model_config(cfg: RunConfig, input_len: int, class_names: list[str]):
                           seed=cfg.seed)
 
 
-def cmd_synth(args) -> int:
-    cfg, _ = effective_config(args)
-    _echo_config(cfg, "synth")
+def cmd_synth(cfg: RunConfig, args) -> int:
     if not cfg.out:
         raise ValueError("synth needs --out <directory>")
     classes = (binary_synth_classes(cfg.sessions) if cfg.task == "binary"
@@ -191,9 +195,7 @@ def _guard_existing_dataset(path: Path, n: int):
                              f"{existing.sample_len}, refusing to mix with {n}")
 
 
-def cmd_build(args) -> int:
-    cfg, _ = effective_config(args)
-    _echo_config(cfg, "build")
+def cmd_build(cfg: RunConfig, args) -> int:
     if not cfg.labels:
         raise ValueError("build needs --labels <file> (lines of 'pcap-path,class-name')")
     if not cfg.out:
@@ -221,9 +223,7 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    cfg, _ = effective_config(args)
-    _echo_config(cfg, "inspect")
+def cmd_inspect(cfg: RunConfig, args) -> int:
     if not cfg.labels:
         raise ValueError("inspect needs --labels <file>")
     inputs = read_labels_file(cfg.labels)
@@ -258,9 +258,7 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg, _ = effective_config(args)
-    _echo_config(cfg, "train")
+def cmd_train(cfg: RunConfig, args) -> int:
     if not cfg.out:
         raise ValueError("train needs --out <weights path>")
     ds = read_dataset(args.dataset)
@@ -277,9 +275,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg, _ = effective_config(args)
-    _echo_config(cfg, "eval")
+def cmd_eval(cfg: RunConfig, args) -> int:
     ds = read_dataset(args.dataset)
     ckpt = load_weights(args.weights)
     if len(ds.class_names) != ckpt.config.class_count:
@@ -297,18 +293,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg, provided = effective_config(args)
-    _echo_config(cfg, "bench")
+def cmd_bench(cfg: RunConfig, args) -> int:
     if not cfg.labels:
         raise ValueError("bench needs --labels <file>")
     corpus = read_labels_file(cfg.labels)
     views = [ViewKind(_choice("view", v.strip(), "--views"))
              for v in args.views.split(",") if v.strip()]
-    epochs = cfg.epochs if "epochs" in provided else 10  # bench default is short
     report = bench_mod.time_pipelines(
         corpus, views, cfg.n, cfg.task,
-        category=CATEGORY_FLAGS[cfg.category], epochs=epochs, batch=cfg.batch,
+        category=CATEGORY_FLAGS[cfg.category], epochs=cfg.epochs, batch=cfg.batch,
         seed=cfg.seed, pairing=cfg.pairing, profile=cfg.profile)
     print(report.to_text_table())
     if cfg.out:
@@ -317,27 +310,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_shared_options(p: argparse.ArgumentParser):
-    for key, choices in CHOICES.items():
-        p.add_argument(f"--{key}", choices=choices)
-    p.add_argument("--n", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
+def _add_settings(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--labels")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--sessions", type=int)
-    p.add_argument("--include-non-ip", dest="include_non_ip",
-                   action="store_const", const=True)
-    p.add_argument("--drop-empty-samples", dest="drop_empty_samples",
-                   action="store_const", const=True)
-    p.add_argument("--early-stop", dest="early_stop",
-                   action="store_const", const=True)
+    for name in SETTINGS[command]:
+        flag = "--" + name.replace("_", "-")
+        if _TYPES[name] is bool:
+            p.add_argument(flag, dest=name, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=name, type=_TYPES[name], choices=CHOICES.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,43 +327,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic pcap corpus")
-    _add_shared_options(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build", help="build byte-vector datasets from pcaps")
-    _add_shared_options(p)
     p.add_argument("--all-views", action="store_true")
     p.add_argument("--all-categories", action="store_true")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("inspect", help="corpus statistics and unit counts")
-    _add_shared_options(p)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("train", help="train a model on a dataset file")
     p.add_argument("dataset")
-    _add_shared_options(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a weights file on a dataset")
     p.add_argument("dataset")
     p.add_argument("weights")
     p.add_argument("--confusion", action="store_true")
-    _add_shared_options(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="time byte-stream pipelines vs the stat baseline")
-    _add_shared_options(p)
     p.add_argument("--views", default="session,flow,packet")
     p.set_defaults(func=cmd_bench)
 
+    for command, p in sub.choices.items():
+        _add_settings(p, command)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = effective_config(args, args.command)
+        _echo_config(cfg, args.command)
+        return args.func(cfg, args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

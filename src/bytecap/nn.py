@@ -265,6 +265,12 @@ class ModelConfig:
             if kind.activations and spec.activation not in kind.activations:
                 raise ShapeError(f"layer {i}: {kind.name} cannot run activation "
                                  f"{spec.activation!r}")
+            # the dense backward takes g with respect to the pre-activation,
+            # which loss_and_grad supplies for the final layer only
+            if (isinstance(spec, DenseSpec) and i < len(self.layers) - 1
+                    and spec.activation != "none"):
+                raise ShapeError(f"layer {i}: a dense layer before the last cannot "
+                                 f"run activation {spec.activation!r}")
             if kind.spatial and len(shape) != 2:
                 raise ShapeError(f"layer {i}: {kind.name} needs an (L, C) input, got {shape}")
             in_shape = shape

@@ -318,7 +318,7 @@ def test_c10_command_determinism(corpus_small, tmp_path):
 
     def build(path):
         assert cli_main(["build", "--labels", str(labels), "--view", "flow",
-                         "--category", "no-eth", "--n", "115", "--seed", "4",
+                         "--category", "no-eth", "--n", "115",
                          "--out", str(path)]) == 0
         return path.read_bytes()
 

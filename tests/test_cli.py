@@ -1,12 +1,23 @@
 """End-to-end command-line behavior."""
 
+import argparse
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from bytecap import views
-from bytecap.cli import RunConfig, effective_config, main, parse_config, render_config
+from bytecap import cli, views
+from bytecap.bench import TimingReport
+from bytecap.cli import (
+    SETTINGS,
+    RunConfig,
+    build_parser,
+    effective_config,
+    main,
+    parse_config,
+    render_config,
+)
 from bytecap.pcap import read_pcap_records
 from bytecap.views import read_dataset
 from test_nn import HOSTILE_SPECS, write_hostile_weights
@@ -16,36 +27,89 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# each command's arguments besides --config and its settings
+OWN_ARGUMENTS = {"synth": set(), "build": {"--all-views", "--all-categories"},
+                 "inspect": set(), "train": {"dataset"},
+                 "eval": {"dataset", "weights", "--confusion"}, "bench": {"--views"}}
+
+
 class TestConfigFile:
     def test_parse_render_fixpoint(self):
+        # every field off its default, so each command's keys all round-trip
         cfg = RunConfig(view="flow", category="none", n=64, task="multi",
-                        epochs=7, seed=3, early_stop=True, learning_rate=5e-4)
-        text = render_config(cfg)
-        parsed = RunConfig(**parse_config(text))
-        assert parsed == cfg
-        assert render_config(parsed) == text
+                        epochs=7, batch=5, seed=3, profile="table",
+                        pairing="standard", learning_rate=5e-4, beta1=0.8,
+                        beta2=0.99, epsilon=1e-6, sessions=4, labels="l.txt",
+                        out="o", include_non_ip=True, drop_empty_samples=True,
+                        early_stop=True)
+        for command, names in SETTINGS.items():
+            text = render_config(cfg, command)
+            values = parse_config(text, command)
+            assert values == {name: getattr(cfg, name) for name in names}
+            assert render_config(RunConfig(**values), command) == text
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
-            parse_config("nonsense = 1\n")
+            parse_config("nonsense = 1\n", "train")
 
     def test_comments_and_blank_lines(self):
-        values = parse_config("# comment\n\nview = packet  # trailing\n")
+        values = parse_config("# comment\n\nview = packet  # trailing\n", "build")
         assert values == {"view": "packet"}
 
     def test_flags_win_over_config(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text("epochs = 9\nview = flow\n")
+        conf.write_text("epochs = 9\ncategory = none\n")
         parser_args = type("A", (), {"config": str(conf), "epochs": 2,
-                                     "view": None})()
-        cfg, provided = effective_config(parser_args)
+                                     "category": None})()
+        cfg = effective_config(parser_args, "bench")
         assert cfg.epochs == 2  # flag wins
-        assert cfg.view == "flow"  # config file applies
-        assert "epochs" in provided and "view" in provided
+        assert cfg.category == "none"  # config file applies
 
     def test_defaults_epochs_batch(self):
         cfg = RunConfig()
         assert cfg.epochs == 50 and cfg.batch == 20 and cfg.n == 115
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_flags_are_the_commands_settings(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {}
+        for action in sub.choices[command]._actions:
+            if action.dest != "help":
+                got[action.option_strings[0] if action.option_strings
+                    else action.dest] = action.dest
+        settings = {"--" + name.replace("_", "-"): name for name in SETTINGS[command]}
+        assert set(got) == {"--config"} | set(settings) | OWN_ARGUMENTS[command]
+        assert all(got[flag] == name for flag, name in settings.items())
+
+    def test_every_setting_is_read_by_some_command(self):
+        assert set().union(*SETTINGS.values()) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--seed", "4"],
+        ["eval", "d.ftld", "w.ftlw", "--epochs", "3"],
+        ["bench", "--learning-rate", "5"],
+    ], ids=["build-seed", "eval-epochs", "bench-learning-rate"])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, positional, conf", [
+        ("build", [], "view = flow\nseed = 4"),
+        ("eval", ["d.ftld", "w.ftlw"], "epochs = 3"),
+        ("inspect", [], "view = flow"),
+        ("synth", [], "labels = x.txt"),
+    ])
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys,
+                                                  command, positional, conf):
+        conf_path = tmp_path / "run.conf"
+        conf_path.write_text(conf + "\n")
+        assert run_cli(command, *positional, "--config", str(conf_path)) == 1
+        line = len(conf.splitlines())
+        key = conf.splitlines()[-1].split(" = ")[0]
+        assert f"error: config line {line}: unknown key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, conf, extra, where", [
         ("build", "view = bogus", [], "config line 1"),
@@ -226,6 +290,16 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--epochs", "0", "epochs"), ("--batch", "0", "batch_size"),
+        ("--batch", "-3", "batch_size")])
+    def test_train_refuses_nonpositive_epochs_or_batch(self, dataset, tmp_path, capsys,
+                                                      flag, value, name):
+        w = tmp_path / "x.ftlw"
+        assert run_cli("train", str(dataset), flag, value, "--out", str(w)) == 1
+        assert f"error: {name} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not w.exists()
+
     def test_task_mismatch_is_descriptive(self, dataset, tmp_path, capsys):
         rc = run_cli("train", str(dataset), "--task", "multi", "--epochs", "1",
                      "--out", str(tmp_path / "x.ftlw"))
@@ -273,6 +347,19 @@ class TestBench:
         assert len(lines) == 3  # session + stat-baseline
         assert "stat-baseline" in capsys.readouterr().out
 
+    def test_echo_shows_the_epochs_that_run(self, cli_corpus, monkeypatch, capsys):
+        seen = {}
+
+        def recording(corpus, views, n, task, **kw):
+            seen.update(kw)
+            return TimingReport()
+
+        monkeypatch.setattr(cli.bench_mod, "time_pipelines", recording)
+        assert run_cli("bench", "--labels", str(cli_corpus / "labels.txt")) == 0
+        err = capsys.readouterr().err
+        assert seen["epochs"] == 10
+        assert "# epochs = 10" in err and "learning_rate" not in err
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):
@@ -285,4 +372,5 @@ class TestEntryPoint:
         run_cli("inspect", "--labels", str(cli_corpus / "labels.txt"))
         err = capsys.readouterr().err
         assert "effective configuration" in err
-        assert "epochs = 50" in err
+        assert "# include_non_ip = false" in err
+        assert "epochs" not in err

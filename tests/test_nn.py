@@ -252,6 +252,8 @@ GRAD_CASES = [
     ("dense_sigmoid_cce", tiny_config([DenseSpec(3, "sigmoid")], LOSS_CCE, 3, 6)),
     ("dense_softmax_bce", tiny_config([DenseSpec(2, "softmax")], LOSS_BCE, 2, 6)),
     ("dense_sigmoid_bce", tiny_config([DenseSpec(2, "sigmoid")], LOSS_BCE, 2, 6)),
+    ("dense_stack", tiny_config([DenseSpec(4, "none"), DenseSpec(2, "softmax")],
+                                LOSS_CCE, 2, 6)),
     ("conv_relu", tiny_config([Conv1dSpec(4, 3, 2), DenseSpec(2, "softmax")],
                               LOSS_CCE, 2, 11)),
     ("conv_linear", tiny_config([Conv1dSpec(3, 4, 1, "none"),
@@ -280,7 +282,7 @@ class TestGradients:
             an = analytic_param_grads(model, x, y)
             assert rel_err(an, fd) < 1e-5, f"{name} draw {draw}"
 
-    @pytest.mark.parametrize("name,cfg", GRAD_CASES[:6], ids=[c[0] for c in GRAD_CASES[:6]])
+    @pytest.mark.parametrize("name,cfg", GRAD_CASES[:7], ids=[c[0] for c in GRAD_CASES[:7]])
     def test_fd_oracle_f32(self, name, cfg):
         # f32 analytic path against an accurately evaluated FD oracle;
         # the >=100-draw battery runs in the acceptance suite
@@ -294,6 +296,12 @@ class TestGradients:
             fd = fd_param_grads(f64_twin(model), x, y, h)
             an = analytic_param_grads(model, x, y)
             assert rel_err(an, fd) < 1e-2, f"{name} draw {draw}"
+
+    def test_hidden_dense_activation_rejected(self):
+        # its backward would skip the sigmoid's derivative
+        cfg = tiny_config([DenseSpec(4, "sigmoid"), DenseSpec(2, "softmax")], LOSS_CCE, 2, 6)
+        with pytest.raises(ShapeError, match="layer 0: a dense layer before the last"):
+            cfg.validate()
 
     def test_zero_upstream_gives_zero_grads(self):
         cfg = default_config("binary")
@@ -467,6 +475,17 @@ class TestWeightsFile:
         p = tmp_path / "h.ftlw"
         write_hostile_weights(p, case)
         with pytest.raises(WeightsFormatError, match=HOSTILE_SPECS[case][3]):
+            load_weights(p)
+
+    def test_hidden_dense_activation_rejected(self, tmp_path):
+        p = tmp_path / "hidden.ftlw"
+        cfg = dict(GRAD_CASES)["dense_stack"]
+        save_weights(p, Checkpoint(config=cfg, weights=Model(cfg).copy_weights(),
+                                   best_epoch=0, best_val_accuracy=0.0))
+        blob = bytearray(p.read_bytes())
+        blob[12 + 1 + 4] = 3  # layer 0 activation: none -> sigmoid
+        p.write_bytes(bytes(blob))
+        with pytest.raises(WeightsFormatError, match="dense layer before the last"):
             load_weights(p)
 
     def test_claimed_size_checked_before_reading(self, tmp_path):
