@@ -296,9 +296,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_bench(cfg: RunConfig, args) -> int:
     if not cfg.labels:
         raise ValueError("bench needs --labels <file>")
-    corpus = read_labels_file(cfg.labels)
     views = [ViewKind(_choice("view", v.strip(), "--views"))
              for v in args.views.split(",") if v.strip()]
+    if not views:
+        raise ValueError(f"--views names no view, got {args.views!r}")
+    corpus = read_labels_file(cfg.labels)
     report = bench_mod.time_pipelines(
         corpus, views, cfg.n, cfg.task,
         category=CATEGORY_FLAGS[cfg.category], epochs=cfg.epochs, batch=cfg.batch,

@@ -7,6 +7,14 @@ shape rules, FTLW fields, allowed activations, forward and backward;
 `Model` and the public ops run those same functions. Activations are
 (L, C) per sample or (B, L, C) batched; every public op accepts either.
 
+Forward builds caches only for training (`Model.forward(want_cache=True)`);
+inference builds none. conv1d caches its window matrix and its output,
+whose sign is the ReLU mask; max_pool1d its input and output, from which
+backward routes each window's gradient to the first position equal to the
+max; global_avg_pool1d its input shape; dense its flattened input. Backward
+writes every parameter gradient into one fresh flat buffer laid out like
+`Model.flat_params` and returns per-layer views of it.
+
 The default profile reproduces the reference shape column
 18x64 -> 3x64 -> 1x64 -> 64 -> {2|12} from a length-115 input.
 """
@@ -17,7 +25,7 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -91,9 +99,10 @@ def _window_index(l_in, size, stride):
     return np.arange(l_out)[:, None] * stride + np.arange(size)[None, :]
 
 
-def _conv_forward(spec, params, a):
+def _conv_forward(spec, params, a, need_cache):
     """Windows gathered into one matrix (rows are output positions, columns
-    ordered (k, c)) times the flattened kernel."""
+    ordered (k, c)) times the flattened kernel; bias and ReLU in place.
+    Caches the window matrix and the output, whose sign is the ReLU mask."""
     w, b = params
     f, k, c = w.shape
     idx = _window_index(a.shape[1], k, spec.stride)
@@ -101,80 +110,84 @@ def _conv_forward(spec, params, a):
     b_dim, l_out = xcol.shape[0], xcol.shape[1]
     xflat = xcol.reshape(b_dim * l_out, k * c)
     wmat = w.transpose(1, 2, 0).reshape(k * c, f)
-    z = (xflat @ wmat).reshape(b_dim, l_out, f) + b
-    return _apply_activation(z, spec.activation), (a.shape, xflat, z)
-
-
-def _conv_backward(spec, params, cache, g, need_dx):
-    in_shape, xflat, z = cache
-    w, _ = params
+    z = (xflat @ wmat).reshape(b_dim, l_out, f)
+    z += b
     if spec.activation == "relu":
-        g = g * (z > 0)
+        np.maximum(z, 0, out=z)
+    return z, ((a.shape, xflat, z) if need_cache else None)
+
+
+def _conv_backward(spec, params, cache, g, grads, need_dx):
+    in_shape, xflat, out = cache
+    w, _ = params
+    dw, db = grads
+    if spec.activation == "relu":
+        g = g * (out > 0)
     bsz, l_out, f = g.shape
     gflat = g.reshape(bsz * l_out, f)
     # xflat columns are (k, c); dw[f, (k, c)] lands contiguous
-    dw = (gflat.T @ xflat).reshape(w.shape)
-    db = g.sum(axis=(0, 1))
-    grads = [dw.astype(w.dtype, copy=False), db.astype(w.dtype)]
+    np.matmul(gflat.T, xflat, out=dw.reshape(f, -1))
+    np.sum(g, axis=(0, 1), out=db)
     if not need_dx:
-        return grads, None
+        return None
     # scatter window contributions; per k the targets are disjoint
     contrib = np.tensordot(g, w, axes=([2], [0]))  # (B, L_out, K, C)
     dx = np.zeros(in_shape, dtype=g.dtype)
     for k in range(w.shape[1]):
         dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
-    return grads, dx
+    return dx
 
 
-def _maxpool_forward(spec, params, a):
-    """Windowed max from strided slice views; the cache holds the in-window
-    argmax positions, first on ties."""
-    l_out = (a.shape[1] - spec.pool) // spec.stride + 1
-    best = a[:, 0:spec.stride * l_out:spec.stride, :].copy()
-    am = np.zeros(best.shape, dtype=np.intp)
+def _maxpool_forward(spec, params, a, need_cache):
+    """Windowed max as an np.maximum chain over strided slice views; caches
+    the input and the output."""
+    span = spec.stride * ((a.shape[1] - spec.pool) // spec.stride + 1)
+    out = a[:, 0:span:spec.stride, :].copy()
     for p in range(1, spec.pool):
-        sl = a[:, p:p + spec.stride * l_out:spec.stride, :]
-        better = sl > best
-        am[better] = p
-        np.maximum(best, sl, out=best)
-    return best, (a.shape, am)
+        np.maximum(out, a[:, p:p + span:spec.stride, :], out=out)
+    return out, ((a, out) if need_cache else None)
 
 
-def _maxpool_backward(spec, params, cache, g, need_dx):
-    in_shape, am = cache
-    dx = np.zeros(in_shape, dtype=g.dtype)
-    bsz, l_out, c = am.shape
-    b_idx = np.arange(bsz)[:, None, None]
-    l_idx = np.arange(l_out)[None, :, None] * spec.stride + am
-    c_idx = np.arange(c)[None, None, :]
-    if spec.stride >= spec.pool:
-        dx[b_idx, l_idx, c_idx] = g  # windows disjoint
-    else:
-        np.add.at(dx, (b_idx, l_idx, c_idx), g)
-    return [], dx
+def _maxpool_backward(spec, params, cache, g, grads, need_dx):
+    """Each window's gradient goes to its first position equal to the max;
+    overlapping windows (stride < pool) add into the positions they share."""
+    a, out = cache
+    span = spec.stride * out.shape[1]
+    dx = np.zeros(a.shape, dtype=g.dtype)
+    todo = np.ones(out.shape, dtype=bool)  # windows whose max is not yet found
+    for p in range(spec.pool):
+        at = np.s_[:, p:p + span:spec.stride, :]
+        hit = a[at] == out
+        hit &= todo
+        todo ^= hit
+        dst = dx[at]
+        dst += g * hit  # a masked np.add(..., where=) is several times slower
+    return dx
 
 
-def _gap_forward(spec, params, a):
-    return a.mean(axis=1), a.shape
+def _gap_forward(spec, params, a, need_cache):
+    return a.mean(axis=1), (a.shape if need_cache else None)
 
 
-def _gap_backward(spec, params, cache, g, need_dx):
-    return [], np.broadcast_to(g[:, None, :] / cache[1], cache).astype(g.dtype)
+def _gap_backward(spec, params, cache, g, grads, need_dx):
+    return np.broadcast_to(g[:, None, :] / cache[1], cache).astype(g.dtype)
 
 
-def _dense_forward(spec, params, a):
+def _dense_forward(spec, params, a, need_cache):
     w, b = params
     xflat = a.reshape(a.shape[0], -1)
     z = xflat @ w.T + b
-    return _apply_activation(z, spec.activation), (a.shape, xflat)
+    return _apply_activation(z, spec.activation), ((a.shape, xflat) if need_cache else None)
 
 
-def _dense_backward(spec, params, cache, g, need_dx):
+def _dense_backward(spec, params, cache, g, grads, need_dx):
     """`g` is dLoss/d(pre-activation): loss_and_grad folds the activation in."""
     in_shape, xflat = cache
     w, _ = params
-    grads = [(g.T @ xflat).astype(w.dtype), g.sum(axis=0).astype(w.dtype)]
-    return grads, ((g @ w).reshape(in_shape) if need_dx else None)
+    dw, db = grads
+    np.matmul(g.T, xflat, out=dw)
+    np.sum(g, axis=0, out=db)
+    return (g @ w).reshape(in_shape) if need_dx else None
 
 
 class LayerKind(NamedTuple):
@@ -184,9 +197,11 @@ class LayerKind(NamedTuple):
     FTLW stores `fields` after the kind code, packed with `fmt`, with
     activations as one-byte codes. `out` sees the input shape with the
     window already applied; `params` sees the raw input shape.
-    `forward(spec, params, a)` -> (out, cache); `backward(spec, params,
-    cache, g, need_dx)` -> (param grads, input grad), the latter possibly
-    None when `need_dx` is False, as for the first layer.
+    `forward(spec, params, a, need_cache)` -> (out, cache), the cache None
+    unless `need_cache`. `backward(spec, params, cache, g, grads, need_dx)`
+    writes the parameter gradients into the arrays `grads` (shaped like
+    `params`) and returns the input gradient, or None when `need_dx` is
+    False, as for the first layer.
     """
 
     name: str
@@ -370,7 +385,7 @@ def conv1d_forward(x, w, b, stride: int, activation: str = "none"):
     if x3.shape[1] < w.shape[1]:
         raise ShapeError(f"input length {x3.shape[1]} < kernel {w.shape[1]}")
     spec = Conv1dSpec(w.shape[0], w.shape[1], stride, activation)
-    y, _ = _conv_forward(spec, (w, np.asarray(b, dtype=x3.dtype)), x3)
+    y, _ = _conv_forward(spec, (w, np.asarray(b, dtype=x3.dtype)), x3, False)
     return y[0] if squeeze else y
 
 
@@ -378,13 +393,13 @@ def maxpool1d_forward(x, pool: int, stride: int):
     x3, squeeze = _batched(x, 3)
     if x3.shape[1] < pool:
         raise ShapeError(f"input length {x3.shape[1]} < pool {pool}")
-    y, _ = _maxpool_forward(MaxPool1dSpec(pool, stride), [], x3)
+    y, _ = _maxpool_forward(MaxPool1dSpec(pool, stride), [], x3, False)
     return y[0] if squeeze else y
 
 
 def global_avg_pool_forward(x):
     x3, squeeze = _batched(x, 3)
-    y, _ = _gap_forward(GlobalAvgPoolSpec(), [], x3)
+    y, _ = _gap_forward(GlobalAvgPoolSpec(), [], x3, False)
     return y[0] if squeeze else y
 
 
@@ -395,7 +410,7 @@ def dense_forward(x, w, b, activation: str = "none"):
     # one sample is a flat vector or an (L, C) activation; anything else a batch
     one = x.ndim == 1 or (x.ndim == 2 and x.shape[1] != w.shape[1])
     y, _ = _dense_forward(DenseSpec(w.shape[0], activation), (w, b),
-                          x.reshape(1, -1) if one else x)
+                          x.reshape(1, -1) if one else x, False)
     return y[0] if one else y
 
 
@@ -479,7 +494,8 @@ class Model:
 
     Parameters live in one flat buffer (`flat_params`); the per-layer
     arrays in `params` are views into it, so optimizer updates through
-    either alias are equivalent.
+    either alias are equivalent. Gradients come back the same way: one
+    fresh flat buffer per backward pass, with per-layer views into it.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, weights=None):
@@ -495,28 +511,47 @@ class Model:
         return self.config.layers[-1].activation
 
     def forward(self, x, want_cache: bool = False):
-        """Probabilities for a batch (B, L, 1); optionally with caches."""
+        """Probabilities for a batch (B, L, 1); with the per-layer caches that
+        `backward` needs when `want_cache`, and no caches built otherwise."""
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim == 2:
             a = a[..., None]
         caches = []
         for layer, params in zip(self._plan, self.params):
-            a, cache = layer.kind.forward(layer.spec, params, a)
+            a, cache = layer.kind.forward(layer.spec, params, a, want_cache)
             caches.append(cache)
         return (a, caches) if want_cache else a
 
-    def backward(self, caches, dlogits):
-        """Parameter gradients (same nesting as params) from dLoss/dLogits."""
-        grads: list[list[np.ndarray]] = [[] for _ in self._plan]
+    def flat_backward(self, caches, dlogits) -> np.ndarray:
+        """dLoss/dParams from dLoss/dLogits, as one fresh flat buffer laid out
+        like `flat_params`."""
+        flat = np.empty_like(self.flat_params)
+        grads = self._carve(flat)
         g = np.asarray(dlogits, dtype=self.dtype)
         for i in range(len(self._plan) - 1, -1, -1):
             layer = self._plan[i]
-            grads[i], g = layer.kind.backward(layer.spec, self.params[i], caches[i],
-                                              g, i > 0)
-        return grads
+            g = layer.kind.backward(layer.spec, self.params[i], caches[i], g,
+                                    grads[i], i > 0)
+        return flat
+
+    def backward(self, caches, dlogits):
+        """Parameter gradients (same nesting as params) from dLoss/dLogits:
+        views into one fresh `flat_backward` buffer, so calls never alias."""
+        return self._carve(self.flat_backward(caches, dlogits))
 
     def param_arrays(self) -> list[np.ndarray]:
         return [a for layer in self.params for a in layer]
+
+    def _carve(self, flat) -> list[list[np.ndarray]]:
+        """Per-layer views, in plan order, into a flat parameter-sized buffer."""
+        views, off = [], 0
+        for layer in self._plan:
+            views.append([])
+            for shape in layer.param_shapes:
+                size = math.prod(shape)
+                views[-1].append(flat[off:off + size].reshape(shape))
+                off += size
+        return views
 
     def set_weights(self, weights: list[list[np.ndarray]]):
         """Copy per-layer tensors, each shape-checked against the plan, into
@@ -525,18 +560,14 @@ class Model:
             raise ShapeError("weight list does not match layer count")
         flat = np.empty(sum(math.prod(shape) for layer in self._plan
                             for shape in layer.param_shapes), dtype=self.dtype)
-        params, off = [], 0
-        for i, (layer, tensors) in enumerate(zip(self._plan, weights)):
+        params = self._carve(flat)
+        for i, (layer, tensors, views) in enumerate(zip(self._plan, weights, params)):
             tensors = [np.asarray(a) for a in tensors]
             if tuple(a.shape for a in tensors) != layer.param_shapes:
                 raise ShapeError(f"layer {i} ({layer.kind.name}): weight shapes "
                                  f"{[a.shape for a in tensors]} != {layer.param_shapes}")
-            views = []
-            for a in tensors:
-                views.append(flat[off:off + a.size].reshape(a.shape))
-                views[-1][...] = a
-                off += a.size
-            params.append(views)
+            for view, a in zip(views, tensors):
+                view[...] = a
         self.flat_params, self.params = flat, params
 
     def copy_weights(self) -> list[list[np.ndarray]]:
@@ -557,17 +588,24 @@ def adam_init(params: list[np.ndarray]):
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state, t: int,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-7):
-    """One bias-corrected Adam update, in place; t is 1-based."""
+    """One bias-corrected Adam update, in place; t is 1-based.
+
+    Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
+    p -= lr * m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps), each step written into
+    one of two scratch arrays in that order.
+    """
     if t < 1:
         raise ValueError("Adam step index is 1-based")
     for p, g, (m, v) in zip(params, grads, state):
+        s, r = np.empty_like(p), np.empty_like(p)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=s)
         v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        v += np.multiply(1.0 - beta2, np.square(g, out=s), out=s)
+        np.multiply(lr, np.divide(m, 1.0 - beta1 ** t, out=s), out=s)
+        np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=r), out=r)
+        r += eps
+        p -= np.divide(s, r, out=s)
     return params
 
 
@@ -580,9 +618,20 @@ class Checkpoint:
     weights: list[list[np.ndarray]]
     best_epoch: int
     best_val_accuracy: float
+    # (weights it was built from, float32 model) behind shared_model
+    _shared: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def to_model(self, dtype=np.float32) -> Model:
+        """A fresh model holding a copy of the weights."""
         return Model(self.config, dtype=dtype, weights=self.weights)
+
+    def shared_model(self) -> Model:
+        """One float32 model per checkpoint for inference, built on first use
+        and rebuilt only when `weights` is replaced; callers must not train
+        it or change its weights."""
+        if self._shared is None or self._shared[0] is not self.weights:
+            self._shared = (self.weights, self.to_model())
+        return self._shared[1]
 
 
 _WEIGHTS_MAGIC = b"FTLW"

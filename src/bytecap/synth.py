@@ -27,6 +27,11 @@ class SynthClass:
     byte_high: int
     sessions: int
 
+    def __post_init__(self):
+        if self.sessions < 1:
+            raise ValueError(f"class {self.name!r}: sessions must be >= 1, "
+                             f"got {self.sessions}")
+
 
 def binary_synth_classes(sessions_per_class: int) -> list[SynthClass]:
     return [

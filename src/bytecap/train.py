@@ -15,7 +15,6 @@ from .nn import (
     ModelConfig,
     adam_init,
     adam_step,
-    grad_arrays,
     loss_and_grad,
 )
 from .views import DatasetFile
@@ -140,9 +139,7 @@ def train_step(model: Model, state, step: int, xb, yb) -> tuple[float, np.ndarra
     cfg = model.config
     probs, caches = model.forward(xb, want_cache=True)
     loss, dlogits = loss_and_grad(probs, yb, cfg.loss, model.final_activation)
-    grads = model.backward(caches, dlogits)
-    flat_grad = np.concatenate([a.ravel() for a in grad_arrays(grads)])
-    adam_step([model.flat_params], [flat_grad], state, step,
+    adam_step([model.flat_params], [model.flat_backward(caches, dlogits)], state, step,
               lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.epsilon)
     return loss, probs
 
@@ -250,11 +247,12 @@ def evaluate(ckpt: Checkpoint, data) -> MetricsReport:
 
 
 def predict(ckpt: Checkpoint, sample_bytes: bytes) -> tuple[int, np.ndarray]:
-    """Classify one raw byte vector of the model's input length."""
+    """Classify one raw byte vector of the model's input length, with the
+    checkpoint's shared model."""
     cfg = ckpt.config
     if len(sample_bytes) != cfg.input_len:
         raise ValueError(f"sample has {len(sample_bytes)} bytes, "
                          f"model expects {cfg.input_len}")
     x = np.frombuffer(sample_bytes, dtype=np.uint8).astype(np.float32) / 255.0
-    probs = ckpt.to_model().forward(x[None, :, None])[0]
+    probs = ckpt.shared_model().forward(x[None, :, None])[0]
     return int(probs.argmax()), probs

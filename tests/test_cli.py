@@ -19,6 +19,7 @@ from bytecap.cli import (
     render_config,
 )
 from bytecap.pcap import read_pcap_records
+from bytecap.synth import SynthClass, binary_synth_classes, multi_synth_classes, synth_corpus
 from bytecap.views import read_dataset
 from test_nn import HOSTILE_SPECS, write_hostile_weights
 
@@ -156,6 +157,26 @@ class TestSynth:
     def test_synth_needs_out(self, capsys):
         assert run_cli("synth") == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sessions", ["0", "-2"])
+    def test_synth_refuses_fewer_than_one_session(self, tmp_path, capsys, sessions):
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", str(out), "--sessions", sessions) == 1
+        assert f"error: class 'benign': sessions must be >= 1, got {sessions}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda out, n: binary_synth_classes(n),
+        lambda out, n: multi_synth_classes(n),
+        lambda out, n: synth_corpus(out, [SynthClass("a", 0, 127, n),
+                                          SynthClass("b", 128, 255, n)])],
+        ids=["binary_synth_classes", "multi_synth_classes", "synth_corpus"])
+    def test_session_count_below_one_is_refused(self, tmp_path, make):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="sessions must be >= 1"):
+                make(tmp_path / "corpus", n)
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestBuild:
@@ -346,6 +367,14 @@ class TestBench:
         assert lines[0] == "pipeline,build_s,train_s,test_s,accuracy"
         assert len(lines) == 3  # session + stat-baseline
         assert "stat-baseline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("views", ["", ","])
+    def test_bench_refuses_an_empty_view_list(self, cli_corpus, monkeypatch, capsys, views):
+        monkeypatch.setattr(cli.bench_mod, "time_pipelines",
+                            lambda *a, **kw: pytest.fail("timed with no view"))
+        rc = run_cli("bench", "--labels", str(cli_corpus / "labels.txt"), "--views", views)
+        assert rc == 1
+        assert f"error: --views names no view, got {views!r}" in capsys.readouterr().err
 
     def test_echo_shows_the_epochs_that_run(self, cli_corpus, monkeypatch, capsys):
         seen = {}

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bytecap import nn
 from bytecap.nn import (
     Checkpoint,
     Conv1dSpec,
@@ -30,6 +31,7 @@ from bytecap.nn import (
     maxpool1d_forward,
     save_weights,
 )
+from bytecap.train import predict
 
 LOSS_BCE = "binary_cross_entropy"
 LOSS_CCE = "categorical_cross_entropy"
@@ -107,6 +109,12 @@ class TestForwards:
         b = model.forward(x)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("batch", [1, 20, 256])
+    def test_forward_without_caches_matches_training_forward(self, batch):
+        model = Model(default_config("binary", seed=batch))
+        x = np.random.default_rng(batch).random((batch, 115, 1), dtype=np.float32)
+        assert np.array_equal(model.forward(x), model.forward(x, want_cache=True)[0])
+
     def test_init_seeded(self):
         cfg = default_config("multi", seed=13)
         a, b = Model(cfg), Model(cfg)
@@ -124,6 +132,48 @@ class TestForwards:
         with pytest.raises(ShapeError, match=r"layer 4 \(dense\)"):
             Model(cfg, weights=bad)
         assert np.array_equal(model.flat_params, before)
+
+
+def maxpool_backward_oracle(a, g, pool, stride):
+    """Per window, the gradient added at the first in-window argmax."""
+    dx = np.zeros_like(a)
+    for b in range(a.shape[0]):
+        for t in range(g.shape[1]):
+            for c in range(a.shape[2]):
+                first = int(np.argmax(a[b, t * stride:t * stride + pool, c]))
+                dx[b, t * stride + first, c] += g[b, t, c]
+    return dx
+
+
+class TestMaxPoolBackward:
+    def run(self, a, pool, stride):
+        spec = MaxPool1dSpec(pool, stride)
+        kind = nn._KINDS[MaxPool1dSpec]
+        out, cache = kind.forward(spec, [], a, True)
+        g = np.random.default_rng(0).normal(size=out.shape)
+        return g, kind.backward(spec, [], cache, g, [], True)
+
+    @pytest.mark.parametrize("pool,stride", [(3, 3), (5, 5), (2, 3), (3, 5),
+                                             (3, 2), (4, 1), (5, 3)])
+    def test_ties_go_to_first_max(self, pool, stride):
+        # values in {0, 1, 2} after a ReLU: all-zero windows and tied maxima
+        rng = np.random.default_rng(pool * 10 + stride)
+        a = np.maximum(rng.integers(-2, 3, size=(4, 17, 3)), 0).astype(float)
+        g, dx = self.run(a, pool, stride)
+        expect = maxpool_backward_oracle(a, g, pool, stride)
+        if stride >= pool:
+            assert np.array_equal(dx, expect)
+        else:  # shared positions may sum their windows in another order
+            assert np.allclose(dx, expect)
+
+    @pytest.mark.parametrize("pool,stride", [(3, 3), (2, 3), (3, 2)])
+    def test_all_zero_windows_route_to_window_start(self, pool, stride):
+        a = np.zeros((2, 11, 2))
+        g, dx = self.run(a, pool, stride)
+        expect = np.zeros_like(a)
+        for t in range(g.shape[1]):
+            expect[:, t * stride] += g[:, t]
+        assert np.allclose(dx, expect)
 
 
 class TestLoss:
@@ -311,6 +361,23 @@ class TestGradients:
         grads = model.backward(caches, np.zeros((2, 2), dtype=np.float32))
         assert all(np.all(g == 0) for g in grad_arrays(grads))
 
+    def test_backward_calls_do_not_alias(self):
+        cfg = default_config("binary")
+        model = Model(cfg)
+        rng = np.random.default_rng(4)
+        x = rng.random((5, 115, 1), dtype=np.float32)
+        _, caches = model.forward(x, want_cache=True)
+        d1, d2 = (rng.normal(size=(5, 2)).astype(np.float32) for _ in range(2))
+        first = model.backward(caches, d1)
+        kept = [a.copy() for a in grad_arrays(first)]
+        second = model.backward(caches, d2)
+        for a, b, k in zip(grad_arrays(first), grad_arrays(second), kept):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, k)
+        # the flat buffer train_step hands to Adam is laid out like flat_params
+        flat = model.flat_backward(caches, d2)
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in grad_arrays(second)]))
+
     def test_hand_chain_rule_single_parameter(self):
         # one input, one sigmoid unit, BCE: dL/dw = (p - y) * x
         cfg = tiny_config([DenseSpec(1, "sigmoid")], LOSS_BCE, 1, 1)
@@ -351,6 +418,23 @@ class TestAdam:
             return p
 
         assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        p = rng.normal(size=300).astype(dtype)
+        ref_p, ref_m, ref_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        state = adam_init([p])
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-7
+        for t in range(1, 25):
+            g = rng.normal(size=300).astype(dtype)
+            adam_step([p], [g], state, t, lr, beta1, beta2, eps)
+            ref_m = beta1 * ref_m + (1.0 - beta1) * g
+            ref_v = beta2 * ref_v + (1.0 - beta2) * np.square(g)
+            mhat = ref_m / (1.0 - beta1 ** t)
+            vhat = ref_v / (1.0 - beta2 ** t)
+            ref_p = ref_p - lr * mhat / (np.sqrt(vhat) + eps)
+        assert np.array_equal(p, ref_p)
 
     def test_loss_decreases_on_fixed_batch(self):
         cfg = default_config("binary", seed=6)
@@ -426,6 +510,26 @@ class TestWeightsFile:
         p2 = tmp_path / "w2.ftlw"
         save_weights(p2, back)
         assert p2.read_bytes() == p.read_bytes()
+
+    def test_predict_reuses_one_model_per_checkpoint(self, tmp_path):
+        ckpt = self.trained_checkpoint(seed=2)
+        p = tmp_path / "w.ftlw"
+        save_weights(p, ckpt)
+        back = load_weights(p)
+        samples = [bytes(np.random.default_rng(i).integers(0, 256, 115, dtype=np.uint8))
+                   for i in range(5)]
+        first = [predict(ckpt, s) for s in samples]
+        assert ckpt.shared_model() is ckpt.shared_model()
+        for s, (cls, probs) in zip(samples, first):
+            again_cls, again = predict(ckpt, s)
+            back_cls, from_file = predict(back, s)
+            assert cls == again_cls == back_cls
+            assert np.array_equal(probs, again) and np.array_equal(probs, from_file)
+        # replacing the weights rebuilds the shared model
+        ckpt.weights = self.trained_checkpoint(seed=3).weights
+        other = Model(ckpt.config, weights=ckpt.weights).forward(
+            np.frombuffer(samples[0], np.uint8).astype(np.float32)[None, :, None] / 255.0)
+        assert np.array_equal(predict(ckpt, samples[0])[1], other[0])
 
     def test_truncation_names_layer(self, tmp_path):
         ckpt = self.trained_checkpoint()
