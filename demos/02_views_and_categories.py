@@ -43,6 +43,6 @@ for cat in HeaderCategory:
 
 ds = build_dataset(corpus, ViewKind.SESSION, HeaderCategory.NO_HEADERS, 115,
                    "binary")
-print(f"\nsession dataset: {len(ds.samples)} samples of {ds.sample_len} bytes")
+print(f"\nsession dataset: {len(ds.labels)} samples of {ds.sample_len} bytes")
 print("class counts:", ds.class_counts())
 print("stripped bytes per class:", byte_distribution(ds))

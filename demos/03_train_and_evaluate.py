@@ -28,7 +28,7 @@ corpus = synth_corpus(work, binary_synth_classes(40), seed=7)
 ds = build_dataset(corpus, ViewKind.SESSION, HeaderCategory.ALL_HEADERS, 115,
                    "binary")
 train_ds, val_ds = train_val_split(ds, 0.2, seed=7)
-print(f"{len(train_ds.samples)} training / {len(val_ds.samples)} validation samples")
+print(f"{len(train_ds.labels)} training / {len(val_ds.labels)} validation samples")
 
 config = default_config("binary", profile="prose", pairing="paper",
                         epochs=12, seed=7)
@@ -49,8 +49,7 @@ print(report.confusion_table())
 weights = work / "model.ftlw"
 save_weights(weights, ckpt)
 back = load_weights(weights)
-sample = val_ds.samples[0]
-cls, probs = predict(back, sample.data)
+cls, probs = predict(back, val_ds.data[0].tobytes())
 print(f"\nweights file: {weights} ({weights.stat().st_size} bytes)")
-print(f"one sample: true={ds.class_names[sample.label]} "
+print(f"one sample: true={ds.class_names[val_ds.labels[0]]} "
       f"predicted={ds.class_names[cls]} probabilities={probs.round(4)}")

@@ -36,5 +36,5 @@ for view in ViewKind:
         cfg = default_config("binary", epochs=10, seed=11)
         ckpt, _ = train(cfg, tr, va, early_stop=True)
         rep = evaluate(ckpt, va)
-        print(f"{view.value:<8} {cat.value:<18} {len(ds.samples):>7} "
+        print(f"{view.value:<8} {cat.value:<18} {len(ds.labels):>7} "
               f"{rep.accuracy:>9.4f} {rep.weighted_f1:>12.4f}")

@@ -32,6 +32,7 @@ from .views import (
     DatasetFile,
     DatasetFormatError,
     HeaderCategory,
+    Provenance,
     Sample,
     ViewKind,
     assemble_sample,

@@ -219,7 +219,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
             _guard_existing_dataset(path, cfg.n)
             write_dataset(path, ds)
             counts = ", ".join(f"{k}={v}" for k, v in ds.class_counts().items())
-            print(f"{path}: {len(ds.samples)} samples ({counts})")
+            print(f"{path}: {len(ds.labels)} samples ({counts})")
     return 0
 
 

@@ -592,7 +592,11 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state, t: int,
 
     Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
     p -= lr * m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps), each step written into
-    one of two scratch arrays in that order.
+    one of two scratch arrays in that order. m entries below the dtype's
+    smallest normal number are flushed to zero: once a gradient stays 0
+    (a dead ReLU filter), m decays into the subnormal range and sticks
+    there, as b1 times the smallest subnormal rounds back to itself, and
+    arithmetic on subnormals is several times slower.
     """
     if t < 1:
         raise ValueError("Adam step index is 1-based")
@@ -600,6 +604,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state, t: int,
         s, r = np.empty_like(p), np.empty_like(p)
         m *= beta1
         m += np.multiply(1.0 - beta1, g, out=s)
+        m *= np.abs(m, out=s) >= np.finfo(m.dtype).tiny
         v *= beta2
         v += np.multiply(1.0 - beta2, np.square(g, out=s), out=s)
         np.multiply(lr, np.divide(m, 1.0 - beta1 ** t, out=s), out=s)
@@ -635,20 +640,33 @@ class Checkpoint:
 
 
 _WEIGHTS_MAGIC = b"FTLW"
-_WEIGHTS_VERSION = 1
+# v2 adds a loss byte after the header; it is written only when the loss is
+# not the one v1 infers from the class count, so every v1 file stays v1
+_WEIGHTS_VERSIONS = (1, 2)
+_LOSS_CODES = {LOSS_BCE: 0, LOSS_CCE: 1}
+_LOSS_FROM_CODE = {v: k for k, v in _LOSS_CODES.items()}
 _KIND_FROM_CODE = {kind.code: (spec_type, kind) for spec_type, kind in _KINDS.items()}
 _ACT_CODES = {"none": 0, "relu": 1, "softmax": 2, "sigmoid": 3}
 _ACT_FROM_CODE = {v: k for k, v in _ACT_CODES.items()}
 
 
+def _v1_loss(class_count: int) -> str:
+    """The loss a version 1 file implies: BCE for two classes, else CCE."""
+    return LOSS_BCE if class_count == 2 else LOSS_CCE
+
+
 def save_weights(path, ckpt: Checkpoint):
-    """Little-endian layout: FTLW, version, input_len, layer specs, then per
-    parameterized layer the weight and bias tensors as raw float32."""
+    """Little-endian layout: FTLW, version, input_len, layer count, in
+    version 2 a loss byte, then layer specs, then per parameterized layer
+    the weight and bias tensors as raw float32."""
     cfg = ckpt.config
     plan = cfg.validate()
+    v1 = cfg.loss == _v1_loss(cfg.class_count)
     with open(path, "wb") as fp:
         fp.write(_WEIGHTS_MAGIC)
-        fp.write(struct.pack("<HIH", _WEIGHTS_VERSION, cfg.input_len, len(cfg.layers)))
+        fp.write(struct.pack("<HIH", 1 if v1 else 2, cfg.input_len, len(cfg.layers)))
+        if not v1:
+            fp.write(struct.pack("<B", _LOSS_CODES[cfg.loss]))
         for layer in plan:
             values = (getattr(layer.spec, name) for name in layer.kind.fields)
             fp.write(struct.pack("<B", layer.kind.code))
@@ -676,7 +694,7 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         if len(head) < 8:
             raise WeightsFormatError(f"{path}: truncated weights header")
         version, input_len, layer_count = struct.unpack("<HIH", head)
-        if version != _WEIGHTS_VERSION:
+        if version not in _WEIGHTS_VERSIONS:
             raise WeightsFormatError(f"{path}: unsupported weights version {version}")
 
         def need(nbytes, what):
@@ -688,6 +706,13 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
             if len(raw) < nbytes:
                 raise WeightsFormatError(f"{path}: truncated while reading {what}")
             return raw
+
+        loss = None  # version 1: inferred from the class count below
+        if version == 2:
+            (code,) = struct.unpack("<B", need(1, "loss"))
+            if code not in _LOSS_FROM_CODE:
+                raise WeightsFormatError(f"{path}: unknown loss code {code}")
+            loss = _LOSS_FROM_CODE[code]
 
         layers: list[LayerSpec] = []
         for i in range(layer_count):
@@ -708,9 +733,8 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         if not layers or not isinstance(layers[-1], DenseSpec):
             raise WeightsFormatError(f"{path}: weights file does not end with a dense layer")
         class_count = layers[-1].units
-        loss = LOSS_BCE if class_count == 2 else LOSS_CCE
         config = ModelConfig(input_len=input_len, layers=tuple(layers),
-                             loss=loss, class_count=class_count)
+                             loss=loss or _v1_loss(class_count), class_count=class_count)
         try:
             plan = config.validate()
         except ShapeError as e:

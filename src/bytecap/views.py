@@ -12,6 +12,15 @@ those offsets, so a grid of cells needs one parse per capture. The
 per-packet path (`read_capture`, `filter_packets`, `split_view`,
 `strip_headers`, `assemble_sample`) states the same rules one packet at a
 time and is the reference the tests hold the array path to.
+
+A `DatasetFile` holds its samples as arrays: an (N, sample_len) uint8
+`data` matrix and an (N,) int64 `labels` vector, plus, when built from
+captures, each row's source, unit key and stripped length
+(`Provenance`, which `byte_distribution` needs and FTLD does not store).
+FTLD records are written and read as one (N, 2 + sample_len) byte
+matrix and `tensors()` is a cast. `DatasetFile.samples` is a read-only sequence of
+`Sample` rows built on access, kept for the benchmark harness and other
+callers that walk samples one at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +28,10 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -79,7 +89,7 @@ def class_catalog(task: str) -> list[str]:
 
 @dataclass(slots=True)
 class Sample:
-    """One fixed-length labeled byte vector.
+    """One fixed-length labeled byte vector: one row of a DatasetFile.
 
     source/unit/stripped_len are build-time provenance; they are not
     serialized and are None on datasets read back from disk.
@@ -92,28 +102,135 @@ class Sample:
     stripped_len: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Provenance:
+    """Where each row of a built dataset came from; never serialized.
+
+    Row i comes from capture sources[source[i]], is the unit keyed units[i]
+    there (a packet's record index or a flow/session key) and held
+    stripped_len[i] bytes before truncation and padding (-1 if unknown).
+    """
+
+    sources: list
+    source: np.ndarray
+    units: list
+    stripped_len: np.ndarray
+
+    def take(self, index: np.ndarray) -> "Provenance":
+        return Provenance(self.sources, self.source[index],
+                          [self.units[i] for i in index.tolist()],
+                          self.stripped_len[index])
+
+    def row(self, i: int) -> tuple:
+        """(source, unit, stripped_len) of row i, as a Sample holds them."""
+        stripped = int(self.stripped_len[i])
+        return (self.sources[self.source[i]], self.units[i],
+                stripped if stripped >= 0 else None)
+
+
 class DatasetFile:
-    view: ViewKind
-    category: HeaderCategory
-    sample_len: int
-    class_names: list[str]
-    samples: list[Sample] = field(default_factory=list)
+    """A labeled byte dataset: `data`, an (N, sample_len) uint8 matrix,
+    `labels`, an (N,) int64 vector, and `provenance`, which only
+    `build_dataset` fills in (None on datasets read from disk).
+
+    `samples` is a read-only Sequence[Sample] over the rows that builds one
+    Sample per access, and the fifth positional argument takes a list of
+    Sample, converted once. Both serve callers that still walk samples one
+    at a time, such as the benchmark harness; the arrays are the dataset.
+    """
+
+    def __init__(self, view: ViewKind, category: HeaderCategory, sample_len: int,
+                 class_names: list[str], samples: Sequence[Sample] = (), *,
+                 data: Optional[np.ndarray] = None,
+                 labels: Optional[np.ndarray] = None,
+                 provenance: Optional[Provenance] = None):
+        self.view, self.category = view, category
+        self.sample_len, self.class_names = sample_len, class_names
+        if data is None:
+            data, labels, provenance = _from_samples(list(samples), sample_len)
+        self.data, self.labels, self.provenance = data, labels, provenance
+
+    @property
+    def samples(self) -> Sequence[Sample]:
+        return _SampleView(self)
+
+    def _provenance_rows(self) -> list[tuple]:
+        if self.provenance is None:
+            return [(None, None, None)] * len(self.labels)
+        return [self.provenance.row(i) for i in range(len(self.labels))]
+
+    def __eq__(self, other):
+        if not isinstance(other, DatasetFile):
+            return NotImplemented
+        return ((self.view, self.category, self.sample_len, self.class_names)
+                == (other.view, other.category, other.sample_len, other.class_names)
+                and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.data, other.data)
+                and self._provenance_rows() == other._provenance_rows())
+
+    def __repr__(self) -> str:
+        return (f"DatasetFile(view={self.view}, category={self.category}, "
+                f"sample_len={self.sample_len}, class_names={self.class_names}, "
+                f"rows={len(self.labels)})")
+
+    def _take(self, index) -> "DatasetFile":
+        """A new dataset of the rows `index` selects, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        return DatasetFile(self.view, self.category, self.sample_len,
+                           list(self.class_names), data=self.data[index],
+                           labels=self.labels[index],
+                           provenance=(None if self.provenance is None
+                                       else self.provenance.take(index)))
 
     def class_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in self.class_names}
-        for s in self.samples:
-            counts[self.class_names[s.label]] += 1
-        return counts
+        counts = np.bincount(self.labels, minlength=len(self.class_names))
+        return dict(zip(self.class_names, counts.tolist()))
 
     def tensors(self) -> tuple[np.ndarray, np.ndarray]:
         """Byte matrix scaled to [0,1] as (count, sample_len, 1) plus labels."""
-        n = len(self.samples)
-        x = np.frombuffer(
-            b"".join(s.data for s in self.samples), dtype=np.uint8
-        ).reshape(n, self.sample_len, 1)
-        y = np.array([s.label for s in self.samples], dtype=np.int64)
-        return x.astype(np.float32) / 255.0, y
+        x = self.data.reshape(len(self.labels), self.sample_len, 1).astype(np.float32)
+        x /= 255.0
+        return x, self.labels.astype(np.int64)
+
+
+def _from_samples(samples: list[Sample], sample_len: int):
+    """(data, labels, provenance) of a list of Sample; provenance is None
+    when no sample carries any."""
+    if any(len(s.data) != sample_len for s in samples):
+        raise ValueError("sample length does not match dataset sample_len")
+    data = np.frombuffer(b"".join(s.data for s in samples),
+                         dtype=np.uint8).reshape(len(samples), sample_len)
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    if all(s.source is None and s.unit is None and s.stripped_len is None
+           for s in samples):
+        return data, labels, None
+    index: dict = {}
+    source = [index.setdefault(s.source, len(index)) for s in samples]
+    stripped = [-1 if s.stripped_len is None else s.stripped_len for s in samples]
+    return data, labels, Provenance(list(index), np.array(source, dtype=np.int64),
+                                    [s.unit for s in samples],
+                                    np.array(stripped, dtype=np.int64))
+
+
+class _SampleView(Sequence):
+    """The rows of a DatasetFile as Sample objects, one built per access."""
+
+    __slots__ = ("_ds",)
+
+    def __init__(self, ds: DatasetFile):
+        self._ds = ds
+
+    def __len__(self) -> int:
+        return len(self._ds.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        ds = self._ds
+        data = ds.data[i].tobytes()  # numpy raises IndexError past either end
+        source, unit, stripped = (ds.provenance.row(i) if ds.provenance is not None
+                                  else (None, None, None))
+        return Sample(int(ds.labels[i]), data, source, unit, stripped)
 
 
 PacketPair = tuple[PacketRecord, Dissection]
@@ -362,20 +479,27 @@ def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
     rebuilding the same inputs is deterministic.
     """
     names = class_catalog(task)
-    ds = DatasetFile(view=view, category=cat, sample_len=n, class_names=names)
+    sources, datas, labels, units, totals = [], [], [], [], []
     for source, label_name in inputs:
         label = label_index(label_name, task)
         if label is None:
             continue
         cap = source if isinstance(source, Capture) else Capture.read(source)
-        data, totals, unit_keys = cap.assemble(view, cat, n, include_non_ip)
-        blob = data.tobytes()
-        for row, (key, total) in enumerate(zip(unit_keys, totals.tolist())):
-            if drop_empty and total == 0:
-                continue
-            ds.samples.append(Sample(label, blob[row * n:(row + 1) * n],
-                                     cap.source, key, total))
-    return ds
+        data, total, unit_keys = cap.assemble(view, cat, n, include_non_ip)
+        sources.append(cap.source)
+        datas.append(data)
+        labels.append(label)
+        units += unit_keys
+        totals.append(total)
+    counts = [len(t) for t in totals]
+    row_source = np.repeat(np.arange(len(sources), dtype=np.int64), counts)
+    labels = np.repeat(np.array(labels, dtype=np.int64), counts)
+    data = np.concatenate([np.zeros((0, n), dtype=np.uint8)] + datas)
+    stripped = np.concatenate([np.zeros(0, dtype=np.int64)] + totals)
+    provenance = Provenance(sources, row_source, units, stripped)
+    ds = DatasetFile(view, cat, n, names, data=data, labels=labels,
+                     provenance=provenance)
+    return ds._take(np.flatnonzero(stripped)) if drop_empty else ds
 
 
 def byte_distribution(ds: DatasetFile) -> dict[str, int]:
@@ -384,16 +508,15 @@ def byte_distribution(ds: DatasetFile) -> dict[str, int]:
     Needs build-time provenance; datasets loaded from disk no longer carry
     per-sample stripped lengths.
     """
-    if not ds.samples:
+    if not len(ds.labels):
         return {}
-    totals = {name: 0 for name in ds.class_names}
-    for s in ds.samples:
-        if s.stripped_len is None:
-            raise ValueError("byte_distribution needs an in-memory dataset "
-                             "built by build_dataset (stripped lengths are "
-                             "not serialized)")
-        totals[ds.class_names[s.label]] += s.stripped_len
-    return totals
+    if ds.provenance is None or (ds.provenance.stripped_len < 0).any():
+        raise ValueError("byte_distribution needs an in-memory dataset "
+                         "built by build_dataset (stripped lengths are "
+                         "not serialized)")
+    totals = np.bincount(ds.labels, weights=ds.provenance.stripped_len,
+                         minlength=len(ds.class_names))
+    return {name: int(t) for name, t in zip(ds.class_names, totals)}
 
 
 _DATASET_MAGIC = b"FTLD"
@@ -416,6 +539,16 @@ class DatasetFormatError(ValueError):
 def write_dataset(path, ds: DatasetFile):
     """Serialize (little-endian): FTLD, version, view, category, sample_len,
     class table, then sample_count records of label u16 + raw bytes."""
+    count = len(ds.labels)
+    if ds.data.shape != (count, ds.sample_len):
+        raise ValueError("sample length does not match dataset sample_len")
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= len(ds.class_names)))
+    if bad.size:
+        raise ValueError(f"label {ds.labels[bad[0]]} out of range")
+    # one row per record: label u16 (little-endian), then the sample bytes
+    records = np.empty((count, 2 + ds.sample_len), dtype=np.uint8)
+    records[:, :2] = ds.labels.astype("<u2").view(np.uint8).reshape(count, 2)
+    records[:, 2:] = ds.data
     with open(path, "wb") as fp:
         fp.write(_DATASET_MAGIC)
         fp.write(struct.pack("<HBBIH", _DATASET_VERSION, _VIEW_CODES[ds.view],
@@ -425,14 +558,8 @@ def write_dataset(path, ds: DatasetFile):
             raw = name.encode("utf-8")
             fp.write(struct.pack("<H", len(raw)))
             fp.write(raw)
-        fp.write(struct.pack("<Q", len(ds.samples)))
-        for s in ds.samples:
-            if len(s.data) != ds.sample_len:
-                raise ValueError("sample length does not match dataset sample_len")
-            if not 0 <= s.label < len(ds.class_names):
-                raise ValueError(f"label {s.label} out of range")
-            fp.write(struct.pack("<H", s.label))
-            fp.write(s.data)
+        fp.write(struct.pack("<Q", count))
+        fp.write(records)
 
 
 def _read_header(fp, path) -> tuple[DatasetFile, int]:
@@ -481,26 +608,45 @@ def read_dataset_header(path) -> tuple[DatasetFile, int]:
         return _read_header(fp, path)
 
 
+# a pipe has no size to check a claimed sample count against, so it is
+# read this many bytes at a time and a false claim is never allocated
+_PIPE_CHUNK = 1 << 16
+
+
+def _read_records(fp, path, count: int, rec_len: int) -> bytes:
+    """The bytes of `count` records. A regular file's size is checked first,
+    as read() allocates the full claim up front."""
+    need = count * rec_len
+    chunk = _PIPE_CHUNK
+    st = os.fstat(fp.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = st.st_size - fp.tell()
+        if need > left:
+            raise DatasetFormatError(f"{path}: truncated at sample {left // rec_len}")
+        chunk = need
+    parts, have = [], 0
+    while have < need:
+        part = fp.read(min(chunk, need - have))
+        if not part:
+            raise DatasetFormatError(f"{path}: truncated at sample {have // rec_len}")
+        parts.append(part)
+        have += len(part)
+    return b"".join(parts)
+
+
 def read_dataset(path) -> DatasetFile:
     with open(path, "rb") as fp:
         ds, count = _read_header(fp, path)
         rec_len = 2 + ds.sample_len
-        # checked before reading, as read() allocates the full claim up
-        # front; a pipe has no size to check against
-        st = os.fstat(fp.fileno())
-        if stat.S_ISREG(st.st_mode):
-            left = st.st_size - fp.tell()
-            if count * rec_len > left:
-                raise DatasetFormatError(f"{path}: truncated at sample {left // rec_len}")
-        for i in range(count):
-            rec = fp.read(rec_len)
-            if len(rec) < rec_len:
-                raise DatasetFormatError(f"{path}: truncated at sample {i}")
-            (label,) = struct.unpack("<H", rec[:2])
-            if label >= len(ds.class_names):
-                raise DatasetFormatError(f"{path}: sample {i} label {label} out of range")
-            ds.samples.append(Sample(label=label, data=rec[2:]))
-        return ds
+        records = np.frombuffer(_read_records(fp, path, count, rec_len),
+                                dtype=np.uint8).reshape(count, rec_len)
+    labels = records[:, 0].astype(np.int64) | records[:, 1].astype(np.int64) << 8
+    bad = np.flatnonzero(labels >= len(ds.class_names))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: sample {bad[0]} label {labels[bad[0]]} "
+                                 "out of range")
+    ds.data, ds.labels = records[:, 2:], labels
+    return ds
 
 
 def split_indices(labels, val_fraction: float = 0.2,
@@ -511,21 +657,19 @@ def split_indices(labels, val_fraction: float = 0.2,
     side; singleton classes stay in the training side.
     """
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_class.setdefault(int(label), []).append(i)
+    labels = np.asarray(labels, dtype=np.int64)
     val_idx: list[int] = []
     train_idx: list[int] = []
-    for label in sorted(by_class):
-        idx = np.array(by_class[label])
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
         rng.shuffle(idx)
         n_val = int(round(len(idx) * val_fraction))
         if len(idx) >= 2:
             n_val = min(max(n_val, 1), len(idx) - 1)
         else:
             n_val = 0
-        val_idx.extend(int(i) for i in idx[:n_val])
-        train_idx.extend(int(i) for i in idx[n_val:])
+        val_idx += idx[:n_val].tolist()
+        train_idx += idx[n_val:].tolist()
     train_idx.sort()
     val_idx.sort()
     return train_idx, val_idx
@@ -534,13 +678,5 @@ def split_indices(labels, val_fraction: float = 0.2,
 def train_val_split(ds: DatasetFile, val_fraction: float = 0.2,
                     seed: int = 0) -> tuple[DatasetFile, DatasetFile]:
     """Stratified dataset split; see split_indices for the rules."""
-    train_idx, val_idx = split_indices([s.label for s in ds.samples],
-                                       val_fraction, seed)
-
-    def subset(indices):
-        return DatasetFile(view=ds.view, category=ds.category,
-                           sample_len=ds.sample_len,
-                           class_names=list(ds.class_names),
-                           samples=[ds.samples[i] for i in indices])
-
-    return subset(train_idx), subset(val_idx)
+    train_idx, val_idx = split_indices(ds.labels, val_fraction, seed)
+    return ds._take(train_idx), ds._take(val_idx)

@@ -436,6 +436,18 @@ class TestAdam:
             ref_p = ref_p - lr * mhat / (np.sqrt(vhat) + eps)
         assert np.array_equal(p, ref_p)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_subnormal_first_moments_flushed(self, dtype):
+        tiny = np.finfo(dtype).tiny
+        p = np.ones(6, dtype=dtype)
+        g = np.array([0, 0, 0, 0, 1e-3, -1e-3], dtype=dtype)
+        m = np.array([tiny / 4, -tiny / 8, tiny * 0.9, 0, 1e-3, 0], dtype=dtype)
+        v = np.full(6, 1e-6, dtype=dtype)
+        assert np.count_nonzero((m != 0) & (np.abs(m) < tiny)) == 3
+        adam_step([p], [g], [(m, v)], 50)
+        assert not np.any((m != 0) & (np.abs(m) < tiny))
+        assert np.count_nonzero(m) == 2 and np.isfinite(p).all()
+
     def test_loss_decreases_on_fixed_batch(self):
         cfg = default_config("binary", seed=6)
         model = Model(cfg)
@@ -566,6 +578,36 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match="version"):
             load_weights(p)
 
+    @pytest.mark.parametrize("task,pairing,version", [
+        ("binary", "paper", 1), ("multi", "paper", 1), ("multi", "standard", 1),
+        ("binary", "standard", 2)])
+    def test_loss_survives_round_trip(self, tmp_path, task, pairing, version):
+        cfg = default_config(task, pairing=pairing)
+        p = tmp_path / "l.ftlw"
+        save_weights(p, Checkpoint(config=cfg, weights=Model(cfg).copy_weights(),
+                                   best_epoch=0, best_val_accuracy=0.5))
+        # version 2 only where version 1 would infer the wrong loss
+        assert struct.unpack_from("<H", p.read_bytes(), 4)[0] == version
+        back = load_weights(p)
+        assert back.config.loss == cfg.loss
+        p2 = tmp_path / "l2.ftlw"
+        save_weights(p2, back)
+        assert p2.read_bytes() == p.read_bytes()
+
+    def test_unknown_loss_code_rejected(self, tmp_path):
+        cfg = default_config("binary", pairing="standard")
+        p = tmp_path / "u.ftlw"
+        save_weights(p, Checkpoint(config=cfg, weights=Model(cfg).copy_weights(),
+                                   best_epoch=0, best_val_accuracy=0.5))
+        blob = bytearray(p.read_bytes())
+        blob[12] = 7  # the loss byte after the version 2 header
+        p.write_bytes(bytes(blob))
+        with pytest.raises(WeightsFormatError, match="unknown loss code 7"):
+            load_weights(p)
+        p.write_bytes(bytes(blob[:12]))
+        with pytest.raises(WeightsFormatError, match="truncated while reading loss"):
+            load_weights(p)
+
     def test_architecture_mismatch_detected(self, tmp_path):
         ckpt = self.trained_checkpoint()
         p = tmp_path / "a.ftlw"
@@ -587,7 +629,9 @@ class TestWeightsFile:
         save_weights(p, Checkpoint(config=cfg, weights=Model(cfg).copy_weights(),
                                    best_epoch=0, best_val_accuracy=0.0))
         blob = bytearray(p.read_bytes())
-        blob[12 + 1 + 4] = 3  # layer 0 activation: none -> sigmoid
+        # a two-class CCE model is saved as version 2, with its loss byte at 12
+        assert blob[4] == 2
+        blob[13 + 1 + 4] = 3  # layer 0 activation: none -> sigmoid
         p.write_bytes(bytes(blob))
         with pytest.raises(WeightsFormatError, match="dense layer before the last"):
             load_weights(p)

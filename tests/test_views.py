@@ -5,6 +5,7 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bytecap.pcap import PacketRecord, dissect, read_pcap_records, write_pcap
@@ -23,6 +24,7 @@ from bytecap.views import (
     filter_packets,
     read_capture,
     read_dataset,
+    split_indices,
     split_view,
     strip_headers,
     train_val_split,
@@ -440,6 +442,66 @@ class TestDatasetIO:
         assert [(s.label, s.data) for s in back.samples] == \
                [(s.label, s.data) for s in ds.samples]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_huge_claim_through_pipe(self, tmp_path):
+        # a pipe has no size to check, so the 2^40 claimed samples must be
+        # refused without allocating them
+        blob = self.header_only(tmp_path, 115).read_bytes()
+        blob = blob[:-24] + struct.pack("<Q", 1 << 40) + b"\x00" * 500
+        r, w = os.pipe()
+        tracemalloc.start()
+        try:
+            os.write(w, blob)
+            os.close(w)
+            with pytest.raises(DatasetFormatError, match="truncated at sample 4"):
+                read_dataset(f"/dev/fd/{r}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            os.close(r)
+        assert peak < 1 << 20
+
+    def test_largest_sample_len(self, tmp_path):
+        # a u32 sample_len past numpy's C-int subarray limit: refused as
+        # truncated when a sample is claimed, round-tripped when none is
+        p = self.header_only(tmp_path, 0xFFFFFFFF)
+        with pytest.raises(DatasetFormatError, match="truncated at sample 0"):
+            read_dataset(p)
+        p.write_bytes(p.read_bytes()[:-24] + struct.pack("<Q", 0))
+        back = read_dataset(p)
+        assert back.data.shape == (0, 0xFFFFFFFF)
+        write_dataset(tmp_path / "again.ftld", back)
+        assert (tmp_path / "again.ftld").read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("through_pipe", [False, True])
+    def test_bad_stored_label_names_sample(self, tmp_path, through_pipe):
+        if through_pipe and not os.path.isdir("/dev/fd"):
+            pytest.skip("needs /dev/fd")
+        ds = DatasetFile(ViewKind.PACKET, ALL, 3, ["benign", "malicious"],
+                         [Sample(i % 2, bytes([i] * 3)) for i in range(6)])
+        p = tmp_path / "l.ftld"
+        write_dataset(p, ds)
+        blob = bytearray(p.read_bytes())
+        records = len(blob) - 6 * 5
+        for k, label in ((0, 2), (4, 0xFFFF)):
+            bad = bytearray(blob)
+            struct.pack_into("<H", bad, records + 5 * k, label)
+            struct.pack_into("<H", bad, records + 5 * 5, 9)  # a later bad label
+            p.write_bytes(bytes(bad))
+            match = f"sample {k} label {label} out of range"
+            if not through_pipe:
+                with pytest.raises(DatasetFormatError, match=match):
+                    read_dataset(p)
+                continue
+            r, w = os.pipe()
+            try:
+                os.write(w, bytes(bad))
+                os.close(w)
+                with pytest.raises(DatasetFormatError, match=match):
+                    read_dataset(f"/dev/fd/{r}")
+            finally:
+                os.close(r)
+
     def test_non_utf8_class_name(self, tmp_path):
         p = self.header_only(tmp_path, 8, names=(b"benign", b"\xff\xfe"))
         with pytest.raises(DatasetFormatError, match="UTF-8"):
@@ -450,6 +512,105 @@ class TestDatasetIO:
                          [Sample(7, b"ab")])
         with pytest.raises(ValueError, match="range"):
             write_dataset(tmp_path / "bad.ftld", ds)
+
+
+def split_oracle(labels, val_fraction, seed):
+    """split_indices as one Python list per class, the rules restated."""
+    rng = np.random.default_rng(seed)
+    by_class = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(int(label), []).append(i)
+    train, val = [], []
+    for label in sorted(by_class):
+        idx = np.array(by_class[label])
+        rng.shuffle(idx)
+        n_val = int(round(len(idx) * val_fraction))
+        n_val = min(max(n_val, 1), len(idx) - 1) if len(idx) >= 2 else 0
+        val += idx[:n_val].tolist()
+        train += idx[n_val:].tolist()
+    return sorted(train), sorted(val)
+
+
+class TestDatasetArrays:
+    def test_build_fills_arrays_and_provenance(self, corpus_small):
+        ds = build_dataset(corpus_small, ViewKind.FLOW, NO_ETH, 40, "binary")
+        rows = len(ds.labels)
+        assert ds.data.shape == (rows, 40) and ds.data.dtype == np.uint8
+        assert ds.labels.dtype == np.int64
+        prov = ds.provenance
+        assert prov.sources == [str(p) for p, _ in corpus_small]
+        assert len(prov.source) == len(prov.units) == len(prov.stripped_len) == rows
+        for i in (0, rows // 2, rows - 1):
+            s = ds.samples[i]
+            assert (s.label, s.data) == (ds.labels[i], ds.data[i].tobytes())
+            assert s.source == str(corpus_small[ds.labels[i]][0])
+            assert s.stripped_len == prov.stripped_len[i]
+
+    def test_samples_view_is_read_only(self, corpus_small):
+        ds = build_dataset(corpus_small, ViewKind.SESSION, ALL, 16, "binary")
+        view = ds.samples
+        assert len(view) == len(ds.labels) == 24
+        assert view[-1] == view[23] and view[0] != view[1]
+        assert [s.data for s in view[::5]] == [ds.data[i].tobytes() for i in range(0, 24, 5)]
+        assert [s.label for s in view] == ds.labels.tolist()
+        with pytest.raises(IndexError):
+            view[24]
+        with pytest.raises(TypeError):
+            view[0] = Sample(0, bytes(16))
+        assert not hasattr(view, "append")
+        view[0].label = 1  # a copy: the dataset is unchanged
+        assert ds.labels[0] == 0
+
+    def test_sample_list_converts_to_equal_arrays(self, corpus_small):
+        ds = build_dataset(corpus_small, ViewKind.PACKET, ONLY_ETH, 30, "binary",
+                           drop_empty=True)
+        again = DatasetFile(ds.view, ds.category, ds.sample_len, ds.class_names,
+                            list(ds.samples))
+        assert again == ds
+        assert np.array_equal(again.data, ds.data)
+        assert np.array_equal(again.provenance.stripped_len, ds.provenance.stripped_len)
+        # equality compares provenance too: a loaded copy has none
+        bare = DatasetFile(ds.view, ds.category, ds.sample_len, ds.class_names,
+                           [Sample(s.label, s.data) for s in ds.samples])
+        assert bare.provenance is None and bare != ds
+
+    def test_sample_of_wrong_length_refused(self):
+        with pytest.raises(ValueError, match="sample_len"):
+            DatasetFile(ViewKind.PACKET, ALL, 4, ["benign", "malicious"],
+                        [Sample(0, b"abc")])
+
+    def test_tensors_scale_bytes(self, corpus_small, tmp_path):
+        ds = build_dataset(corpus_small, ViewKind.PACKET, ALL, 20, "binary")
+        write_dataset(tmp_path / "t.ftld", ds)
+        for side in (ds, read_dataset(tmp_path / "t.ftld")):
+            x, y = side.tensors()
+            assert x.shape == (len(ds.labels), 20, 1) and x.dtype == np.float32
+            assert np.array_equal(x[..., 0], ds.data.astype(np.float32) / 255.0)
+            assert np.array_equal(y, ds.labels)
+            assert side.class_counts() == {"benign": int((y == 0).sum()),
+                                           "malicious": int((y == 1).sum())}
+
+    def test_split_indices_match_oracle(self):
+        rng = np.random.default_rng(3)
+        for seed in range(6):
+            labels = rng.integers(0, 4, size=int(rng.integers(0, 60))).tolist()
+            labels += [7]  # a singleton class stays on the training side
+            for fraction in (0.2, 0.5):
+                assert split_indices(labels, fraction, seed) == \
+                    split_oracle(labels, fraction, seed)
+
+    def test_split_carries_provenance(self, corpus_small):
+        ds = build_dataset(corpus_small, ViewKind.SESSION, ALL, 16, "binary")
+        train, val = train_val_split(ds, 0.25, seed=1)
+        for side, idx in zip((train, val), split_indices(ds.labels, 0.25, 1)):
+            assert list(side.samples) == [ds.samples[i] for i in idx]
+
+    def test_write_validates_before_creating_the_file(self, tmp_path):
+        ds = DatasetFile(ViewKind.PACKET, ALL, 2, ["benign", "malicious"],
+                         [Sample(0, b"ab"), Sample(5, b"cd")])
+        with pytest.raises(ValueError, match="label 5 out of range"):
+            write_dataset(tmp_path / "bad.ftld", ds)
+        assert not (tmp_path / "bad.ftld").exists()
 
 
 class TestSplitAndSynth:
