@@ -22,14 +22,14 @@ The default profile reproduces the reference shape column
 from __future__ import annotations
 
 import math
-import os
-import stat
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+
+from ._bounded import read_exact
 
 _EPS = 1e-7  # probability clamp for cross-entropy
 
@@ -684,7 +684,8 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
     Training hyperparameters are not stored; the restored ModelConfig keeps
     defaults for them. Passing `expect` additionally enforces that the file
     matches that architecture. A file whose layer specs do not form a valid
-    model raises WeightsFormatError.
+    model, that ends early or that goes on past its trailer raises
+    WeightsFormatError.
     """
     with open(path, "rb") as fp:
         magic = fp.read(4)
@@ -698,14 +699,8 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
             raise WeightsFormatError(f"{path}: unsupported weights version {version}")
 
         def need(nbytes, what):
-            # a regular file's size is checked first, as read() allocates the
-            # full claim up front; a pipe has no size to check against
-            st = os.fstat(fp.fileno())
-            fits = not stat.S_ISREG(st.st_mode) or nbytes <= st.st_size - fp.tell()
-            raw = fp.read(nbytes) if fits else b""
-            if len(raw) < nbytes:
-                raise WeightsFormatError(f"{path}: truncated while reading {what}")
-            return raw
+            return read_exact(fp, nbytes, lambda _: WeightsFormatError(
+                f"{path}: truncated while reading {what}"))
 
         loss = None  # version 1: inferred from the class count below
         if version == 2:
@@ -752,5 +747,7 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
             weights.append(tensors)
 
         best_epoch, best_acc = struct.unpack("<If", need(8, "trailer"))
+        if fp.read(1):
+            raise WeightsFormatError(f"{path}: bytes after the trailer")
         return Checkpoint(config=config, weights=weights,
                           best_epoch=best_epoch, best_val_accuracy=best_acc)

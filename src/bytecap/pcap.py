@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
+from ._bounded import CHUNK, read_exact
+
 LINKTYPE_ETHERNET = 1
 
 GLOBAL_HEADER_LEN = 24
@@ -192,12 +194,12 @@ class PcapReader:
                 f"{self._path}: record {self._index} header is corrupt "
                 f"(incl_len={incl_len}, orig_len={orig_len}, snaplen={self.meta.snaplen})"
             )
-        data = self._fp.read(incl_len)
+        # the common short record is one plain read; a longer claim goes
+        # through the bounded read, which refuses it before allocating
+        data = (self._fp.read(incl_len) if incl_len <= CHUNK
+                else read_exact(self._fp, incl_len, self._truncated_body))
         if len(data) < incl_len:
-            raise TruncatedCaptureError(
-                f"{self._path}: truncated record body after record {self._index - 1}",
-                last_good_index=self._index - 1,
-            )
+            raise self._truncated_body(len(data))
         rec = PacketRecord(
             index=self._index,
             ts_sec=ts_sec,
@@ -208,6 +210,12 @@ class PcapReader:
         )
         self._index += 1
         return rec
+
+    def _truncated_body(self, have: int) -> TruncatedCaptureError:
+        return TruncatedCaptureError(
+            f"{self._path}: truncated record body after record {self._index - 1}",
+            last_good_index=self._index - 1,
+        )
 
     def close(self):
         if not self._fp.closed:
@@ -269,7 +277,7 @@ def dissect(record: PacketRecord, link_type: int = LINKTYPE_ETHERNET) -> Dissect
     cap_len is reported absent, along with everything beneath it.
     """
     if link_type != LINKTYPE_ETHERNET:
-        raise ValueError(f"unsupported link type {link_type}, expected Ethernet (1)")
+        raise PcapFormatError(f"unsupported link type {link_type}, expected Ethernet (1)")
     data = record.data
     n = len(data)
 

@@ -25,8 +25,6 @@ callers that walk samples one at a time.
 
 from __future__ import annotations
 
-import os
-import stat
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -35,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._bounded import read_exact
 from .pcap import (
     Dissection,
     L3Kind,
@@ -608,38 +607,15 @@ def read_dataset_header(path) -> tuple[DatasetFile, int]:
         return _read_header(fp, path)
 
 
-# a pipe has no size to check a claimed sample count against, so it is
-# read this many bytes at a time and a false claim is never allocated
-_PIPE_CHUNK = 1 << 16
-
-
-def _read_records(fp, path, count: int, rec_len: int) -> bytes:
-    """The bytes of `count` records. A regular file's size is checked first,
-    as read() allocates the full claim up front."""
-    need = count * rec_len
-    chunk = _PIPE_CHUNK
-    st = os.fstat(fp.fileno())
-    if stat.S_ISREG(st.st_mode):
-        left = st.st_size - fp.tell()
-        if need > left:
-            raise DatasetFormatError(f"{path}: truncated at sample {left // rec_len}")
-        chunk = need
-    parts, have = [], 0
-    while have < need:
-        part = fp.read(min(chunk, need - have))
-        if not part:
-            raise DatasetFormatError(f"{path}: truncated at sample {have // rec_len}")
-        parts.append(part)
-        have += len(part)
-    return b"".join(parts)
-
-
 def read_dataset(path) -> DatasetFile:
     with open(path, "rb") as fp:
         ds, count = _read_header(fp, path)
         rec_len = 2 + ds.sample_len
-        records = np.frombuffer(_read_records(fp, path, count, rec_len),
-                                dtype=np.uint8).reshape(count, rec_len)
+        raw = read_exact(fp, count * rec_len, lambda have: DatasetFormatError(
+            f"{path}: truncated at sample {have // rec_len}"))
+        if fp.read(1):
+            raise DatasetFormatError(f"{path}: bytes after the last of {count} samples")
+        records = np.frombuffer(raw, dtype=np.uint8).reshape(count, rec_len)
     labels = records[:, 0].astype(np.int64) | records[:, 1].astype(np.int64) << 8
     bad = np.flatnonzero(labels >= len(ds.class_names))
     if bad.size:

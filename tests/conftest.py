@@ -1,6 +1,8 @@
 """Shared fixtures: hand-built frames and session-scoped synthetic corpora."""
 
+import os
 import struct
+import threading
 
 import pytest
 
@@ -48,6 +50,33 @@ def ipv6_frame(payload=b"", next_header=6, sport=5000, dport=80, tcp_doff=5):
     ip = struct.pack(">IHBB", 6 << 28, len(l4) + len(payload), next_header, 64)
     ip += bytes(range(16)) + bytes(range(16, 32))
     return eth + ip + l4 + payload
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+def read_through_pipe(read, blob: bytes):
+    """read(path) where the path is a pipe that a thread fills with `blob`."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            left = memoryview(blob)
+            while left:
+                left = left[os.write(w, left):]
+        except BrokenPipeError:  # the reader stopped before the end
+            pass
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 @pytest.fixture(scope="session")

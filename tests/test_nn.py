@@ -1,7 +1,6 @@
 """Kernel math: layer forwards, finite-difference gradient oracles, Adam,
 and the weights file."""
 
-import os
 import struct
 import tracemalloc
 
@@ -32,6 +31,7 @@ from bytecap.nn import (
     save_weights,
 )
 from bytecap.train import predict
+from conftest import needs_dev_fd, read_through_pipe
 
 LOSS_BCE = "binary_cross_entropy"
 LOSS_CCE = "categorical_cross_entropy"
@@ -552,18 +552,13 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match=r"layer 0 \(conv1d\)"):
             load_weights(p)
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @needs_dev_fd
     def test_truncation_through_pipe_names_layer(self, tmp_path):
         p = tmp_path / "t.ftlw"
         save_weights(p, self.trained_checkpoint())
-        r, w = os.pipe()
-        try:
-            os.write(w, p.read_bytes()[:200])  # inside the first conv weight tensor
-            os.close(w)
-            with pytest.raises(WeightsFormatError, match=r"layer 0 \(conv1d\)"):
-                load_weights(f"/dev/fd/{r}")
-        finally:
-            os.close(r)
+        # cut inside the first conv weight tensor
+        with pytest.raises(WeightsFormatError, match=r"layer 0 \(conv1d\)"):
+            read_through_pipe(load_weights, p.read_bytes()[:200])
 
     def test_bad_magic_and_version(self, tmp_path):
         p = tmp_path / "m.ftlw"
@@ -649,6 +644,35 @@ class TestWeightsFile:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @needs_dev_fd
+    def test_huge_claim_through_pipe(self):
+        # a pipe has no size to check: one dense layer over a 2^27-long
+        # input claims 2^28 weights (1 GiB), which must not be allocated
+        blob = (b"FTLW" + struct.pack("<HIH", 1, 1 << 27, 1)
+                + struct.pack("<BIB", 3, 2, 2) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightsFormatError, match=r"layer 0 \(dense\)"):
+                read_through_pipe(load_weights, blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_bytes_after_trailer_refused(self, tmp_path, through_pipe):
+        p = tmp_path / "j.ftlw"
+        save_weights(p, self.trained_checkpoint())
+        load_weights(p)
+        blob = p.read_bytes() + b"JUNK"
+        p.write_bytes(blob)
+        with pytest.raises(WeightsFormatError, match="bytes after the trailer"):
+            if through_pipe:
+                read_through_pipe(load_weights, blob)
+            else:
+                load_weights(p)
 
     def test_file_size_formula(self, tmp_path):
         ckpt = self.trained_checkpoint()

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,8 @@ from bytecap.pcap import (
     read_pcap_records,
     write_pcap,
 )
-from conftest import arp_frame, ipv4_frame, ipv6_frame
+from bytecap.views import Capture
+from conftest import arp_frame, ipv4_frame, ipv6_frame, needs_dev_fd, read_through_pipe
 
 
 def global_header(magic=0xD4C3B2A1, snaplen=65535, linktype=1, order="<"):
@@ -97,6 +99,28 @@ class TestReader:
         with pytest.raises(PcapFormatError):
             read_pcap_records(p)
 
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_huge_claimed_record_not_allocated(self, tmp_path, through_pipe):
+        # snaplen 0 turns off the snaplen bound, so a 1 GiB claim that
+        # orig_len agrees with reaches the body read
+        blob = (global_header(snaplen=0) + record(b"\x00" * 30)
+                + struct.pack("<IIII", 0, 0, 1 << 30, 1 << 30) + b"\xff" * 40)
+        p = tmp_path / "claim.pcap"
+        p.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedCaptureError) as ei:
+                if through_pipe:
+                    read_through_pipe(read_pcap_records, blob)
+                else:
+                    read_pcap_records(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ei.value.last_good_index == 0
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("order", ["<", ">"])
     def test_roundtrip_both_orders(self, tmp_path, order):
         rng = random.Random(99)
@@ -134,6 +158,14 @@ class TestDissect:
         d = dissect(rec_of(ipv4_frame(vlan_tags=1)))
         assert d.eth_end == 18
         assert (d.ip_end, d.transport_start, d.payload_start) == (38, 38, 58)
+
+    def test_non_ethernet_link_type(self, tmp_path):
+        with pytest.raises(PcapFormatError, match="link type 101"):
+            dissect(rec_of(ipv4_frame()), 101)
+        p = tmp_path / "raw.pcap"
+        p.write_bytes(global_header(linktype=101) + record(ipv4_frame()))
+        with pytest.raises(PcapFormatError, match="link type 101"):
+            Capture.read(p)
 
     def test_arp_is_non_ip(self):
         d = dissect(rec_of(arp_frame()))

@@ -1,6 +1,5 @@
 """View splitting, header categories, sample assembly and dataset IO."""
 
-import os
 import random
 import struct
 import tracemalloc
@@ -30,7 +29,7 @@ from bytecap.views import (
     train_val_split,
     write_dataset,
 )
-from conftest import arp_frame, ipv4_frame, ipv6_frame
+from conftest import arp_frame, ipv4_frame, ipv6_frame, needs_dev_fd, read_through_pipe
 
 ALL = HeaderCategory.ALL_HEADERS
 ONLY_ETH = HeaderCategory.ONLY_ETHERNET
@@ -426,39 +425,29 @@ class TestDatasetIO:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @needs_dev_fd
     def test_read_from_pipe(self, tmp_path):
         ds = DatasetFile(ViewKind.PACKET, ALL, 8, ["benign", "malicious"],
                          [Sample(0, b"\x01" * 8), Sample(1, b"\x02" * 8)])
         p = tmp_path / "p.ftld"
         write_dataset(p, ds)
-        r, w = os.pipe()
-        try:
-            os.write(w, p.read_bytes())
-            os.close(w)
-            back = read_dataset(f"/dev/fd/{r}")
-        finally:
-            os.close(r)
+        back = read_through_pipe(read_dataset, p.read_bytes())
         assert [(s.label, s.data) for s in back.samples] == \
                [(s.label, s.data) for s in ds.samples]
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @needs_dev_fd
     def test_huge_claim_through_pipe(self, tmp_path):
         # a pipe has no size to check, so the 2^40 claimed samples must be
         # refused without allocating them
         blob = self.header_only(tmp_path, 115).read_bytes()
         blob = blob[:-24] + struct.pack("<Q", 1 << 40) + b"\x00" * 500
-        r, w = os.pipe()
         tracemalloc.start()
         try:
-            os.write(w, blob)
-            os.close(w)
             with pytest.raises(DatasetFormatError, match="truncated at sample 4"):
-                read_dataset(f"/dev/fd/{r}")
+                read_through_pipe(read_dataset, blob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            os.close(r)
         assert peak < 1 << 20
 
     def test_largest_sample_len(self, tmp_path):
@@ -473,10 +462,8 @@ class TestDatasetIO:
         write_dataset(tmp_path / "again.ftld", back)
         assert (tmp_path / "again.ftld").read_bytes() == p.read_bytes()
 
-    @pytest.mark.parametrize("through_pipe", [False, True])
+    @pytest.mark.parametrize("through_pipe", [False, pytest.param(True, marks=needs_dev_fd)])
     def test_bad_stored_label_names_sample(self, tmp_path, through_pipe):
-        if through_pipe and not os.path.isdir("/dev/fd"):
-            pytest.skip("needs /dev/fd")
         ds = DatasetFile(ViewKind.PACKET, ALL, 3, ["benign", "malicious"],
                          [Sample(i % 2, bytes([i] * 3)) for i in range(6)])
         p = tmp_path / "l.ftld"
@@ -489,18 +476,27 @@ class TestDatasetIO:
             struct.pack_into("<H", bad, records + 5 * 5, 9)  # a later bad label
             p.write_bytes(bytes(bad))
             match = f"sample {k} label {label} out of range"
-            if not through_pipe:
-                with pytest.raises(DatasetFormatError, match=match):
+            with pytest.raises(DatasetFormatError, match=match):
+                if through_pipe:
+                    read_through_pipe(read_dataset, bytes(bad))
+                else:
                     read_dataset(p)
-                continue
-            r, w = os.pipe()
-            try:
-                os.write(w, bytes(bad))
-                os.close(w)
-                with pytest.raises(DatasetFormatError, match=match):
-                    read_dataset(f"/dev/fd/{r}")
-            finally:
-                os.close(r)
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_bytes_after_last_sample_refused(self, tmp_path, through_pipe):
+        ds = DatasetFile(ViewKind.PACKET, ALL, 2, ["benign", "malicious"],
+                         [Sample(1, b"ab")])
+        p = tmp_path / "j.ftld"
+        write_dataset(p, ds)
+        assert read_dataset(p) == ds
+        blob = p.read_bytes() + b"JUNK"
+        p.write_bytes(blob)
+        with pytest.raises(DatasetFormatError, match="bytes after the last of 1 samples"):
+            if through_pipe:
+                read_through_pipe(read_dataset, blob)
+            else:
+                read_dataset(p)
 
     def test_non_utf8_class_name(self, tmp_path):
         p = self.header_only(tmp_path, 8, names=(b"benign", b"\xff\xfe"))
