@@ -4,8 +4,10 @@ Exactly four layer kinds (conv1d, max_pool1d, global_avg_pool1d, dense),
 all "valid" (no padding), implemented on numpy arrays laid out
 position-major, channel-minor. One table, `_KINDS`, holds each kind's
 shape rules, FTLW fields, allowed activations, forward and backward;
-`Model` and the public ops run those same functions. Activations are
-(L, C) per sample or (B, L, C) batched; every public op accepts either.
+`Model` and the public ops run those same functions, and
+`ModelConfig.plan()` and the public ops check each layer with the same
+rule (`_plan_layer`). Activations are (L, C) per sample or (B, L, C)
+batched; every public op accepts either.
 
 Forward builds caches only for training (`Model.forward(want_cache=True)`);
 inference builds none. conv1d caches its window matrix and its output,
@@ -30,6 +32,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._bounded import read_exact
+from .views import class_catalog
 
 _EPS = 1e-7  # probability clamp for cross-entropy
 
@@ -78,8 +81,6 @@ LayerSpec = Union[Conv1dSpec, MaxPool1dSpec, GlobalAvgPoolSpec, DenseSpec]
 def _apply_activation(z, activation):
     if activation == "none":
         return z
-    if activation == "relu":
-        return np.maximum(z, 0)
     if activation == "softmax":
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
@@ -251,6 +252,45 @@ class LayerPlan(NamedTuple):
     param_shapes: tuple  # (weight shape, bias shape), or () if none
 
 
+def _plan_layer(spec, shape: tuple, last: bool, where: str) -> LayerPlan:
+    """The plan of `spec` run on one sample of `shape`, as the final layer
+    or not; raises ShapeError, prefixed with `where`, if it cannot run."""
+    kind = _KINDS.get(type(spec))
+    if kind is None:
+        raise ShapeError(f"{where}: unknown spec {spec!r}")
+    if kind.activations and spec.activation not in kind.activations:
+        raise ShapeError(f"{where}: {kind.name} cannot run activation {spec.activation!r}")
+    # the dense backward takes g with respect to the pre-activation,
+    # which loss_and_grad supplies for the final layer only
+    if isinstance(spec, DenseSpec) and not last and spec.activation != "none":
+        raise ShapeError(f"{where}: a dense layer before the last cannot "
+                         f"run activation {spec.activation!r}")
+    if kind.spatial and len(shape) != 2:
+        raise ShapeError(f"{where}: {kind.name} needs an (L, C) input, got {shape}")
+    in_shape = shape
+    if kind.window:
+        size_name, stride_name = kind.window
+        size, stride = getattr(spec, size_name), getattr(spec, stride_name)
+        if size < 1 or stride < 1:
+            raise ShapeError(f"{where}: {kind.name} {size_name} and "
+                             f"{stride_name} must be >= 1, got {size}/{stride}")
+        if shape[0] < size:
+            raise ShapeError(f"{where}: input length {shape[0]} < {size_name} {size}")
+        shape = ((shape[0] - size) // stride + 1, shape[1])
+    shape = kind.out(spec, shape)
+    if min(shape) < 1:
+        raise ShapeError(f"{where}: collapsed to empty output")
+    return LayerPlan(spec, kind, shape, kind.params(spec, in_shape))
+
+
+def _check_params(layer: LayerPlan, tensors, where: str):
+    """Raise ShapeError unless `tensors` have the layer's parameter shapes."""
+    shapes = tuple(np.shape(a) for a in tensors)
+    if shapes != layer.param_shapes:
+        raise ShapeError(f"{where} ({layer.kind.name}): weight shapes "
+                         f"{list(shapes)} != {layer.param_shapes}")
+
+
 LOSS_BCE = "binary_cross_entropy"
 LOSS_CCE = "categorical_cross_entropy"
 
@@ -274,34 +314,8 @@ class ModelConfig:
         plan = []
         shape: tuple = (self.input_len, 1)
         for i, spec in enumerate(self.layers):
-            kind = _KINDS.get(type(spec))
-            if kind is None:
-                raise ShapeError(f"layer {i}: unknown spec {spec!r}")
-            if kind.activations and spec.activation not in kind.activations:
-                raise ShapeError(f"layer {i}: {kind.name} cannot run activation "
-                                 f"{spec.activation!r}")
-            # the dense backward takes g with respect to the pre-activation,
-            # which loss_and_grad supplies for the final layer only
-            if (isinstance(spec, DenseSpec) and i < len(self.layers) - 1
-                    and spec.activation != "none"):
-                raise ShapeError(f"layer {i}: a dense layer before the last cannot "
-                                 f"run activation {spec.activation!r}")
-            if kind.spatial and len(shape) != 2:
-                raise ShapeError(f"layer {i}: {kind.name} needs an (L, C) input, got {shape}")
-            in_shape = shape
-            if kind.window:
-                size_name, stride_name = kind.window
-                size, stride = getattr(spec, size_name), getattr(spec, stride_name)
-                if size < 1 or stride < 1:
-                    raise ShapeError(f"layer {i}: {kind.name} {size_name} and "
-                                     f"{stride_name} must be >= 1, got {size}/{stride}")
-                if shape[0] < size:
-                    raise ShapeError(f"layer {i}: input length {shape[0]} < {size_name} {size}")
-                shape = ((shape[0] - size) // stride + 1, shape[1])
-            shape = kind.out(spec, shape)
-            if min(shape) < 1:
-                raise ShapeError(f"layer {i}: collapsed to empty output")
-            plan.append(LayerPlan(spec, kind, shape, kind.params(spec, in_shape)))
+            plan.append(_plan_layer(spec, shape, i == len(self.layers) - 1, f"layer {i}"))
+            shape = plan[-1].out_shape
         return plan
 
     def output_shapes(self) -> list[tuple]:
@@ -326,8 +340,9 @@ def pairing_for(task: str, pairing: str) -> tuple[str, str]:
     "paper" keeps the reference pairing (softmax+BCE for binary,
     sigmoid+CCE for multi); "standard" uses softmax+CCE for both.
     """
+    binary = len(class_catalog(task)) == 2
     if pairing == "paper":
-        return ("softmax", LOSS_BCE) if task == "binary" else ("sigmoid", LOSS_CCE)
+        return ("softmax", LOSS_BCE) if binary else ("sigmoid", LOSS_CCE)
     if pairing == "standard":
         return ("softmax", LOSS_CCE)
     raise ValueError(f"unknown pairing {pairing!r}")
@@ -341,7 +356,7 @@ def default_config(task: str = "binary", profile: str = "prose",
     conv(K=3,S=1). profile "table": length-20 input with both convs at
     K=3,S=1. Both walks end at 18x64, 3x64, 1x64, 64, classes.
     """
-    class_count = 2 if task == "binary" else 12
+    class_count = len(class_catalog(task))
     activation, loss = pairing_for(task, pairing)
     if profile == "prose":
         input_len = 115
@@ -367,7 +382,8 @@ def default_config(task: str = "binary", profile: str = "prose",
 
 
 # ---------------------------------------------------------------------------
-# Public layer ops: per-sample or batched arrays, through the kind forwards
+# Public layer ops: per-sample or batched arrays, through the kind forwards,
+# each refusing what the plan refuses for a final layer of its kind
 
 def _batched(x, rank):
     x = np.asarray(x)
@@ -381,25 +397,27 @@ def _batched(x, rank):
 def conv1d_forward(x, w, b, stride: int, activation: str = "none"):
     """Valid cross-correlation: out[t, f] = act(b[f] + sum w[f,k,c] x[t*S+k, c])."""
     x3, squeeze = _batched(x, 3)
-    w = np.asarray(w, dtype=x3.dtype)
-    if x3.shape[1] < w.shape[1]:
-        raise ShapeError(f"input length {x3.shape[1]} < kernel {w.shape[1]}")
+    w, b = np.asarray(w, dtype=x3.dtype), np.asarray(b, dtype=x3.dtype)
     spec = Conv1dSpec(w.shape[0], w.shape[1], stride, activation)
-    y, _ = _conv_forward(spec, (w, np.asarray(b, dtype=x3.dtype)), x3, False)
+    layer = _plan_layer(spec, x3.shape[1:], True, "conv1d_forward")
+    _check_params(layer, (w, b), "conv1d_forward")
+    y, _ = _conv_forward(spec, (w, b), x3, False)
     return y[0] if squeeze else y
 
 
 def maxpool1d_forward(x, pool: int, stride: int):
     x3, squeeze = _batched(x, 3)
-    if x3.shape[1] < pool:
-        raise ShapeError(f"input length {x3.shape[1]} < pool {pool}")
-    y, _ = _maxpool_forward(MaxPool1dSpec(pool, stride), [], x3, False)
+    spec = MaxPool1dSpec(pool, stride)
+    _plan_layer(spec, x3.shape[1:], True, "maxpool1d_forward")
+    y, _ = _maxpool_forward(spec, (), x3, False)
     return y[0] if squeeze else y
 
 
 def global_avg_pool_forward(x):
     x3, squeeze = _batched(x, 3)
-    y, _ = _gap_forward(GlobalAvgPoolSpec(), [], x3, False)
+    spec = GlobalAvgPoolSpec()
+    _plan_layer(spec, x3.shape[1:], True, "global_avg_pool_forward")
+    y, _ = _gap_forward(spec, (), x3, False)
     return y[0] if squeeze else y
 
 
@@ -409,8 +427,11 @@ def dense_forward(x, w, b, activation: str = "none"):
     w = np.asarray(w)
     # one sample is a flat vector or an (L, C) activation; anything else a batch
     one = x.ndim == 1 or (x.ndim == 2 and x.shape[1] != w.shape[1])
-    y, _ = _dense_forward(DenseSpec(w.shape[0], activation), (w, b),
-                          x.reshape(1, -1) if one else x, False)
+    x2 = x.reshape(1, -1) if one else x
+    spec = DenseSpec(w.shape[0], activation)
+    layer = _plan_layer(spec, x2.shape[1:], True, "dense_forward")
+    _check_params(layer, (w, b), "dense_forward")
+    y, _ = _dense_forward(spec, (w, b), x2, False)
     return y[0] if one else y
 
 
@@ -562,10 +583,7 @@ class Model:
                             for shape in layer.param_shapes), dtype=self.dtype)
         params = self._carve(flat)
         for i, (layer, tensors, views) in enumerate(zip(self._plan, weights, params)):
-            tensors = [np.asarray(a) for a in tensors]
-            if tuple(a.shape for a in tensors) != layer.param_shapes:
-                raise ShapeError(f"layer {i} ({layer.kind.name}): weight shapes "
-                                 f"{[a.shape for a in tensors]} != {layer.param_shapes}")
+            _check_params(layer, tensors, f"layer {i}")
             for view, a in zip(views, tensors):
                 view[...] = a
         self.flat_params, self.params = flat, params

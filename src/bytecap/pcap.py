@@ -1,10 +1,10 @@
 """Classic libpcap file reading/writing and packet dissection.
 
-Only the classic format is handled (magic 0xA1B2C3D4 family, both byte
-orders, micro- and nanosecond timestamps). Dissection covers
-Ethernet/802.1Q + IPv4/IPv6 + TCP/UDP; anything malformed degrades to
-absent offsets instead of raising, because real capture files contain
-garbage frames.
+Only the classic format with the Ethernet link type is handled (magic
+0xA1B2C3D4 family, both byte orders, micro- and nanosecond timestamps).
+Dissection covers Ethernet/802.1Q + IPv4/IPv6 + TCP/UDP; anything
+malformed degrades to absent offsets instead of raising, because real
+capture files contain garbage frames.
 """
 
 from __future__ import annotations
@@ -131,8 +131,10 @@ class Dissection:
 class PcapReader:
     """Streaming reader over one classic-pcap file.
 
-    Iterating yields PacketRecord in file order with bounded memory.
-    Usable as a context manager; `meta` is parsed eagerly on open.
+    Iterating yields PacketRecord in file order with bounded memory, in
+    one pass: the file closes when an iteration ends, so iterating again
+    yields nothing. Usable as a context manager; `meta` is parsed eagerly
+    on open, and a link type other than Ethernet is refused there.
     """
 
     def __init__(self, path):
@@ -143,8 +145,6 @@ class PcapReader:
         except Exception:
             self._fp.close()
             raise
-        self._index = 0
-        self._exhausted = False
 
     def _read_global_header(self) -> CaptureMeta:
         head = self._fp.read(GLOBAL_HEADER_LEN)
@@ -161,6 +161,10 @@ class PcapReader:
         vmaj, vmin, _zone, _sigfigs, snaplen, linktype = struct.unpack(
             order + "HHiIII", head[4:]
         )
+        if linktype != LINKTYPE_ETHERNET:
+            raise PcapFormatError(
+                f"{self._path}: unsupported link type {linktype}, expected Ethernet (1)"
+            )
         return CaptureMeta(
             magic=magic_be,
             byte_order=order,
@@ -171,51 +175,29 @@ class PcapReader:
         )
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        return self
-
-    def __next__(self) -> PacketRecord:
-        if self._exhausted:
-            raise StopIteration
-        head = self._fp.read(RECORD_HEADER_LEN)
-        if len(head) == 0:
-            self._exhausted = True
-            self.close()
-            raise StopIteration
-        if len(head) < RECORD_HEADER_LEN:
-            raise TruncatedCaptureError(
-                f"{self._path}: truncated record header after record {self._index - 1}",
-                last_good_index=self._index - 1,
-            )
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(
-            self.meta.byte_order + "IIII", head
-        )
-        if incl_len > orig_len or (self.meta.snaplen and incl_len > self.meta.snaplen):
-            raise PcapFormatError(
-                f"{self._path}: record {self._index} header is corrupt "
-                f"(incl_len={incl_len}, orig_len={orig_len}, snaplen={self.meta.snaplen})"
-            )
-        # the common short record is one plain read; a longer claim goes
-        # through the bounded read, which refuses it before allocating
-        data = (self._fp.read(incl_len) if incl_len <= CHUNK
-                else read_exact(self._fp, incl_len, self._truncated_body))
-        if len(data) < incl_len:
-            raise self._truncated_body(len(data))
-        rec = PacketRecord(
-            index=self._index,
-            ts_sec=ts_sec,
-            ts_frac=ts_frac,
-            cap_len=incl_len,
-            orig_len=orig_len,
-            data=data,
-        )
-        self._index += 1
-        return rec
-
-    def _truncated_body(self, have: int) -> TruncatedCaptureError:
-        return TruncatedCaptureError(
-            f"{self._path}: truncated record body after record {self._index - 1}",
-            last_good_index=self._index - 1,
-        )
+        if self._fp.closed:
+            return
+        path, snaplen = self._path, self.meta.snaplen
+        unpack = struct.Struct(self.meta.byte_order + "IIII").unpack
+        with self._fp as fp:
+            index = 0
+            while head := fp.read(RECORD_HEADER_LEN):
+                if len(head) < RECORD_HEADER_LEN:
+                    raise _truncated(path, "header", index)
+                ts_sec, ts_frac, incl_len, orig_len = unpack(head)
+                if incl_len > orig_len or (snaplen and incl_len > snaplen):
+                    raise PcapFormatError(
+                        f"{path}: record {index} header is corrupt "
+                        f"(incl_len={incl_len}, orig_len={orig_len}, snaplen={snaplen})"
+                    )
+                # the common short record is one plain read; a longer claim goes
+                # through the bounded read, which refuses it before allocating
+                data = (fp.read(incl_len) if incl_len <= CHUNK else
+                        read_exact(fp, incl_len, lambda have: _truncated(path, "body", index)))
+                if len(data) < incl_len:
+                    raise _truncated(path, "body", index)
+                yield PacketRecord(index, ts_sec, ts_frac, incl_len, orig_len, data)
+                index += 1
 
     def close(self):
         if not self._fp.closed:
@@ -229,6 +211,13 @@ class PcapReader:
         return False
 
 
+def _truncated(path: str, part: str, index: int) -> TruncatedCaptureError:
+    """Record `index`'s header or body ends early; the records before it were read."""
+    message = (f"{path}: truncated record {part} after record {index - 1}" if index
+               else f"{path}: truncated first record {part}, no record was read")
+    return TruncatedCaptureError(message, last_good_index=index - 1)
+
+
 def read_pcap(path) -> PcapReader:
     """Open a capture for streaming iteration; metadata is on `.meta`."""
     return PcapReader(path)
@@ -240,22 +229,16 @@ def read_pcap_records(path) -> tuple[CaptureMeta, list[PacketRecord]]:
         return r.meta, list(r)
 
 
-def write_pcap(path, records, *, snaplen=65535, link_type=LINKTYPE_ETHERNET,
-               byte_order="<", ts_resolution="micro"):
-    """Write records as a classic-pcap file (fixture/corpus writer).
+def write_pcap(path, records, *, snaplen=65535, byte_order="<", ts_resolution="micro"):
+    """Write records as a classic-pcap Ethernet capture (fixture/corpus writer).
 
     `records` is an iterable of PacketRecord or (ts_sec, ts_frac, data)
     tuples; orig_len defaults to len(data).
     """
-    magic = {
-        ("<", "micro"): 0xD4C3B2A1,
-        (">", "micro"): 0xA1B2C3D4,
-        ("<", "nano"): 0x4D3CB2A1,
-        (">", "nano"): 0xA1B23C4D,
-    }[(byte_order, ts_resolution)]
+    [magic] = [m for m, form in _MAGIC_TABLE.items() if form == (byte_order, ts_resolution)]
     with open(path, "wb") as fp:
         fp.write(struct.pack(">I", magic))
-        fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, snaplen, link_type))
+        fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET))
         for rec in records:
             if isinstance(rec, PacketRecord):
                 ts_sec, ts_frac, data, orig = rec.ts_sec, rec.ts_frac, rec.data, rec.orig_len
@@ -270,6 +253,14 @@ def _u16(data: bytes, off: int) -> int:
     return (data[off] << 8) | data[off + 1]
 
 
+def _absent(eth_end: int) -> Dissection:
+    """A frame with no usable IP layer: only its Ethernet end is known."""
+    return Dissection(
+        eth_end=eth_end, ip_start=None, ip_end=None, transport_start=None,
+        payload_start=None, l3_kind=L3Kind.NON_IP, proto=None, five_tuple=None,
+    )
+
+
 def dissect(record: PacketRecord, link_type: int = LINKTYPE_ETHERNET) -> Dissection:
     """Compute layer boundaries and the 5-tuple for one Ethernet frame.
 
@@ -281,65 +272,37 @@ def dissect(record: PacketRecord, link_type: int = LINKTYPE_ETHERNET) -> Dissect
     data = record.data
     n = len(data)
 
-    def absent(eth_end):
-        return Dissection(
-            eth_end=eth_end, ip_start=None, ip_end=None, transport_start=None,
-            payload_start=None, l3_kind=L3Kind.NON_IP, proto=None,
-            five_tuple=None,
-        )
-
     # Ethernet header, hopping over stacked VLAN tags.
     type_off = 12
     if type_off + 2 > n:
-        return absent(max(n, 1))
+        return _absent(max(n, 1))
     ethertype = _u16(data, type_off)
     while ethertype in _VLAN_ETHERTYPES:
         type_off += 4
         if type_off + 2 > n:
-            return absent(n)  # tag stack runs off the capture
+            return _absent(n)  # tag stack runs off the capture
         ethertype = _u16(data, type_off)
     eth_end = type_off + 2
 
-    if ethertype == ETHERTYPE_IPV4:
-        return _dissect_ipv4(data, n, eth_end, absent)
-    if ethertype == ETHERTYPE_IPV6:
-        return _dissect_ipv6(data, n, eth_end, absent)
-    return absent(eth_end)
-
-
-def _dissect_ipv4(data, n, eth_end, absent):
-    if eth_end + 20 > n:
-        return absent(eth_end)
-    ihl = data[eth_end] & 0x0F
-    hdr_len = ihl * 4
-    if ihl < 5 or eth_end + hdr_len > n:
-        return absent(eth_end)
-    ip_end = eth_end + hdr_len
-    proto = data[eth_end + 9]
-    frag_offset = _u16(data, eth_end + 6) & 0x1FFF
-    src = data[eth_end + 12:eth_end + 16]
-    dst = data[eth_end + 16:eth_end + 20]
+    if ethertype == ETHERTYPE_IPV4 and eth_end + 20 <= n:
+        ip_end = eth_end + (data[eth_end] & 0x0F) * 4
+        if ip_end < eth_end + 20 or ip_end > n:  # IHL below 5, or options cut off
+            return _absent(eth_end)
+        kind, proto = L3Kind.IPV4, data[eth_end + 9]
+        frag_offset = _u16(data, eth_end + 6) & 0x1FFF
+        src, dst = data[eth_end + 12:eth_end + 16], data[eth_end + 16:eth_end + 20]
+    elif ethertype == ETHERTYPE_IPV6 and eth_end + 40 <= n:
+        # Extension headers count as payload; only a direct TCP/UDP next-header
+        # yields a transport layer.
+        ip_end = eth_end + 40
+        kind, proto, frag_offset = L3Kind.IPV6, data[eth_end + 6], 0
+        src, dst = data[eth_end + 8:eth_end + 24], data[eth_end + 24:ip_end]
+    else:
+        return _absent(eth_end)
     ts, ps, sport, dport = _dissect_transport(data, n, ip_end, proto, frag_offset)
     return Dissection(
         eth_end=eth_end, ip_start=eth_end, ip_end=ip_end,
-        transport_start=ts, payload_start=ps, l3_kind=L3Kind.IPV4, proto=proto,
-        five_tuple=FiveTuple(src, dst, sport, dport, proto),
-    )
-
-
-def _dissect_ipv6(data, n, eth_end, absent):
-    # Extension headers count as payload; only a direct TCP/UDP next-header
-    # yields a transport layer.
-    if eth_end + 40 > n:
-        return absent(eth_end)
-    proto = data[eth_end + 6]
-    ip_end = eth_end + 40
-    src = data[eth_end + 8:eth_end + 24]
-    dst = data[eth_end + 24:eth_end + 40]
-    ts, ps, sport, dport = _dissect_transport(data, n, ip_end, proto, 0)
-    return Dissection(
-        eth_end=eth_end, ip_start=eth_end, ip_end=ip_end,
-        transport_start=ts, payload_start=ps, l3_kind=L3Kind.IPV6, proto=proto,
+        transport_start=ts, payload_start=ps, l3_kind=kind, proto=proto,
         five_tuple=FiveTuple(src, dst, sport, dport, proto),
     )
 

@@ -89,12 +89,12 @@ def _slug(name: str) -> str:
 
 def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
                  packets_per_session: tuple[int, int] = (4, 10),
-                 payload_len: tuple[int, int] = (60, 180),
-                 udp_fraction: float = 0.25) -> list[tuple[Path, str]]:
+                 payload_len: tuple[int, int] = (60, 180)) -> list[tuple[Path, str]]:
     """Write one pcap per class; returns [(path, class name), ...].
 
     Sessions are bidirectional exchanges between random endpoints with
-    monotonically increasing timestamps. Fixing the seed fixes every output
+    monotonically increasing timestamps; a quarter of them, drawn per
+    session, run over UDP and the rest over TCP. Fixing the seed fixes every output
     byte.
     """
     if len(classes) < 2:
@@ -110,7 +110,7 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
         ts_usec = 0
         for s in range(cls.sessions):
             n_pkts = int(rng.integers(packets_per_session[0], packets_per_session[1] + 1))
-            use_udp = rng.random() < udp_fraction
+            use_udp = rng.random() < 0.25
             src_ip = bytes([10, *rng.integers(0, 256, 3, dtype=np.uint8)])
             dst_ip = bytes([10, *rng.integers(0, 256, 3, dtype=np.uint8)])
             sport = int(rng.integers(1024, 65536))

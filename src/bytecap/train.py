@@ -36,12 +36,6 @@ class EpochStats:
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
 
-    @property
-    def best_epoch(self) -> int:
-        """Index of the highest validation accuracy, first on ties."""
-        accs = [e.val_acc for e in self.epochs]
-        return int(np.argmax(accs)) if accs else -1
-
     def to_records(self) -> list[str]:
         return [json.dumps(vars(e), sort_keys=True) for e in self.epochs]
 

@@ -249,8 +249,7 @@ def filter_packets(pairs: Iterable[PacketPair], view: ViewKind,
 def read_capture(path) -> tuple[float, list[PacketPair]]:
     """Read and dissect one capture: its ts_scale and (record, dissection) pairs."""
     with read_pcap(path) as reader:
-        scale, link_type = reader.meta.ts_scale, reader.meta.link_type
-        return scale, [(rec, dissect(rec, link_type)) for rec in reader]
+        return reader.meta.ts_scale, [(rec, dissect(rec)) for rec in reader]
 
 
 def split_view(pairs: Sequence[PacketPair], view: ViewKind) -> dict:
@@ -348,9 +347,9 @@ class Capture:
         flows: dict = {}
         sessions: dict = {}
         with read_pcap(path) as reader:
-            scale, link_type = reader.meta.ts_scale, reader.meta.link_type
+            scale = reader.meta.ts_scale
             for rec in reader:
-                dis = dissect(rec, link_type)
+                dis = dissect(rec)
                 chunks.append(rec.data)
                 if dis.l3_kind is L3Kind.NON_IP:
                     columns.append((rec.cap_len, dis.eth_end, -1, -1, -1))
@@ -477,6 +476,8 @@ def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
     Output order is source file order, then unit first-packet order, so
     rebuilding the same inputs is deterministic.
     """
+    if n > 0xFFFFFFFF:
+        raise ValueError(f"sample length {n} does not fit FTLD's u32 sample_len field")
     names = class_catalog(task)
     sources, datas, labels, units, totals = [], [], [], [], []
     for source, label_name in inputs:

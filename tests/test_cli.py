@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 
 import argparse
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -223,6 +224,22 @@ class TestBuild:
                       for p in cli_corpus.glob("*.pcap"))
         assert calls == packets
 
+    def test_sample_length_beyond_u32_refused(self, cli_corpus, tmp_path):
+        # in a child whose address space is capped, so that a build which
+        # does try to allocate the (units, 2**32) matrix fails fast instead
+        # of paging
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "from bytecap.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "build", "--labels", str(cli_corpus / "labels.txt"),
+             "--n", str(2 ** 32), "--out", str(tmp_path / "huge.ftld")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: sample length 4294967296" in proc.stderr
+        assert not (tmp_path / "huge.ftld").exists()
+
     def test_missing_labels_usage_error(self, capsys):
         assert run_cli("build", "--out", "/tmp/x.ftld") == 1
         assert "labels" in capsys.readouterr().err
@@ -355,6 +372,16 @@ class TestInspect:
         labels.write_text("/nonexistent/ghost.pcap,benign\n")
         assert run_cli("inspect", "--labels", str(labels)) == 1
         assert "ghost.pcap" in capsys.readouterr().err
+
+    def test_non_ethernet_capture_names_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw101.pcap"
+        raw.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
+                        + struct.pack("<IIII", 0, 0, 4, 4) + b"\x45\x00\x00\x04")
+        labels = tmp_path / "raw.txt"
+        labels.write_text(f"{raw},benign\n")
+        assert run_cli("inspect", "--labels", str(labels)) == 1
+        [line] = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert str(raw) in line and "link type 101" in line
 
 
 class TestBench:

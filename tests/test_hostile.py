@@ -1,6 +1,7 @@
-"""Hostile-input properties of the three binary formats: a valid pcap, FTLD
-or FTLW file, cut short and with bytes flipped, either parses or raises
-that module's typed error, from a regular file and from a pipe."""
+"""Hostile-input properties. A valid pcap, FTLD or FTLW file, cut short and
+with bytes flipped, either parses or raises that module's typed error, from
+a regular file and from a pipe; the two text inputs, a config file and a
+labels file, either parse or raise ValueError."""
 
 import os
 
@@ -8,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bytecap.cli import SETTINGS, parse_config
 from bytecap.nn import (
     Checkpoint,
     Conv1dSpec,
@@ -21,6 +23,7 @@ from bytecap.nn import (
     save_weights,
 )
 from bytecap.pcap import PcapFormatError, TruncatedCaptureError, write_pcap
+from bytecap.synth import read_labels_file
 from bytecap.views import (
     Capture,
     DatasetFile,
@@ -121,3 +124,55 @@ def test_ftlw_parses_or_raises_typed(tmp_path):
     blobs = [ftlw_blob(tmp_path, loss)
              for loss in ("binary_cross_entropy", "categorical_cross_entropy")]
     check_parses_or_raises(tmp_path, load_weights, blobs, WeightsFormatError, 200)
+
+
+CONFIG_KEYS = sorted({key for keys in SETTINGS.values() for key in keys})
+# values at the edges of what int(), float() and the choice lists accept;
+# the long digit string passes int()'s default 4300-digit limit
+CONFIG_VALUES = ["1", "-3", "0.5", "1e999", "nan", "true", "No", "packet", "binary", "",
+                 "0x10", "1_000", "\u0663", "9" * 4301, "only-eth"]
+
+
+@st.composite
+def config_texts(draw):
+    """A command and config text for it: mostly `key = value` lines, keyed
+    by that command's settings more often than by others or by junk."""
+    command = draw(st.sampled_from(sorted(SETTINGS)))
+    line = st.builds("{}{}{}{}".format,
+                     st.sampled_from(SETTINGS[command]) | st.sampled_from(CONFIG_KEYS)
+                     | st.text(max_size=8),
+                     st.sampled_from(["=", " = ", " =", "\t=\t", "==", ":"]),
+                     st.sampled_from(CONFIG_VALUES) | st.text(max_size=12),
+                     st.sampled_from(["", " # note", "\r", "\x00", "\u2028"]))
+    lines = st.lists(st.one_of(*[line] * 5, st.text(max_size=30)), max_size=5)
+    return command, "\n".join(draw(lines))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config_texts())
+def test_config_text_parses_or_raises_value_error(command_text):
+    command, text = command_text
+    try:
+        values = parse_config(text, command)
+    except ValueError:
+        return
+    assert set(values) <= set(SETTINGS[command])
+
+
+def test_labels_file_parses_or_raises_value_error(tmp_path):
+    path = tmp_path / "labels.txt"
+    lines = st.one_of(st.binary(max_size=40),
+                      st.sampled_from([b"a.pcap,benign", b"x,y,Mirai", b"# c", b",", b"\xff,\xfe",
+                                       b"p.pcap,benign\r", b"\xef\xbb\xbfp,benign"]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(lines, max_size=5).map(b"\n".join))
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            entries = read_labels_file(path)
+        except ValueError:  # UnicodeDecodeError included
+            return
+        assert all(isinstance(p, str) and isinstance(name, str) for p, name in entries)
+
+    check()

@@ -28,6 +28,7 @@ from bytecap.nn import (
     load_weights,
     loss_and_grad,
     maxpool1d_forward,
+    pairing_for,
     save_weights,
 )
 from bytecap.train import predict
@@ -100,6 +101,37 @@ class TestForwards:
             assert np.all(p > 0)
             s = dense_forward(z, np.eye(z.shape[1]), np.zeros(z.shape[1]), "sigmoid")
             assert np.all((s > 0) & (s < 1))
+
+    # each call is one the plan refuses for a layer of that kind
+    REFUSED_OPS = {
+        "conv-stride-0": lambda x: conv1d_forward(x, np.ones((2, 3, 1)), np.zeros(2), 0),
+        "pool-stride-0": lambda x: maxpool1d_forward(x, 2, 0),
+        "pool-size-0": lambda x: maxpool1d_forward(x, 0, 1),
+        "conv-sigmoid": lambda x: conv1d_forward(x, np.ones((2, 3, 1)), np.zeros(2), 1,
+                                                 "sigmoid"),
+        "conv-bogus": lambda x: conv1d_forward(x, np.ones((2, 3, 1)), np.zeros(2), 1, "bogus"),
+        "conv-channels": lambda x: conv1d_forward(x, np.ones((2, 3, 4)), np.zeros(2), 1),
+        "conv-bias": lambda x: conv1d_forward(x, np.ones((2, 3, 1)), np.zeros(3), 1),
+        "dense-width": lambda x: dense_forward(x, np.ones((2, 7)), np.zeros(2)),
+        "dense-relu": lambda x: dense_forward(x, np.ones((2, 8)), np.zeros(2), "relu"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_OPS))
+    def test_ops_refuse_what_the_plan_refuses(self, case):
+        x = np.ones((8, 1))
+        with pytest.raises(ShapeError):
+            self.REFUSED_OPS[case](x)
+        with pytest.raises(ShapeError):
+            self.REFUSED_OPS[case](x[None])
+
+    def test_unknown_task_refused(self):
+        with pytest.raises(ValueError, match="unknown task 'bogus'"):
+            default_config("bogus")
+        for pairing in ("paper", "standard"):
+            with pytest.raises(ValueError, match="unknown task 'bogus'"):
+                pairing_for("bogus", pairing)
+        assert default_config("multi").class_count == 12
+        assert pairing_for("multi", "paper") == ("sigmoid", LOSS_CCE)
 
     def test_forward_deterministic(self):
         cfg = default_config("binary")

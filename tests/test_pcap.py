@@ -5,8 +5,12 @@ import struct
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bytecap.pcap import (
+    Dissection,
+    FiveTuple,
     L3Kind,
     NonIpPacketError,
     PacketRecord,
@@ -90,6 +94,35 @@ class TestReader:
         with pytest.raises(TruncatedCaptureError) as ei:
             read_pcap_records(p)
         assert ei.value.last_good_index == 1
+
+    @pytest.mark.parametrize("tail", [
+        b"\x00\x01\x02", struct.pack("<IIII", 0, 0, 100, 100) + b"\xff" * 40],
+        ids=["header", "body"])
+    def test_unreadable_first_record(self, tmp_path, tail):
+        p = tmp_path / "first.pcap"
+        p.write_bytes(global_header() + tail)
+        with pytest.raises(TruncatedCaptureError, match="no record was read") as ei:
+            read_pcap_records(p)
+        assert ei.value.last_good_index == -1
+        assert "record -1" not in str(ei.value)
+
+    def test_non_ethernet_capture_refused_on_open(self, tmp_path):
+        p = tmp_path / "raw.pcap"
+        p.write_bytes(global_header(linktype=101) + record(ipv4_frame()))
+        for read in (read_pcap, Capture.read):
+            with pytest.raises(PcapFormatError, match="link type 101") as ei:
+                read(p)
+            assert str(p) in str(ei.value)
+
+    def test_iteration_makes_one_pass(self, tmp_path):
+        p = tmp_path / "two.pcap"
+        p.write_bytes(global_header() + record(b"\x01" * 20) + record(b"\x02" * 20))
+        with read_pcap(p) as r:
+            assert [rec.index for rec in r] == [0, 1]
+            assert list(r) == []
+        r = read_pcap(p)
+        r.close()
+        assert list(r) == []
 
     def test_corrupt_length_fields(self, tmp_path):
         p = tmp_path / "c.pcap"
@@ -239,6 +272,186 @@ class TestDissect:
                 assert d.ip_start == d.eth_end
             if d.transport_start is None and d.five_tuple is not None:
                 assert d.five_tuple.src_port == 0 and d.five_tuple.dst_port == 0
+
+
+# ---------------------------------------------------------------------------
+# The dissector as it stood with one function per IP version, kept as the
+# oracle that the single-body dissect is held to: verbatim, except that its
+# names carry an oracle prefix and the module constants are written as
+# their values, so that it shares no code with what it checks.
+
+_ORACLE_VLAN_ETHERTYPES = (0x8100, 0x88A8, 0x9100)
+
+
+def _oracle_u16(data: bytes, off: int) -> int:
+    return (data[off] << 8) | data[off + 1]
+
+
+def oracle_dissect(record: PacketRecord, link_type: int = 1) -> Dissection:
+    if link_type != 1:
+        raise PcapFormatError(f"unsupported link type {link_type}, expected Ethernet (1)")
+    data = record.data
+    n = len(data)
+
+    def absent(eth_end):
+        return Dissection(
+            eth_end=eth_end, ip_start=None, ip_end=None, transport_start=None,
+            payload_start=None, l3_kind=L3Kind.NON_IP, proto=None,
+            five_tuple=None,
+        )
+
+    # Ethernet header, hopping over stacked VLAN tags.
+    type_off = 12
+    if type_off + 2 > n:
+        return absent(max(n, 1))
+    ethertype = _oracle_u16(data, type_off)
+    while ethertype in _ORACLE_VLAN_ETHERTYPES:
+        type_off += 4
+        if type_off + 2 > n:
+            return absent(n)  # tag stack runs off the capture
+        ethertype = _oracle_u16(data, type_off)
+    eth_end = type_off + 2
+
+    if ethertype == 0x0800:
+        return _oracle_dissect_ipv4(data, n, eth_end, absent)
+    if ethertype == 0x86DD:
+        return _oracle_dissect_ipv6(data, n, eth_end, absent)
+    return absent(eth_end)
+
+
+def _oracle_dissect_ipv4(data, n, eth_end, absent):
+    if eth_end + 20 > n:
+        return absent(eth_end)
+    ihl = data[eth_end] & 0x0F
+    hdr_len = ihl * 4
+    if ihl < 5 or eth_end + hdr_len > n:
+        return absent(eth_end)
+    ip_end = eth_end + hdr_len
+    proto = data[eth_end + 9]
+    frag_offset = _oracle_u16(data, eth_end + 6) & 0x1FFF
+    src = data[eth_end + 12:eth_end + 16]
+    dst = data[eth_end + 16:eth_end + 20]
+    ts, ps, sport, dport = _oracle_dissect_transport(data, n, ip_end, proto, frag_offset)
+    return Dissection(
+        eth_end=eth_end, ip_start=eth_end, ip_end=ip_end,
+        transport_start=ts, payload_start=ps, l3_kind=L3Kind.IPV4, proto=proto,
+        five_tuple=FiveTuple(src, dst, sport, dport, proto),
+    )
+
+
+def _oracle_dissect_ipv6(data, n, eth_end, absent):
+    # Extension headers count as payload; only a direct TCP/UDP next-header
+    # yields a transport layer.
+    if eth_end + 40 > n:
+        return absent(eth_end)
+    proto = data[eth_end + 6]
+    ip_end = eth_end + 40
+    src = data[eth_end + 8:eth_end + 24]
+    dst = data[eth_end + 24:eth_end + 40]
+    ts, ps, sport, dport = _oracle_dissect_transport(data, n, ip_end, proto, 0)
+    return Dissection(
+        eth_end=eth_end, ip_start=eth_end, ip_end=ip_end,
+        transport_start=ts, payload_start=ps, l3_kind=L3Kind.IPV6, proto=proto,
+        five_tuple=FiveTuple(src, dst, sport, dport, proto),
+    )
+
+
+def _oracle_dissect_transport(data, n, ip_end, proto, frag_offset):
+    """Returns (transport_start, payload_start, src_port, dst_port)."""
+    if frag_offset != 0:
+        return None, None, 0, 0  # non-first fragment carries no transport header
+    if proto == 6:
+        if ip_end + 20 > n:
+            return None, None, 0, 0
+        doff = (data[ip_end + 12] >> 4) * 4
+        if doff < 20 or ip_end + doff > n:
+            return None, None, 0, 0
+        return ip_end, ip_end + doff, _oracle_u16(data, ip_end), _oracle_u16(data, ip_end + 2)
+    if proto == 17:
+        if ip_end + 8 > n:
+            return None, None, 0, 0
+        return ip_end, ip_end + 8, _oracle_u16(data, ip_end), _oracle_u16(data, ip_end + 2)
+    return None, None, 0, 0
+
+
+def _exactly(draw, size):
+    return bytearray(draw(st.binary(min_size=size, max_size=size)))
+
+
+def _often(draw, values, bits):
+    """One of `values` (repeats weight it), or else any `bits`-bit value."""
+    value = draw(st.sampled_from(values + [None]))
+    return draw(st.integers(0, (1 << bits) - 1)) if value is None else value
+
+
+@st.composite
+def hostile_frames(draw):
+    """Frames built layer by layer with the fields dissect branches on drawn
+    near their edges: VLAN stacks (a last tag type may start one more tag
+    that runs off the frame), IPv4 IHL 0-15 with options, fragment fields,
+    IPv6 next headers (TCP, UDP, extension headers), TCP data offsets 0-15,
+    then maybe cut, at any byte or beside the end of a header. One in eight
+    is plain random bytes, runts and empty frames included."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.binary(max_size=80))
+    frame = _exactly(draw, 12)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        frame += struct.pack(">HH", draw(st.sampled_from(_ORACLE_VLAN_ETHERTYPES)),
+                             draw(st.integers(0, 0xFFFF)))
+    ethertype = _often(draw, [0x0800] * 3 + [0x86DD] * 2 + [0x0806, 0x8100], 16)
+    frame += struct.pack(">H", ethertype)
+    ends = [len(frame)]  # where each layer ends, for cuts at and beside them
+    proto = _often(draw, [6] * 3 + [17] * 2 + [0, 43, 44, 58, 1], 8)
+    if ethertype == 0x0800:
+        ihl = _often(draw, [5] * 3 + [6, 8, 15, 0, 4], 4)
+        ip = _exactly(draw, 20)
+        ip[0] = 0x40 | ihl
+        ip[6:8] = struct.pack(">H", _often(draw, [0] * 3 + [0x4000, 0x2000, 1, 0x1FFF], 16))
+        ip[9] = proto
+        frame += ip
+        ends.append(len(frame))
+        frame += _exactly(draw, max(ihl * 4 - 20, 0))
+        ends.append(len(frame))
+    elif ethertype == 0x86DD:
+        ip = _exactly(draw, 40)
+        ip[6] = proto
+        frame += ip
+        ends.append(len(frame))
+    if proto == 6:
+        doff = _often(draw, [5] * 3 + [6, 8, 15, 0, 4], 4)
+        tcp = _exactly(draw, 20)
+        tcp[12] = doff << 4
+        frame += tcp
+        ends.append(len(frame))
+        frame += _exactly(draw, max(doff * 4 - 20, 0))
+    elif proto == 17:
+        frame += _exactly(draw, 8)
+    ends.append(len(frame))
+    frame += draw(st.binary(max_size=16))
+    if draw(st.integers(0, 2)) == 0:
+        near_end = st.sampled_from([max(e + d, 0) for e in ends for d in (-1, 0, 1)])
+        frame = frame[:draw(near_end | st.integers(0, len(frame)))]
+    return bytes(frame)
+
+
+class TestDissectMatchesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hostile_frames())
+    def test_hostile_frames(self, frame):
+        assert dissect(rec_of(frame)) == oracle_dissect(rec_of(frame))
+
+    def test_hand_built_frames(self):
+        more_fragments = bytearray(ipv4_frame())
+        more_fragments[20] |= 0x20  # MF flag set on a first fragment
+        frames = [ipv4_frame(payload=b"x"), bytes(more_fragments), ipv4_frame(proto=17),
+                  ipv4_frame(proto=1), ipv4_frame(ihl=4), ipv4_frame(ihl=8),
+                  ipv4_frame(frag_offset=5), ipv4_frame(vlan_tags=3),
+                  ipv4_frame(tcp_doff=4), ipv4_frame(tcp_doff=15),
+                  ipv6_frame(payload=b"x"), ipv6_frame(next_header=17),
+                  ipv6_frame(next_header=0), arp_frame()]
+        for frame in frames:  # every cut, the empty frame and runts included
+            for cut in range(len(frame) + 1):
+                assert dissect(rec_of(frame[:cut])) == oracle_dissect(rec_of(frame[:cut]))
 
 
 class TestKeys:
