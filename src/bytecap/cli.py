@@ -10,6 +10,7 @@ only data.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -99,6 +100,16 @@ def _choice(key: str, value: str, where: str) -> str:
     return value
 
 
+def _in_range(key: str, value, where: str):
+    """value, if it lies in the range its setting takes: the Adam step size
+    and epsilon are finite and > 0, the moment decays lie in [0, 1)."""
+    if key in ("learning_rate", "epsilon") and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{where}: {key} must be finite and > 0, got {value!r}")
+    if key in ("beta1", "beta2") and not 0 <= value < 1:
+        raise ValueError(f"{where}: {key} must lie in [0, 1), got {value!r}")
+    return value
+
+
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
@@ -124,7 +135,7 @@ def parse_config(text: str, command: str) -> dict:
                 raise ValueError(f"config line {line_no}: bad boolean {value!r}")
             out[key] = _BOOL_WORDS[value.lower()]
         else:
-            out[key] = ty(value)
+            out[key] = _in_range(key, ty(value), f"config line {line_no}")
     return out
 
 
@@ -147,7 +158,8 @@ def effective_config(args, command: str) -> RunConfig:
         text = Path(args.config).read_text(encoding="utf-8")
         cfg = replace(cfg, **parse_config(text, command))
     flags = {name: getattr(args, name, None) for name in SETTINGS[command]}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    return replace(cfg, **{k: _in_range(k, v, "--" + k.replace("_", "-"))
+                           for k, v in flags.items() if v is not None})
 
 
 def _echo_config(cfg: RunConfig, command: str):
@@ -366,6 +378,10 @@ def main(argv=None) -> int:
         return args.func(cfg, args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message names the allocation it could not make
+        print(f"error: out of memory ({e})" if str(e) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

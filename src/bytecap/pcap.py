@@ -4,7 +4,9 @@ Only the classic format with the Ethernet link type is handled (magic
 0xA1B2C3D4 family, both byte orders, micro- and nanosecond timestamps).
 Dissection covers Ethernet/802.1Q + IPv4/IPv6 + TCP/UDP; anything
 malformed degrades to absent offsets instead of raising, because real
-capture files contain garbage frames.
+capture files contain garbage frames. `dissect` states the rules for one
+packet; `dissect_frames` applies the same rules to every frame of a
+buffer at once, as numpy columns.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
+
+import numpy as np
 
 from ._bounded import CHUNK, read_exact
 
@@ -334,3 +338,108 @@ def keys(d: Dissection) -> tuple[FlowKey, SessionKey]:
     b = (t.dst_ip, t.dst_port)
     lo, hi = (a, b) if a <= b else (b, a)
     return t, SessionKey(lo, hi, t.proto)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """dissect's fields for every frame of one buffer, one array per field.
+
+    Row i describes frames[start[i]:start[i] + cap_len[i]]. An offset that
+    dissect reports as None is -1 here, as is a non-IP frame's proto, and
+    ip_version is 4, 6 or 0 (non-IP). A frame with no transport header has
+    ports 0. src and dst hold an IP frame's addresses left-aligned in 16
+    bytes, an IPv4 address zero-padded; a non-IP frame's are all zero.
+    """
+
+    eth_end: np.ndarray
+    ip_end: np.ndarray
+    ip_version: np.ndarray
+    proto: np.ndarray
+    transport_start: np.ndarray
+    payload_start: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+
+def _u8s(frames: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    return frames[pos].astype(np.int64)  # int64 before any shift
+
+
+def _u16s(frames: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    return _u8s(frames, pos) << 8 | _u8s(frames, pos + 1)
+
+
+def _windows(frames: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """frames[p:p + width] for each p of pos, one row each."""
+    if not pos.size:  # the buffer may then be shorter than one window
+        return np.zeros((0, width), dtype=np.uint8)
+    return np.lib.stride_tricks.sliding_window_view(frames, width)[pos]
+
+
+def dissect_frames(frames, start, cap_len) -> FrameColumns:
+    """dissect for every frame of one buffer at once.
+
+    Each rule reads only the rows that passed its bounds check, so no read
+    leaves its frame; VLAN stacks are hopped by a loop over tag depth that
+    carries only the rows still tagged.
+    """
+    frames = np.asarray(frames, dtype=np.uint8)
+    start = np.asarray(start, dtype=np.int64)
+    n = np.asarray(cap_len, dtype=np.int64)
+    count = len(n)
+
+    # Ethernet header. A tagged row's type is replaced only while the next
+    # type field fits, so a stack that runs off the frame keeps a VLAN type.
+    type_off = np.full(count, 12, dtype=np.int64)
+    ethertype = np.full(count, -1, dtype=np.int64)
+    rows = np.flatnonzero(n >= 14)
+    ethertype[rows] = _u16s(frames, start[rows] + 12)
+    rows = rows[np.isin(ethertype[rows], _VLAN_ETHERTYPES)]
+    while rows.size:
+        type_off[rows] += 4
+        rows = rows[type_off[rows] + 2 <= n[rows]]
+        ethertype[rows] = _u16s(frames, start[rows] + type_off[rows])
+        rows = rows[np.isin(ethertype[rows], _VLAN_ETHERTYPES)]
+    ran_off = np.isin(ethertype, _VLAN_ETHERTYPES)
+    eth_end = np.where(n < 14, np.maximum(n, 1), np.where(ran_off, n, type_off + 2))
+    ip = start + eth_end  # where each frame's IP header would start
+
+    v4 = np.flatnonzero((ethertype == ETHERTYPE_IPV4) & (eth_end + 20 <= n))
+    v4_end = eth_end[v4] + (_u8s(frames, ip[v4]) & 0x0F) * 4
+    whole = (v4_end >= eth_end[v4] + 20) & (v4_end <= n[v4])  # IHL >= 5, options inside
+    v4, v4_end = v4[whole], v4_end[whole]
+    v6 = np.flatnonzero((ethertype == ETHERTYPE_IPV6) & (eth_end + 40 <= n))
+    ip_end = np.full(count, -1, dtype=np.int64)
+    ip_end[v4], ip_end[v6] = v4_end, eth_end[v6] + 40
+    ip_version = np.zeros(count, dtype=np.int8)
+    ip_version[v4], ip_version[v6] = 4, 6
+    proto = np.full(count, -1, dtype=np.int64)
+    proto[v4], proto[v6] = _u8s(frames, ip[v4] + 9), _u8s(frames, ip[v6] + 6)
+    src = np.zeros((count, 16), dtype=np.uint8)
+    dst = np.zeros((count, 16), dtype=np.uint8)
+    src[v4, :4], dst[v4, :4] = _windows(frames, ip[v4] + 12, 4), _windows(frames, ip[v4] + 16, 4)
+    src[v6], dst[v6] = _windows(frames, ip[v6] + 8, 16), _windows(frames, ip[v6] + 24, 16)
+
+    # Transport header: a non-first fragment carries none; IPv6 extension
+    # headers count as payload.
+    first_fragment = (_u16s(frames, ip[v4] + 6) & 0x1FFF) == 0
+    rows = np.concatenate([v4[first_fragment], v6])
+    room = n[rows] - ip_end[rows]
+    tcp = rows[(proto[rows] == PROTO_TCP) & (room >= 20)]
+    doff = (_u8s(frames, start[tcp] + ip_end[tcp] + 12) >> 4) * 4
+    whole = (doff >= 20) & (ip_end[tcp] + doff <= n[tcp])
+    tcp, doff = tcp[whole], doff[whole]
+    udp = rows[(proto[rows] == PROTO_UDP) & (room >= 8)]
+    l4 = np.concatenate([tcp, udp])
+    transport_start = np.full(count, -1, dtype=np.int64)
+    payload_start = np.full(count, -1, dtype=np.int64)
+    transport_start[l4] = ip_end[l4]
+    payload_start[l4] = ip_end[l4] + np.concatenate([doff, np.full(len(udp), 8)])
+    src_port = np.zeros(count, dtype=np.int64)
+    dst_port = np.zeros(count, dtype=np.int64)
+    src_port[l4] = _u16s(frames, start[l4] + ip_end[l4])
+    dst_port[l4] = _u16s(frames, start[l4] + ip_end[l4] + 2)
+    return FrameColumns(eth_end, ip_end, ip_version, proto, transport_start,
+                        payload_start, src_port, dst_port, src, dst)

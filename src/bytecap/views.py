@@ -6,12 +6,15 @@ bytes become one fixed-length labeled sample. Datasets serialize to a
 small binary format (magic "FTLD") that round-trips byte-exactly.
 
 `Capture.read` parses a capture once into flat arrays: one frame buffer,
-per-packet layer offsets and flow/session unit ids. `build_dataset`
-assembles every view x category cell from a `Capture` by slicing with
-those offsets, so a grid of cells needs one parse per capture. The
-per-packet path (`read_capture`, `filter_packets`, `split_view`,
-`strip_headers`, `assemble_sample`) states the same rules one packet at a
-time and is the reference the tests hold the array path to.
+per-packet layer offsets and flow/session unit ids. It dissects every
+frame at once as numpy columns (`pcap.dissect_frames`) and numbers units
+with `np.unique` over packed key bytes. `build_dataset` assembles every
+view x category cell from a `Capture` by slicing with those offsets, so
+a grid of cells needs one parse per capture. The per-packet path
+(`read_capture` with `pcap.dissect`, `filter_packets`, `split_view` with
+`pcap.keys`, `strip_headers`, `assemble_sample`) states the same rules
+one packet at a time and is the reference the tests hold the array path
+to.
 
 A `DatasetFile` holds its samples as arrays: an (N, sample_len) uint8
 `data` matrix and an (N,) int64 `labels` vector, plus, when built from
@@ -36,9 +39,13 @@ import numpy as np
 from ._bounded import read_exact
 from .pcap import (
     Dissection,
+    FiveTuple,
+    FrameColumns,
     L3Kind,
     PacketRecord,
+    SessionKey,
     dissect,
+    dissect_frames,
     keys,
     read_pcap,
 )
@@ -315,6 +322,70 @@ def assemble_sample(unit: Sequence[PacketPair], cat: HeaderCategory,
     return data, total
 
 
+def _endpoints(addr: np.ndarray, port: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(address, port) of each row as 18 bytes: the 16-byte address, then
+    the port big-endian, so the bytes compare as Python compares the tuples
+    (a packet's two addresses share one length and so one zero padding)."""
+    out = np.empty((len(rows), 18), dtype=np.uint8)
+    out[:, :16] = addr[rows]
+    out[:, 16] = port[rows] >> 8
+    out[:, 17] = port[rows] & 0xFF
+    return out
+
+
+def _first_appearance(packed: np.ndarray, rows: np.ndarray,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys of a capture's frames in order of first
+    appearance. packed holds the key bytes of frames `rows`, one row each.
+    Returns each of the `count` frames' number (-1 for frames not in
+    rows) and the frame that first has each number."""
+    voids = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(voids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = np.full(count, -1, dtype=np.int64)
+    ids[rows] = rank[inverse.reshape(-1)]
+    return ids, rows[first[order]]
+
+
+def _five_tuples(cols: FrameColumns, rows: np.ndarray) -> list[FiveTuple]:
+    """The FiveTuple dissect gives each of the IP frames `rows`."""
+    width = np.where(cols.ip_version[rows] == 4, 4, 16).tolist()
+    return [FiveTuple(src[:w], dst[:w], sport, dport, proto)
+            for w, src, dst, sport, dport, proto in zip(
+                width, map(bytes, cols.src[rows]), map(bytes, cols.dst[rows]),
+                cols.src_port[rows].tolist(), cols.dst_port[rows].tolist(),
+                cols.proto[rows].tolist())]
+
+
+def _number_units(cols: FrameColumns) -> tuple[np.ndarray, list, np.ndarray, list]:
+    """flow_id, flow_keys, session_id and session_keys of Capture.read.
+
+    A flow is the bytes (IP version, source endpoint, destination
+    endpoint, proto) and a session the same with its two endpoints in
+    ascending order, so packets group as keys() groups them; the version
+    byte keeps an IPv4 address apart from a zero-padded IPv6 one. Keys are
+    built from each unit's first packet.
+    """
+    count = len(cols.ip_version)
+    rows = np.flatnonzero(cols.ip_version)
+    version = cols.ip_version[rows, None].astype(np.uint8)
+    proto = cols.proto[rows, None].astype(np.uint8)
+    a = _endpoints(cols.src, cols.src_port, rows)
+    b = _endpoints(cols.dst, cols.dst_port, rows)
+    # a and b compare at their first differing byte; equal endpoints stay
+    at = (np.arange(len(rows)), (a != b).argmax(axis=1))
+    swap = (a[at] > b[at])[:, None]
+    flow_id, flow_first = _first_appearance(
+        np.hstack([version, a, b, proto]), rows, count)
+    session_id, session_first = _first_appearance(
+        np.hstack([version, np.where(swap, b, a), np.where(swap, a, b), proto]), rows, count)
+    session_keys = [SessionKey(*sorted([(t.src_ip, t.src_port), (t.dst_ip, t.dst_port)]),
+                               t.proto) for t in _five_tuples(cols, session_first)]
+    return flow_id, _five_tuples(cols, flow_first), session_id, session_keys
+
+
 @dataclass(frozen=True, eq=False)
 class Capture:
     """One capture, read and dissected once, as flat per-packet arrays.
@@ -341,31 +412,28 @@ class Capture:
 
     @classmethod
     def read(cls, path) -> "Capture":
-        """One pass of read_pcap and dissect; no per-packet objects are kept."""
-        chunks = []
-        columns = []  # (cap_len, eth_end, ip_end, flow id, session id)
-        flows: dict = {}
-        sessions: dict = {}
+        """Read a capture once and dissect all its frames as numpy columns.
+
+        read_pcap yields the records, pcap.dissect_frames gives every
+        packet's layer offsets and addresses from the joined frame buffer,
+        and flows and sessions are numbered over packed key bytes (see
+        _number_units). dissect and keys state the same rules one packet at
+        a time and are the reference this path is tested against. No
+        per-packet objects are kept: each unit's FiveTuple or SessionKey
+        is built once.
+        """
         with read_pcap(path) as reader:
             scale = reader.meta.ts_scale
-            for rec in reader:
-                dis = dissect(rec)
-                chunks.append(rec.data)
-                if dis.l3_kind is L3Kind.NON_IP:
-                    columns.append((rec.cap_len, dis.eth_end, -1, -1, -1))
-                    continue
-                flow, session = keys(dis)
-                columns.append((rec.cap_len, dis.eth_end, dis.ip_end,
-                                flows.setdefault(flow, len(flows)),
-                                sessions.setdefault(session, len(sessions))))
-        cap_len, eth_end, ip_end, flow_id, session_id = (
-            np.array(columns, dtype=np.int64).reshape(-1, 5).T)
-        return cls(source=str(path), ts_scale=scale,
-                   frames=np.frombuffer(b"".join(chunks), dtype=np.uint8),
-                   start=np.cumsum(cap_len) - cap_len, cap_len=cap_len,
-                   eth_end=eth_end, ip_end=ip_end, flow_id=flow_id,
-                   session_id=session_id, flow_keys=list(flows),
-                   session_keys=list(sessions))
+            chunks = [rec.data for rec in reader]
+        cap_len = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+        frames = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+        start = np.cumsum(cap_len) - cap_len
+        cols = dissect_frames(frames, start, cap_len)
+        flow_id, flow_keys, session_id, session_keys = _number_units(cols)
+        return cls(source=str(path), ts_scale=scale, frames=frames, start=start,
+                   cap_len=cap_len, eth_end=cols.eth_end, ip_end=cols.ip_end,
+                   flow_id=flow_id, session_id=session_id, flow_keys=flow_keys,
+                   session_keys=session_keys)
 
     def __len__(self) -> int:
         return len(self.cap_len)

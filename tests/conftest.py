@@ -38,7 +38,8 @@ def arp_frame():
     return eth + b"\x00" * 28
 
 
-def ipv6_frame(payload=b"", next_header=6, sport=5000, dport=80, tcp_doff=5):
+def ipv6_frame(payload=b"", next_header=6, sport=5000, dport=80, tcp_doff=5,
+               src=bytes(range(16)), dst=bytes(range(16, 32))):
     eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack(">H", 0x86DD)
     if next_header == 6:
         l4 = struct.pack(">HHIIBBHHH", sport, dport, 1, 2, tcp_doff << 4,
@@ -48,7 +49,7 @@ def ipv6_frame(payload=b"", next_header=6, sport=5000, dport=80, tcp_doff=5):
     else:
         l4 = b""
     ip = struct.pack(">IHBB", 6 << 28, len(l4) + len(payload), next_header, 64)
-    ip += bytes(range(16)) + bytes(range(16, 32))
+    ip += src + dst
     return eth + ip + l4 + payload
 
 

@@ -207,22 +207,29 @@ class TestBuild:
         assert "packet_all_headers.ftld" in files
 
     def test_grid_dissects_each_packet_once(self, cli_corpus, tmp_path, monkeypatch):
-        calls = 0
-        real = views.dissect
+        # frames dissected one at a time or a buffer at a time
+        dissected = 0
+        real_one, real_many = views.dissect, views.dissect_frames
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
+        def one(*args):
+            nonlocal dissected
+            dissected += 1
+            return real_one(*args)
 
-        monkeypatch.setattr(views, "dissect", counting)
+        def many(frames, start, cap_len):
+            nonlocal dissected
+            dissected += len(cap_len)
+            return real_many(frames, start, cap_len)
+
+        monkeypatch.setattr(views, "dissect", one)
+        monkeypatch.setattr(views, "dissect_frames", many)
         rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
                      "--all-views", "--all-categories", "--n", "64",
                      "--out", str(tmp_path / "grid"))
         assert rc == 0
         packets = sum(len(read_pcap_records(p)[1])
                       for p in cli_corpus.glob("*.pcap"))
-        assert calls == packets
+        assert dissected == packets
 
     def test_sample_length_beyond_u32_refused(self, cli_corpus, tmp_path):
         # in a child whose address space is capped, so that a build which
@@ -239,6 +246,20 @@ class TestBuild:
         assert "Traceback" not in proc.stderr
         assert "error: sample length 4294967296" in proc.stderr
         assert not (tmp_path / "huge.ftld").exists()
+
+    def test_out_of_memory_is_an_error_line(self, cli_corpus, tmp_path, capsys,
+                                            monkeypatch):
+        def no_memory(self, *args):
+            raise MemoryError("Unable to allocate 40.0 GiB for an array with "
+                              "shape (10, 4294967295) and data type uint8")
+
+        monkeypatch.setattr(views.Capture, "assemble", no_memory)
+        out = tmp_path / "huge.ftld"
+        assert run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: out of memory (Unable to allocate 40.0 GiB" in err
+        assert not out.exists()
 
     def test_missing_labels_usage_error(self, capsys):
         assert run_cli("build", "--out", "/tmp/x.ftld") == 1
@@ -336,6 +357,26 @@ class TestTrainEval:
         w = tmp_path / "x.ftlw"
         assert run_cli("train", str(dataset), flag, value, "--out", str(w)) == 1
         assert f"error: {name} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not w.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "1e999"),
+        ("learning_rate", "0"), ("learning_rate", "-0.001"), ("epsilon", "nan"),
+        ("epsilon", "0"), ("beta1", "1"), ("beta1", "-0.1"), ("beta1", "nan"),
+        ("beta2", "1.5"), ("beta2", "-inf")])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_train_refuses_float_settings_out_of_range(self, dataset, tmp_path, capsys,
+                                                       name, value, via):
+        w = tmp_path / "x.ftlw"
+        if via == "flag":
+            args = [f"--{name.replace('_', '-')}={value}"]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{name} = {value}\n")
+            args = ["--config", str(conf)]
+        assert run_cli("train", str(dataset), "--epochs", "1", *args, "--out", str(w)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f": {name} must " in err
         assert not w.exists()
 
     def test_task_mismatch_is_descriptive(self, dataset, tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from bytecap.pcap import (
     PcapFormatError,
     TruncatedCaptureError,
     dissect,
+    dissect_frames,
     keys,
     read_pcap,
     read_pcap_records,
@@ -434,6 +436,21 @@ def hostile_frames(draw):
     return bytes(frame)
 
 
+def hand_built_cuts():
+    """Every cut of frames built to sit on each rule's edge, the empty frame
+    and runts included."""
+    more_fragments = bytearray(ipv4_frame())
+    more_fragments[20] |= 0x20  # MF flag set on a first fragment
+    frames = [ipv4_frame(payload=b"x"), bytes(more_fragments), ipv4_frame(proto=17),
+              ipv4_frame(proto=1), ipv4_frame(ihl=4), ipv4_frame(ihl=8),
+              ipv4_frame(frag_offset=5), ipv4_frame(frag_offset=0x1000),
+              ipv4_frame(vlan_tags=3),
+              ipv4_frame(tcp_doff=4), ipv4_frame(tcp_doff=15),
+              ipv6_frame(payload=b"x"), ipv6_frame(next_header=17),
+              ipv6_frame(next_header=0), arp_frame()]
+    return [frame[:cut] for frame in frames for cut in range(len(frame) + 1)]
+
+
 class TestDissectMatchesOracle:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(hostile_frames())
@@ -441,17 +458,59 @@ class TestDissectMatchesOracle:
         assert dissect(rec_of(frame)) == oracle_dissect(rec_of(frame))
 
     def test_hand_built_frames(self):
-        more_fragments = bytearray(ipv4_frame())
-        more_fragments[20] |= 0x20  # MF flag set on a first fragment
-        frames = [ipv4_frame(payload=b"x"), bytes(more_fragments), ipv4_frame(proto=17),
-                  ipv4_frame(proto=1), ipv4_frame(ihl=4), ipv4_frame(ihl=8),
-                  ipv4_frame(frag_offset=5), ipv4_frame(vlan_tags=3),
-                  ipv4_frame(tcp_doff=4), ipv4_frame(tcp_doff=15),
-                  ipv6_frame(payload=b"x"), ipv6_frame(next_header=17),
-                  ipv6_frame(next_header=0), arp_frame()]
-        for frame in frames:  # every cut, the empty frame and runts included
-            for cut in range(len(frame) + 1):
-                assert dissect(rec_of(frame[:cut])) == oracle_dissect(rec_of(frame[:cut]))
+        for frame in hand_built_cuts():
+            assert dissect(rec_of(frame)) == oracle_dissect(rec_of(frame))
+
+
+def column_row(cols, i) -> Dissection:
+    """Row i of dissect_frames' columns as the Dissection dissect returns,
+    after checking the encodings the columns use for what is absent."""
+    eth_end, version = int(cols.eth_end[i]), int(cols.ip_version[i])
+    src, dst = bytes(cols.src[i]), bytes(cols.dst[i])
+    proto, sport, dport = int(cols.proto[i]), int(cols.src_port[i]), int(cols.dst_port[i])
+    if version == 0:
+        assert (int(cols.ip_end[i]), proto, int(cols.transport_start[i]),
+                int(cols.payload_start[i]), sport, dport) == (-1, -1, -1, -1, 0, 0)
+        assert src == dst == bytes(16)
+        return Dissection(eth_end, None, None, None, None, L3Kind.NON_IP, None, None)
+    assert version in (4, 6)
+    width = 4 if version == 4 else 16
+    assert src[width:] == dst[width:] == bytes(16 - width)
+    transport, payload = int(cols.transport_start[i]), int(cols.payload_start[i])
+    assert (transport < 0) == (payload < 0)
+    return Dissection(
+        eth_end=eth_end, ip_start=eth_end, ip_end=int(cols.ip_end[i]),
+        transport_start=None if transport < 0 else transport,
+        payload_start=None if payload < 0 else payload,
+        l3_kind=L3Kind.IPV4 if version == 4 else L3Kind.IPV6, proto=proto,
+        five_tuple=FiveTuple(src[:width], dst[:width], sport, dport, proto))
+
+
+def assert_columns_match(frames, gaps=None):
+    """dissect_frames over `frames` laid out in one buffer, each followed by
+    its gap of bytes that belong to no frame, equals dissect row by row."""
+    gaps = gaps if gaps is not None else [b""] * len(frames)
+    cap_len = np.array([len(f) for f in frames], dtype=np.int64)
+    stride = cap_len + np.array([len(g) for g in gaps], dtype=np.int64)
+    buffer = b"".join(f + g for f, g in zip(frames, gaps))
+    cols = dissect_frames(np.frombuffer(buffer, dtype=np.uint8),
+                          np.cumsum(stride) - stride, cap_len)
+    assert all(len(column) == len(frames) for column in vars(cols).values())
+    for i, frame in enumerate(frames):
+        assert column_row(cols, i) == dissect(rec_of(frame)) == oracle_dissect(rec_of(frame)), i
+
+
+class TestDissectFramesMatchesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(hostile_frames(), st.binary(max_size=3)), max_size=12))
+    def test_hostile_buffers(self, pieces):
+        assert_columns_match([f for f, _ in pieces], [g for _, g in pieces])
+
+    def test_every_cut_of_the_hand_built_frames(self):
+        assert_columns_match(hand_built_cuts())
+
+    def test_no_frames(self):
+        assert_columns_match([])
 
 
 class TestKeys:

@@ -285,6 +285,76 @@ def reference_samples(path, view, cat, n, include_non_ip, drop_empty):
     return out
 
 
+def colliding_frames():
+    """Frames whose flow and session keys collide unless every part of a key
+    is kept apart, interleaved in a fixed shuffled order."""
+    a, b, same = (10, 0, 0, 1), (10, 0, 0, 2), (10, 0, 0, 7)
+    frames = [
+        # an IPv4 and an IPv6 endpoint pair whose leading address bytes are equal
+        ipv4_frame(src=(0, 1, 2, 3), dst=(0, 1, 2, 4)),
+        ipv6_frame(src=bytes([0, 1, 2, 3]) + bytes(12), dst=bytes([0, 1, 2, 4]) + bytes(12)),
+        ipv6_frame(next_header=17, src=bytes([0, 1, 2, 4]) + bytes(12),
+                   dst=bytes([0, 1, 2, 3]) + bytes(12), sport=80, dport=5000),
+        # one 5-tuple behind 0, 1 and 2 VLAN tags
+        ipv4_frame(payload=b"\x01", src=a, dst=b, sport=7, vlan_tags=0),
+        ipv4_frame(payload=b"\x02", src=a, dst=b, sport=7, vlan_tags=1),
+        ipv4_frame(payload=b"\x03", src=a, dst=b, sport=7, vlan_tags=2),
+        # both directions of a session whose two addresses are equal
+        ipv4_frame(src=same, dst=same, sport=5000, dport=80),
+        ipv4_frame(src=same, dst=same, sport=80, dport=5000),
+        # the lower address has the higher port
+        ipv4_frame(proto=17, src=a, dst=b, sport=65535, dport=1),
+        ipv4_frame(proto=17, src=b, dst=a, sport=1, dport=65535),
+        # non-first fragments, whose headers-to-be read as ports 5000 and 80,
+        # beside a real port-0 flow between the same hosts
+        ipv4_frame(payload=b"\x04" * 8, src=a, dst=b, frag_offset=185),
+        ipv4_frame(payload=b"\x05" * 8, src=b, dst=a, frag_offset=0x1000),
+        ipv4_frame(src=a, dst=b, sport=0, dport=0),
+        ipv4_frame(src=b, dst=a, sport=0, dport=0),
+        # a TCP header that is too short or cut off leaves ports 0 too, as
+        # does a cut UDP header; an IHL below 5 or IP options or an IPv6
+        # header that are cut off make a frame non-IP
+        ipv4_frame(src=a, dst=b, tcp_doff=4),
+        ipv4_frame(src=a, dst=b, tcp_doff=15)[:74],
+        ipv4_frame(proto=17, src=a, dst=b, sport=65535, dport=1)[:40],
+        ipv4_frame(src=a, dst=b, ihl=4),
+        ipv4_frame(src=a, dst=b, ihl=8)[:44],
+        ipv6_frame()[:52],
+        arp_frame(),
+        ipv4_frame()[:12] + struct.pack(">HH", 0x8100, 1),  # VLAN stack runs off
+        b"\x01" * 5,
+        b"",
+    ]
+    frames = frames * 2
+    random.Random(11).shuffle(frames)
+    return frames
+
+
+class TestCaptureKeys:
+    @pytest.mark.parametrize("byte_order,resolution", [
+        ("<", "micro"), (">", "micro"), ("<", "nano"), (">", "nano")])
+    def test_ids_and_keys_match_split_view(self, tmp_path, byte_order, resolution):
+        path = tmp_path / "collide.pcap"
+        write_pcap(path, [(i, i * 3, f) for i, f in enumerate(colliding_frames())],
+                   byte_order=byte_order, ts_resolution=resolution)
+        cap = Capture.read(path)
+        _, pairs = read_capture(path)
+        for view, ids, unit_keys in ((ViewKind.FLOW, cap.flow_id, cap.flow_keys),
+                                     (ViewKind.SESSION, cap.session_id, cap.session_keys)):
+            units = split_view(filter_packets(pairs, view), view)
+            assert unit_keys == list(units), view
+            expected = [-1] * len(pairs)
+            for number, unit in enumerate(units.values()):
+                for rec, _ in unit:
+                    expected[rec.index] = number
+            assert ids.tolist() == expected, view
+        assert cap.eth_end.tolist() == [d.eth_end for _, d in pairs]
+        assert cap.ip_end.tolist() == [-1 if d.ip_end is None else d.ip_end for _, d in pairs]
+        # the fixture's collisions hold: 11 flows and 8 sessions among 34 IP packets
+        assert int((cap.flow_id >= 0).sum()) == 34
+        assert (len(cap.flow_keys), len(cap.session_keys)) == (11, 8)
+
+
 class TestCapture:
     @pytest.mark.parametrize("byte_order,resolution",
                              [("<", "micro"), (">", "micro"), ("<", "nano")])
