@@ -125,17 +125,23 @@ def parse_config(text: str, command: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        where = f"config line {line_no}"
         if key not in SETTINGS[command]:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         if key in CHOICES:
-            _choice(key, value, f"config line {line_no}")
+            _choice(key, value, where)
         ty = _TYPES[key]
         if ty is bool:
             if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"config line {line_no}: bad boolean {value!r}")
+                raise ValueError(f"{where}: bad boolean {value!r}")
             out[key] = _BOOL_WORDS[value.lower()]
-        else:
-            out[key] = _in_range(key, ty(value), f"config line {line_no}")
+            continue
+        try:
+            typed = ty(value)
+        except ValueError:  # int() or float() of a value that is not one
+            kind = "an integer" if ty is int else "a number"
+            raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
+        out[key] = _in_range(key, typed, where)
     return out
 
 

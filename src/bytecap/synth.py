@@ -165,8 +165,14 @@ def write_labels_file(path, entries: list[tuple[Path, str]]):
 
 def read_labels_file(path) -> list[tuple[str, str]]:
     entries = []
-    with open(path, "r", encoding="utf-8") as fp:
+    # bytes that are not UTF-8 decode to lone surrogates, which do not
+    # encode back, so the line that holds them can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
         for line_no, line in enumerate(fp, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{line_no}: line is not UTF-8") from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

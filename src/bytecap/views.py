@@ -21,9 +21,9 @@ A `DatasetFile` holds its samples as arrays: an (N, sample_len) uint8
 captures, each row's source, unit key and stripped length
 (`Provenance`, which `byte_distribution` needs and FTLD does not store).
 FTLD records are written and read as one (N, 2 + sample_len) byte
-matrix and `tensors()` is a cast. `DatasetFile.samples` is a read-only sequence of
-`Sample` rows built on access, kept for the benchmark harness and other
-callers that walk samples one at a time.
+matrix and `tensors()` is a cast. `DatasetFile.samples` is a read-only
+sequence of `Sample(label, data)` rows built on access, kept for the
+benchmark harness and other callers that walk samples one at a time.
 """
 
 from __future__ import annotations
@@ -95,26 +95,19 @@ def class_catalog(task: str) -> list[str]:
 
 @dataclass(slots=True)
 class Sample:
-    """One fixed-length labeled byte vector: one row of a DatasetFile.
-
-    source/unit/stripped_len are build-time provenance; they are not
-    serialized and are None on datasets read back from disk.
-    """
+    """One fixed-length labeled byte vector: one row of a DatasetFile."""
 
     label: int
     data: bytes
-    source: Optional[str] = None
-    unit: object = None
-    stripped_len: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
 class Provenance:
-    """Where each row of a built dataset came from; never serialized.
+    """Where each row of a built dataset came from: its only copy, never serialized.
 
     Row i comes from capture sources[source[i]], is the unit keyed units[i]
     there (a packet's record index or a flow/session key) and held
-    stripped_len[i] bytes before truncation and padding (-1 if unknown).
+    stripped_len[i] bytes before truncation and padding.
     """
 
     sources: list
@@ -127,17 +120,12 @@ class Provenance:
                           [self.units[i] for i in index.tolist()],
                           self.stripped_len[index])
 
-    def row(self, i: int) -> tuple:
-        """(source, unit, stripped_len) of row i, as a Sample holds them."""
-        stripped = int(self.stripped_len[i])
-        return (self.sources[self.source[i]], self.units[i],
-                stripped if stripped >= 0 else None)
-
 
 class DatasetFile:
     """A labeled byte dataset: `data`, an (N, sample_len) uint8 matrix,
     `labels`, an (N,) int64 vector, and `provenance`, which only
-    `build_dataset` fills in (None on datasets read from disk).
+    `build_dataset` fills in (None on datasets read from disk or built
+    from a list of Sample, which holds only a label and data).
 
     `samples` is a read-only Sequence[Sample] over the rows that builds one
     Sample per access, and the fifth positional argument takes a list of
@@ -153,17 +141,12 @@ class DatasetFile:
         self.view, self.category = view, category
         self.sample_len, self.class_names = sample_len, class_names
         if data is None:
-            data, labels, provenance = _from_samples(list(samples), sample_len)
+            data, labels = _from_samples(list(samples), sample_len)
         self.data, self.labels, self.provenance = data, labels, provenance
 
     @property
     def samples(self) -> Sequence[Sample]:
         return _SampleView(self)
-
-    def _provenance_rows(self) -> list[tuple]:
-        if self.provenance is None:
-            return [(None, None, None)] * len(self.labels)
-        return [self.provenance.row(i) for i in range(len(self.labels))]
 
     def __eq__(self, other):
         if not isinstance(other, DatasetFile):
@@ -172,7 +155,7 @@ class DatasetFile:
                 == (other.view, other.category, other.sample_len, other.class_names)
                 and np.array_equal(self.labels, other.labels)
                 and np.array_equal(self.data, other.data)
-                and self._provenance_rows() == other._provenance_rows())
+                and _row_provenance(self.provenance) == _row_provenance(other.provenance))
 
     def __repr__(self) -> str:
         return (f"DatasetFile(view={self.view}, category={self.category}, "
@@ -199,23 +182,20 @@ class DatasetFile:
         return x, self.labels.astype(np.int64)
 
 
+def _row_provenance(p: Optional[Provenance]):
+    """Each row's source, unit and stripped length; None without provenance."""
+    if p is None:
+        return None
+    return [p.sources[i] for i in p.source.tolist()], p.units, p.stripped_len.tolist()
+
+
 def _from_samples(samples: list[Sample], sample_len: int):
-    """(data, labels, provenance) of a list of Sample; provenance is None
-    when no sample carries any."""
+    """(data, labels) of a list of Sample."""
     if any(len(s.data) != sample_len for s in samples):
         raise ValueError("sample length does not match dataset sample_len")
     data = np.frombuffer(b"".join(s.data for s in samples),
                          dtype=np.uint8).reshape(len(samples), sample_len)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    if all(s.source is None and s.unit is None and s.stripped_len is None
-           for s in samples):
-        return data, labels, None
-    index: dict = {}
-    source = [index.setdefault(s.source, len(index)) for s in samples]
-    stripped = [-1 if s.stripped_len is None else s.stripped_len for s in samples]
-    return data, labels, Provenance(list(index), np.array(source, dtype=np.int64),
-                                    [s.unit for s in samples],
-                                    np.array(stripped, dtype=np.int64))
+    return data, np.array([s.label for s in samples], dtype=np.int64)
 
 
 class _SampleView(Sequence):
@@ -232,11 +212,8 @@ class _SampleView(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        ds = self._ds
-        data = ds.data[i].tobytes()  # numpy raises IndexError past either end
-        source, unit, stripped = (ds.provenance.row(i) if ds.provenance is not None
-                                  else (None, None, None))
-        return Sample(int(ds.labels[i]), data, source, unit, stripped)
+        # numpy raises IndexError past either end
+        return Sample(int(self._ds.labels[i]), self._ds.data[i].tobytes())
 
 
 PacketPair = tuple[PacketRecord, Dissection]
@@ -544,8 +521,8 @@ def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
     Output order is source file order, then unit first-packet order, so
     rebuilding the same inputs is deterministic.
     """
-    if n > 0xFFFFFFFF:
-        raise ValueError(f"sample length {n} does not fit FTLD's u32 sample_len field")
+    if not 1 <= n <= 0xFFFFFFFF:
+        raise ValueError(f"sample length {n} must lie in [1, 2^32 - 1] (FTLD's u32 sample_len)")
     names = class_catalog(task)
     sources, datas, labels, units, totals = [], [], [], [], []
     for source, label_name in inputs:

@@ -54,6 +54,16 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("nonsense = 1\n", "train")
 
+    @pytest.mark.parametrize("command, key, value, kind", [
+        ("train", "epochs", "1e3", "an integer"), ("train", "batch", "20.0", "an integer"),
+        ("build", "n", "lots", "an integer"), ("synth", "sessions", "", "an integer"),
+        ("train", "learning_rate", "fast", "a number"),
+        ("train", "beta1", "0,9", "a number")])
+    def test_value_of_the_wrong_type_names_line_and_key(self, command, key, value, kind):
+        with pytest.raises(ValueError) as exc:
+            parse_config(f"# a comment\n{key} = {value}\n", command)
+        assert str(exc.value) == f"config line 2: {key} must be {kind}, got {value!r}"
+
     def test_comments_and_blank_lines(self):
         values = parse_config("# comment\n\nview = packet  # trailing\n", "build")
         assert values == {"view": "packet"}
@@ -246,6 +256,15 @@ class TestBuild:
         assert "Traceback" not in proc.stderr
         assert "error: sample length 4294967296" in proc.stderr
         assert not (tmp_path / "huge.ftld").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sample_length_below_one_refused(self, tmp_path, capsys, n):
+        labels = tmp_path / "empty.txt"
+        labels.write_text("")
+        out = tmp_path / "none.ftld"
+        assert run_cli("build", "--labels", str(labels), "--n", n, "--out", str(out)) == 1
+        assert f"error: sample length {n} must lie in [1, 2^32 - 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_memory_is_an_error_line(self, cli_corpus, tmp_path, capsys,
                                             monkeypatch):

@@ -6,6 +6,7 @@ labels file, either parse or raise ValueError."""
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,17 @@ def test_config_text_parses_or_raises_value_error(command_text):
     except ValueError:
         return
     assert set(values) <= set(SETTINGS[command])
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_labels_line_not_utf8_is_named(tmp_path, newline):
+    # the bad line lies past the first read of the text layer
+    lines = [b"# corpus"] + [b"a.pcap,benign"] * 3000 + [b"b\xff.pcap,benign", b"c,benign"]
+    path = tmp_path / "labels.txt"
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(ValueError) as exc:
+        read_labels_file(path)
+    assert str(exc.value) == f"{path}:3002: line is not UTF-8"
 
 
 def test_labels_file_parses_or_raises_value_error(tmp_path):

@@ -1,5 +1,6 @@
 """View splitting, header categories, sample assembly and dataset IO."""
 
+import dataclasses
 import random
 import struct
 import tracemalloc
@@ -15,6 +16,7 @@ from bytecap.views import (
     DatasetFile,
     DatasetFormatError,
     HeaderCategory,
+    Provenance,
     Sample,
     ViewKind,
     assemble_sample,
@@ -371,8 +373,10 @@ class TestCapture:
                             ds = build_dataset([(cap, "benign")], view, cat, n,
                                                "binary", include_non_ip=include_non_ip,
                                                drop_empty=drop_empty)
-                            got = [(s.data, s.source, s.unit, s.stripped_len)
-                                   for s in ds.samples]
+                            prov = ds.provenance
+                            got = list(zip(map(bytes, ds.data),
+                                           [prov.sources[i] for i in prov.source],
+                                           prov.units, prov.stripped_len.tolist()))
                             assert got == reference_samples(
                                 path, view, cat, n, include_non_ip, drop_empty), \
                                 (view, cat, n, include_non_ip, drop_empty)
@@ -392,6 +396,23 @@ class TestCapture:
                 assert len(cap.units(view, include_non_ip)[2]) == len(
                     split_view(filter_packets(pairs, view, include_non_ip), view))
 
+    @pytest.mark.parametrize("repeat", [1, 100])  # 100: past a pipe's 64 KiB buffer
+    @needs_dev_fd
+    def test_read_through_pipe_matches_file(self, tmp_path, repeat):
+        path = tmp_path / "hostile.pcap"
+        write_pcap(path, [(i, i * 7, f) for i, f in enumerate(hostile_frames() * repeat)],
+                   byte_order=">")
+        assert repeat == 1 or path.stat().st_size > 1 << 16
+        from_file = Capture.read(path)
+        piped = read_through_pipe(Capture.read, path.read_bytes())
+        assert piped.source.startswith("/dev/fd/")
+        for field in dataclasses.fields(Capture):
+            want, got = getattr(from_file, field.name), getattr(piped, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            elif field.name != "source":
+                assert got == want, field.name
+
     def test_path_and_capture_inputs_agree(self, corpus_small):
         captures = [(Capture.read(p), name) for p, name in corpus_small]
         for view in ViewKind:
@@ -400,10 +421,18 @@ class TestCapture:
             assert from_paths == shared
 
 
+def one_built_row(data: bytes, stripped_len: int) -> DatasetFile:
+    """A one-row benign dataset with the provenance build_dataset gives it."""
+    return DatasetFile(ViewKind.PACKET, ALL, len(data), ["benign", "malicious"],
+                       data=np.frombuffer(data, dtype=np.uint8).reshape(1, -1),
+                       labels=np.zeros(1, dtype=np.int64),
+                       provenance=Provenance(["a.pcap"], np.zeros(1, dtype=np.int64),
+                                             [0], np.array([stripped_len])))
+
+
 class TestByteDistribution:
     def test_single_sample(self):
-        ds = DatasetFile(ViewKind.PACKET, ALL, 4, ["benign", "malicious"],
-                         [Sample(0, b"\xaa\xbb\x00\x00", stripped_len=2)])
+        ds = one_built_row(b"\xaa\xbb\x00\x00", stripped_len=2)
         assert byte_distribution(ds) == {"benign": 2, "malicious": 0}
 
     def test_empty(self):
@@ -424,8 +453,7 @@ class TestByteDistribution:
         assert got == expected
 
     def test_loaded_dataset_rejected(self, tmp_path):
-        ds = DatasetFile(ViewKind.PACKET, ALL, 2, ["benign", "malicious"],
-                         [Sample(0, b"xy", stripped_len=2)])
+        ds = one_built_row(b"xy", stripped_len=2)
         p = tmp_path / "d.ftld"
         write_dataset(p, ds)
         back = read_dataset(p)
@@ -609,8 +637,9 @@ class TestDatasetArrays:
         for i in (0, rows // 2, rows - 1):
             s = ds.samples[i]
             assert (s.label, s.data) == (ds.labels[i], ds.data[i].tobytes())
-            assert s.source == str(corpus_small[ds.labels[i]][0])
-            assert s.stripped_len == prov.stripped_len[i]
+            assert prov.sources[prov.source[i]] == str(corpus_small[ds.labels[i]][0])
+        # a Sample is a (label, data) row; provenance lives in ds.provenance only
+        assert [f.name for f in dataclasses.fields(Sample)] == ["label", "data"]
 
     def test_samples_view_is_read_only(self, corpus_small):
         ds = build_dataset(corpus_small, ViewKind.SESSION, ALL, 16, "binary")
@@ -632,13 +661,16 @@ class TestDatasetArrays:
                            drop_empty=True)
         again = DatasetFile(ds.view, ds.category, ds.sample_len, ds.class_names,
                             list(ds.samples))
-        assert again == ds
         assert np.array_equal(again.data, ds.data)
-        assert np.array_equal(again.provenance.stripped_len, ds.provenance.stripped_len)
-        # equality compares provenance too: a loaded copy has none
-        bare = DatasetFile(ds.view, ds.category, ds.sample_len, ds.class_names,
-                           [Sample(s.label, s.data) for s in ds.samples])
-        assert bare.provenance is None and bare != ds
+        assert np.array_equal(again.labels, ds.labels)
+        assert again == DatasetFile(ds.view, ds.category, ds.sample_len, ds.class_names,
+                                    data=ds.data, labels=ds.labels)
+        # equality compares provenance too: a copy without it differs
+        assert again.provenance is None and again != ds
+        same = ds._take(np.arange(len(ds.labels)))
+        assert same == ds
+        same.provenance.stripped_len[0] += 1
+        assert same != ds
 
     def test_sample_of_wrong_length_refused(self):
         with pytest.raises(ValueError, match="sample_len"):
@@ -670,6 +702,10 @@ class TestDatasetArrays:
         train, val = train_val_split(ds, 0.25, seed=1)
         for side, idx in zip((train, val), split_indices(ds.labels, 0.25, 1)):
             assert list(side.samples) == [ds.samples[i] for i in idx]
+            want, got = ds.provenance.take(np.array(idx)), side.provenance
+            assert got.sources == want.sources and got.units == want.units
+            assert np.array_equal(got.source, want.source)
+            assert np.array_equal(got.stripped_len, want.stripped_len)
 
     def test_write_validates_before_creating_the_file(self, tmp_path):
         ds = DatasetFile(ViewKind.PACKET, ALL, 2, ["benign", "malicious"],
