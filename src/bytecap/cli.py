@@ -21,6 +21,7 @@ from .synth import (
     binary_synth_classes,
     multi_synth_classes,
     read_labels_file,
+    read_utf8_text,
     synth_corpus,
     write_labels_file,
 )
@@ -101,8 +102,17 @@ def _choice(key: str, value: str, where: str) -> str:
 
 
 def _in_range(key: str, value, where: str):
-    """value, if it lies in the range its setting takes: the Adam step size
-    and epsilon are finite and > 0, the moment decays lie in [0, 1)."""
+    """value, if it lies in the range its setting takes: n fits FTLD's u32
+    sample length, epochs and batch are >= 1, seed is >= 0, the Adam step
+    size and epsilon are finite and > 0, the moment decays lie in [0, 1).
+    Every setting passes here before a command reads or writes a file."""
+    if key == "n" and not 1 <= value <= 0xFFFFFFFF:
+        raise ValueError(f"{where}: n must lie in [1, 2^32 - 1] (FTLD's u32 "
+                         f"sample length), got {value!r}")
+    if key in ("epochs", "batch") and value < 1:
+        raise ValueError(f"{where}: {key} must be >= 1, got {value!r}")
+    if key == "seed" and value < 0:
+        raise ValueError(f"{where}: seed must be >= 0, got {value!r}")
     if key in ("learning_rate", "epsilon") and not (math.isfinite(value) and value > 0):
         raise ValueError(f"{where}: {key} must be finite and > 0, got {value!r}")
     if key in ("beta1", "beta2") and not 0 <= value < 1:
@@ -116,9 +126,10 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
 
 def parse_config(text: str, command: str) -> dict:
     """Flat `key = value` lines with # comments; keys the command does not
-    read are rejected."""
+    read are rejected. Lines end at line feeds only, as read_utf8_text
+    counts them, so an error names the line a text editor shows."""
     out = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,8 +172,7 @@ def effective_config(args, command: str) -> RunConfig:
     """The command's defaults <- config file <- flags."""
     cfg = replace(RunConfig(), **COMMAND_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
-        text = Path(args.config).read_text(encoding="utf-8")
-        cfg = replace(cfg, **parse_config(text, command))
+        cfg = replace(cfg, **parse_config(read_utf8_text(args.config), command))
     flags = {name: getattr(args, name, None) for name in SETTINGS[command]}
     return replace(cfg, **{k: _in_range(k, v, "--" + k.replace("_", "-"))
                            for k, v in flags.items() if v is not None})

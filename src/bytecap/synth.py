@@ -163,21 +163,29 @@ def write_labels_file(path, entries: list[tuple[Path, str]]):
             fp.write(f"{p},{name}\n")
 
 
-def read_labels_file(path) -> list[tuple[str, str]]:
-    entries = []
+def read_utf8_text(path) -> str:
+    """A text file's contents, every line ending read as a line feed, or a
+    ValueError naming the file and the first line that is not UTF-8."""
     # bytes that are not UTF-8 decode to lone surrogates, which do not
     # encode back, so the line that holds them can be named
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
-        for line_no, line in enumerate(fp, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"{path}:{line_no}: line is not UTF-8") from None
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'pcap-path,class-name'")
-            p, name = line.rsplit(",", 1)
-            entries.append((p.strip(), name.strip()))
+        text = fp.read()
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        line_no = text.count("\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{line_no}: line is not UTF-8") from None
+    return text
+
+
+def read_labels_file(path) -> list[tuple[str, str]]:
+    entries = []
+    for line_no, line in enumerate(read_utf8_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'pcap-path,class-name'")
+        p, name = line.rsplit(",", 1)
+        entries.append((p.strip(), name.strip()))
     return entries

@@ -18,8 +18,10 @@ to.
 
 A `DatasetFile` holds its samples as arrays: an (N, sample_len) uint8
 `data` matrix and an (N,) int64 `labels` vector, plus, when built from
-captures, each row's source, unit key and stripped length
-(`Provenance`, which `byte_distribution` needs and FTLD does not store).
+captures, each row's source, unit and stripped length (`Provenance`,
+which `byte_distribution` needs and FTLD does not store). In every view a
+unit is named by the record index of its first packet, whose
+`keys(dissect(record))` are the flow or session key.
 FTLD records are written and read as one (N, 2 + sample_len) byte
 matrix and `tensors()` is a cast. `DatasetFile.samples` is a read-only
 sequence of `Sample(label, data)` rows built on access, kept for the
@@ -39,11 +41,9 @@ import numpy as np
 from ._bounded import read_exact
 from .pcap import (
     Dissection,
-    FiveTuple,
     FrameColumns,
     L3Kind,
     PacketRecord,
-    SessionKey,
     dissect,
     dissect_frames,
     keys,
@@ -105,19 +105,18 @@ class Sample:
 class Provenance:
     """Where each row of a built dataset came from: its only copy, never serialized.
 
-    Row i comes from capture sources[source[i]], is the unit keyed units[i]
-    there (a packet's record index or a flow/session key) and held
-    stripped_len[i] bytes before truncation and padding.
+    Row i comes from capture sources[source[i]], is the unit whose first
+    packet is record first[i] there and held stripped_len[i] bytes before
+    truncation and padding. source, first and stripped_len are int64.
     """
 
     sources: list
     source: np.ndarray
-    units: list
+    first: np.ndarray
     stripped_len: np.ndarray
 
     def take(self, index: np.ndarray) -> "Provenance":
-        return Provenance(self.sources, self.source[index],
-                          [self.units[i] for i in index.tolist()],
+        return Provenance(self.sources, self.source[index], self.first[index],
                           self.stripped_len[index])
 
 
@@ -155,7 +154,7 @@ class DatasetFile:
                 == (other.view, other.category, other.sample_len, other.class_names)
                 and np.array_equal(self.labels, other.labels)
                 and np.array_equal(self.data, other.data)
-                and _row_provenance(self.provenance) == _row_provenance(other.provenance))
+                and _same_provenance(self.provenance, other.provenance))
 
     def __repr__(self) -> str:
         return (f"DatasetFile(view={self.view}, category={self.category}, "
@@ -182,11 +181,14 @@ class DatasetFile:
         return x, self.labels.astype(np.int64)
 
 
-def _row_provenance(p: Optional[Provenance]):
-    """Each row's source, unit and stripped length; None without provenance."""
-    if p is None:
-        return None
-    return [p.sources[i] for i in p.source.tolist()], p.units, p.stripped_len.tolist()
+def _same_provenance(p: Optional[Provenance], q: Optional[Provenance]) -> bool:
+    """Whether each row has the same source, first record and stripped length."""
+    if p is None or q is None:
+        return p is q
+    return (np.array_equal(np.array(p.sources, dtype=object)[p.source],
+                           np.array(q.sources, dtype=object)[q.source])
+            and np.array_equal(p.first, q.first)
+            and np.array_equal(p.stripped_len, q.stripped_len))
 
 
 def _from_samples(samples: list[Sample], sample_len: int):
@@ -326,24 +328,14 @@ def _first_appearance(packed: np.ndarray, rows: np.ndarray,
     return ids, rows[first[order]]
 
 
-def _five_tuples(cols: FrameColumns, rows: np.ndarray) -> list[FiveTuple]:
-    """The FiveTuple dissect gives each of the IP frames `rows`."""
-    width = np.where(cols.ip_version[rows] == 4, 4, 16).tolist()
-    return [FiveTuple(src[:w], dst[:w], sport, dport, proto)
-            for w, src, dst, sport, dport, proto in zip(
-                width, map(bytes, cols.src[rows]), map(bytes, cols.dst[rows]),
-                cols.src_port[rows].tolist(), cols.dst_port[rows].tolist(),
-                cols.proto[rows].tolist())]
-
-
-def _number_units(cols: FrameColumns) -> tuple[np.ndarray, list, np.ndarray, list]:
-    """flow_id, flow_keys, session_id and session_keys of Capture.read.
+def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
+    """flow_id, flow_first, session_id and session_first of Capture.read.
 
     A flow is the bytes (IP version, source endpoint, destination
     endpoint, proto) and a session the same with its two endpoints in
     ascending order, so packets group as keys() groups them; the version
-    byte keeps an IPv4 address apart from a zero-padded IPv6 one. Keys are
-    built from each unit's first packet.
+    byte keeps an IPv4 address apart from a zero-padded IPv6 one. Units
+    are numbered by first appearance (see _first_appearance).
     """
     count = len(cols.ip_version)
     rows = np.flatnonzero(cols.ip_version)
@@ -354,13 +346,10 @@ def _number_units(cols: FrameColumns) -> tuple[np.ndarray, list, np.ndarray, lis
     # a and b compare at their first differing byte; equal endpoints stay
     at = (np.arange(len(rows)), (a != b).argmax(axis=1))
     swap = (a[at] > b[at])[:, None]
-    flow_id, flow_first = _first_appearance(
-        np.hstack([version, a, b, proto]), rows, count)
+    flow_id, flow_first = _first_appearance(np.hstack([version, a, b, proto]), rows, count)
     session_id, session_first = _first_appearance(
         np.hstack([version, np.where(swap, b, a), np.where(swap, a, b), proto]), rows, count)
-    session_keys = [SessionKey(*sorted([(t.src_ip, t.src_port), (t.dst_ip, t.dst_port)]),
-                               t.proto) for t in _five_tuples(cols, session_first)]
-    return flow_id, _five_tuples(cols, flow_first), session_id, session_keys
+    return flow_id, flow_first, session_id, session_first
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,8 +360,8 @@ class Capture:
     are offsets into that frame, ip_end is -1 for non-IP packets (the only
     ones without an IP header end). flow_id and session_id number each
     IP packet's unit in first-appearance order (-1 for non-IP packets) and
-    index flow_keys / session_keys. In the packet view a unit's key is its
-    packet's record index.
+    index flow_first / session_first, the int64 record index of each
+    unit's first packet. A packet-view unit is its one packet.
     """
 
     source: str
@@ -383,9 +372,9 @@ class Capture:
     eth_end: np.ndarray
     ip_end: np.ndarray
     flow_id: np.ndarray
+    flow_first: np.ndarray
     session_id: np.ndarray
-    flow_keys: list
-    session_keys: list
+    session_first: np.ndarray
 
     @classmethod
     def read(cls, path) -> "Capture":
@@ -396,8 +385,7 @@ class Capture:
         and flows and sessions are numbered over packed key bytes (see
         _number_units). dissect and keys state the same rules one packet at
         a time and are the reference this path is tested against. No
-        per-packet objects are kept: each unit's FiveTuple or SessionKey
-        is built once.
+        per-packet or per-unit objects are kept.
         """
         with read_pcap(path) as reader:
             scale = reader.meta.ts_scale
@@ -406,11 +394,8 @@ class Capture:
         frames = np.frombuffer(b"".join(chunks), dtype=np.uint8)
         start = np.cumsum(cap_len) - cap_len
         cols = dissect_frames(frames, start, cap_len)
-        flow_id, flow_keys, session_id, session_keys = _number_units(cols)
-        return cls(source=str(path), ts_scale=scale, frames=frames, start=start,
-                   cap_len=cap_len, eth_end=cols.eth_end, ip_end=cols.ip_end,
-                   flow_id=flow_id, session_id=session_id, flow_keys=flow_keys,
-                   session_keys=session_keys)
+        return cls(str(path), scale, frames, start, cap_len, cols.eth_end,
+                   cols.ip_end, *_number_units(cols))
 
     def __len__(self) -> int:
         return len(self.cap_len)
@@ -420,22 +405,22 @@ class Capture:
         return self.ip_end < 0
 
     def units(self, view: ViewKind,
-              include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
+              include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Group one view like filter_packets + split_view.
 
         Returns the kept packets' indices unit by unit (capture order
         within a unit), the unit row of each of those packets, and the
-        key of each unit in first-appearance order.
+        record index of each unit's first packet, in first-appearance order.
         """
         if view is ViewKind.PACKET:
             order = (np.arange(len(self)) if include_non_ip
                      else np.flatnonzero(~self.non_ip))
-            return order, np.arange(len(order)), order.tolist()
-        ids, unit_keys = ((self.flow_id, self.flow_keys) if view is ViewKind.FLOW
-                          else (self.session_id, self.session_keys))
+            return order, np.arange(len(order)), order
+        ids, first = ((self.flow_id, self.flow_first) if view is ViewKind.FLOW
+                      else (self.session_id, self.session_first))
         # non-IP packets (id -1) sort first and are left out
         order = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
-        return order, ids[order], unit_keys
+        return order, ids[order], first
 
     def _cuts(self, cat: HeaderCategory) -> tuple[np.ndarray, np.ndarray]:
         """strip_headers as two cuts per packet: frame[:head] + frame[tail:]."""
@@ -454,24 +439,24 @@ class Capture:
         raise ValueError(f"unknown category {cat!r}")
 
     def assemble(self, view: ViewKind, cat: HeaderCategory, n: int,
-                 include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
+                 include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """assemble_sample for every unit of one view at once.
 
         Returns a (units, n) uint8 matrix, each unit's stripped length
-        before truncation, and the unit keys.
+        before truncation, and each unit's first record index.
         """
         if n < 1:
             raise ValueError("sample length must be >= 1")
-        order, rows, unit_keys = self.units(view, include_non_ip)
+        order, rows, first = self.units(view, include_non_ip)
         head, tail = (a[order] for a in self._cuts(cat))
         start = self.start[order]
         length = head + self.cap_len[order] - tail
-        totals = np.zeros(len(unit_keys), dtype=np.int64)
+        totals = np.zeros(len(first), dtype=np.int64)
         np.add.at(totals, rows, length)
         # byte position of each packet within its unit's stripped stream
         before = np.cumsum(length) - length
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        pos = before - before[first][rows]
+        lead = np.flatnonzero(np.diff(rows, prepend=-1))
+        pos = before - before[lead][rows]
         take = np.clip(n - pos, 0, length)
         # Packets that contribute bytes, one window row each; valid bytes
         # run unit by unit in capture order, so they fill each unit's row
@@ -485,10 +470,10 @@ class Capture:
         piece_bytes = windows[start + tail - head]
         if head.any():
             piece_bytes = np.where(col < head[:, None], windows[start], piece_bytes)
-        out = np.zeros((len(unit_keys), n), dtype=np.uint8)
+        out = np.zeros((len(first), n), dtype=np.uint8)
         out[np.arange(n) < np.minimum(totals, n)[:, None]] = \
             piece_bytes[col < take[:, None]]
-        return out, totals, unit_keys
+        return out, totals, first
 
 
 def label_index(name: str, task: str) -> Optional[int]:
@@ -524,24 +509,24 @@ def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
     if not 1 <= n <= 0xFFFFFFFF:
         raise ValueError(f"sample length {n} must lie in [1, 2^32 - 1] (FTLD's u32 sample_len)")
     names = class_catalog(task)
-    sources, datas, labels, units, totals = [], [], [], [], []
+    sources, labels, cells = [], [], []
     for source, label_name in inputs:
         label = label_index(label_name, task)
         if label is None:
             continue
         cap = source if isinstance(source, Capture) else Capture.read(source)
-        data, total, unit_keys = cap.assemble(view, cat, n, include_non_ip)
         sources.append(cap.source)
-        datas.append(data)
         labels.append(label)
-        units += unit_keys
-        totals.append(total)
-    counts = [len(t) for t in totals]
+        cells.append(cap.assemble(view, cat, n, include_non_ip))
+    # each cell is (data, stripped lengths, first records), led by empty
+    # arrays so that no input still gives each its shape and dtype
+    data, stripped, first = (np.concatenate(parts) for parts in zip(
+        (np.zeros((0, n), dtype=np.uint8), np.zeros(0, dtype=np.int64),
+         np.zeros(0, dtype=np.int64)), *cells))
+    counts = [len(cell[2]) for cell in cells]
     row_source = np.repeat(np.arange(len(sources), dtype=np.int64), counts)
     labels = np.repeat(np.array(labels, dtype=np.int64), counts)
-    data = np.concatenate([np.zeros((0, n), dtype=np.uint8)] + datas)
-    stripped = np.concatenate([np.zeros(0, dtype=np.int64)] + totals)
-    provenance = Provenance(sources, row_source, units, stripped)
+    provenance = Provenance(sources, row_source, first, stripped)
     ds = DatasetFile(view, cat, n, names, data=data, labels=labels,
                      provenance=provenance)
     return ds._take(np.flatnonzero(stripped)) if drop_empty else ds

@@ -4,7 +4,7 @@ import argparse
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -19,8 +19,10 @@ from bytecap.cli import (
     parse_config,
     render_config,
 )
+from bytecap.nn import default_config
 from bytecap.pcap import read_pcap_records
 from bytecap.synth import SynthClass, binary_synth_classes, multi_synth_classes, synth_corpus
+from bytecap.train import train
 from bytecap.views import read_dataset
 from test_nn import HOSTILE_SPECS, write_hostile_weights
 
@@ -139,6 +141,54 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"error: {where}" in err and "'bogus'" in err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("build", "n", "0"), ("build", "n", str(2 ** 32)), ("bench", "n", "-1"),
+        ("train", "epochs", "0"), ("bench", "epochs", "-2"), ("train", "batch", "0"),
+        ("bench", "batch", "0"), ("synth", "seed", "-1"), ("train", "seed", "-1"),
+        ("bench", "seed", "-5")])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_integer_setting_out_of_range_refused_first(self, tmp_path, capsys,
+                                                        command, key, value, via):
+        # the labels file and dataset do not exist: a refusal that comes
+        # before any input is read names the setting, not the missing file
+        missing = str(tmp_path / "missing")
+        own = {"synth": [], "build": ["--labels", missing, "--all-views", "--all-categories"],
+               "train": [missing], "bench": ["--labels", missing]}[command]
+        if via == "flag":
+            setting, where = [f"--{key}={value}"], f"--{key}"
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"# out of range\n{key} = {value}\n")
+            setting, where = ["--config", str(conf)], "config line 2"
+        out = tmp_path / "out"
+        assert run_cli(command, *own, *setting, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: {key} must ") and f"got {value}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_config_line_not_utf8_is_named(self, tmp_path, capsys, command, newline):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(newline.join([b"# run", b"seed = 1", b"seed = \xff2", b""]))
+        own = [str(tmp_path / "missing.ftld")] if command == "train" else []
+        out = tmp_path / "out"
+        assert run_cli(command, *own, "--config", str(conf), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {conf}:3: line is not UTF-8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_config_lines_counted_as_in_the_file(self, tmp_path, capsys, newline):
+        # form feed, U+2028 and the other characters str.splitlines breaks
+        # at do not end a line of the file
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(newline.join([b"seed = 1 # \x0c\xe2\x80\xa8\xc2\x85", b"epochs = x",
+                                       b""]))
+        assert run_cli("train", str(tmp_path / "missing.ftld"), "--config", str(conf),
+                       "--out", str(tmp_path / "m.ftlw")) == 1
+        assert capsys.readouterr().err == \
+            "error: config line 2: epochs must be an integer, got 'x'\n"
+
 
 @pytest.fixture(scope="module")
 def cli_corpus(tmp_path_factory):
@@ -254,8 +304,13 @@ class TestBuild:
             capture_output=True, text=True)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "error: sample length 4294967296" in proc.stderr
+        assert "error: --n: n must lie in [1, 2^32 - 1]" in proc.stderr
+        assert "got 4294967296" in proc.stderr
         assert not (tmp_path / "huge.ftld").exists()
+        # build_dataset keeps its own check for callers that bypass the CLI
+        with pytest.raises(ValueError, match=r"sample length 4294967296 must lie in \[1, 2\^32 - 1\]"):
+            views.build_dataset([], views.ViewKind.PACKET, views.HeaderCategory.ALL_HEADERS,
+                                2 ** 32, "binary")
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_sample_length_below_one_refused(self, tmp_path, capsys, n):
@@ -263,8 +318,13 @@ class TestBuild:
         labels.write_text("")
         out = tmp_path / "none.ftld"
         assert run_cli("build", "--labels", str(labels), "--n", n, "--out", str(out)) == 1
-        assert f"error: sample length {n} must lie in [1, 2^32 - 1]" in capsys.readouterr().err
+        assert f"error: --n: n must lie in [1, 2^32 - 1] (FTLD's u32 sample length), got {n}" \
+            in capsys.readouterr().err
         assert not out.exists()
+        # build_dataset keeps its own check for callers that bypass the CLI
+        with pytest.raises(ValueError, match=rf"sample length {n} must lie in \[1, 2\^32 - 1\]"):
+            views.build_dataset([], views.ViewKind.PACKET, views.HeaderCategory.ALL_HEADERS,
+                                int(n), "binary")
 
     def test_out_of_memory_is_an_error_line(self, cli_corpus, tmp_path, capsys,
                                             monkeypatch):
@@ -375,8 +435,13 @@ class TestTrainEval:
                                                       flag, value, name):
         w = tmp_path / "x.ftlw"
         assert run_cli("train", str(dataset), flag, value, "--out", str(w)) == 1
-        assert f"error: {name} must be >= 1, got {value}" in capsys.readouterr().err
+        assert f"error: {flag}: {flag[2:]} must be >= 1, got {value}" in capsys.readouterr().err
         assert not w.exists()
+        # train keeps its own check, under the ModelConfig field's name
+        ds = read_dataset(dataset)
+        cfg = replace(default_config("binary", input_len=ds.sample_len), **{name: int(value)})
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            train(cfg, ds, ds)
 
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "1e999"),

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bytecap.pcap import PacketRecord, dissect, read_pcap_records, write_pcap
+from bytecap.pcap import PacketRecord, dissect, keys, read_pcap_records, write_pcap
 from bytecap.synth import binary_synth_classes, synth_corpus
 from bytecap.views import (
     BOTNET_CLASSES,
@@ -280,10 +280,10 @@ def reference_samples(path, view, cat, n, include_non_ip, drop_empty):
     _, pairs = read_capture(path)
     units = split_view(filter_packets(pairs, view, include_non_ip), view)
     out = []
-    for key, unit in units.items():
+    for unit in units.values():
         data, total = assemble_sample(unit, cat, n)
         if not (drop_empty and total == 0):
-            out.append((data, str(path), key, total))
+            out.append((data, str(path), unit[0][0].index, total))
     return out
 
 
@@ -341,10 +341,14 @@ class TestCaptureKeys:
                    byte_order=byte_order, ts_resolution=resolution)
         cap = Capture.read(path)
         _, pairs = read_capture(path)
-        for view, ids, unit_keys in ((ViewKind.FLOW, cap.flow_id, cap.flow_keys),
-                                     (ViewKind.SESSION, cap.session_id, cap.session_keys)):
+        for view, ids, first in ((ViewKind.FLOW, cap.flow_id, cap.flow_first),
+                                 (ViewKind.SESSION, cap.session_id, cap.session_first)):
             units = split_view(filter_packets(pairs, view), view)
-            assert unit_keys == list(units), view
+            assert first.dtype == np.int64, view
+            assert first.tolist() == [unit[0][0].index for unit in units.values()], view
+            # a unit's key is the key of its first packet
+            which = 1 if view is ViewKind.SESSION else 0
+            assert [keys(pairs[i][1])[which] for i in first.tolist()] == list(units), view
             expected = [-1] * len(pairs)
             for number, unit in enumerate(units.values()):
                 for rec, _ in unit:
@@ -354,7 +358,7 @@ class TestCaptureKeys:
         assert cap.ip_end.tolist() == [-1 if d.ip_end is None else d.ip_end for _, d in pairs]
         # the fixture's collisions hold: 11 flows and 8 sessions among 34 IP packets
         assert int((cap.flow_id >= 0).sum()) == 34
-        assert (len(cap.flow_keys), len(cap.session_keys)) == (11, 8)
+        assert (len(cap.flow_first), len(cap.session_first)) == (11, 8)
 
 
 class TestCapture:
@@ -374,9 +378,11 @@ class TestCapture:
                                                "binary", include_non_ip=include_non_ip,
                                                drop_empty=drop_empty)
                             prov = ds.provenance
+                            assert prov.first.dtype == np.int64
                             got = list(zip(map(bytes, ds.data),
                                            [prov.sources[i] for i in prov.source],
-                                           prov.units, prov.stripped_len.tolist()))
+                                           prov.first.tolist(),
+                                           prov.stripped_len.tolist()))
                             assert got == reference_samples(
                                 path, view, cat, n, include_non_ip, drop_empty), \
                                 (view, cat, n, include_non_ip, drop_empty)
@@ -420,6 +426,26 @@ class TestCapture:
             shared = build_dataset(captures, view, ONLY_ETH, 115, "binary")
             assert from_paths == shared
 
+    @pytest.mark.parametrize("frames", [[], [arp_frame()] * 3], ids=["empty", "all-arp"])
+    def test_captures_without_ip_name_units_by_first_record(self, tmp_path, frames):
+        path = tmp_path / "no-ip.pcap"
+        write_pcap(path, [(i, 0, f) for i, f in enumerate(frames)])
+        cap = Capture.read(path)
+        for first in (cap.flow_first, cap.session_first):
+            assert first.dtype == np.int64 and first.size == 0
+        for view in ViewKind:
+            for cat in HeaderCategory:
+                for include_non_ip in (False, True):
+                    ds = build_dataset([(cap, "benign")], view, cat, 8, "binary",
+                                       include_non_ip=include_non_ip)
+                    first = ds.provenance.first
+                    # only the packet view keeps non-IP packets, one unit each
+                    want = (list(range(len(frames)))
+                            if include_non_ip and view is ViewKind.PACKET else [])
+                    assert first.dtype == np.int64 and first.tolist() == want
+                    assert ds.data.shape == (len(want), 8)
+                    assert ds.provenance.source.tolist() == [0] * len(want)
+
 
 def one_built_row(data: bytes, stripped_len: int) -> DatasetFile:
     """A one-row benign dataset with the provenance build_dataset gives it."""
@@ -427,7 +453,8 @@ def one_built_row(data: bytes, stripped_len: int) -> DatasetFile:
                        data=np.frombuffer(data, dtype=np.uint8).reshape(1, -1),
                        labels=np.zeros(1, dtype=np.int64),
                        provenance=Provenance(["a.pcap"], np.zeros(1, dtype=np.int64),
-                                             [0], np.array([stripped_len])))
+                                             np.zeros(1, dtype=np.int64),
+                                             np.array([stripped_len])))
 
 
 class TestByteDistribution:
@@ -633,7 +660,7 @@ class TestDatasetArrays:
         assert ds.labels.dtype == np.int64
         prov = ds.provenance
         assert prov.sources == [str(p) for p, _ in corpus_small]
-        assert len(prov.source) == len(prov.units) == len(prov.stripped_len) == rows
+        assert len(prov.source) == len(prov.first) == len(prov.stripped_len) == rows
         for i in (0, rows // 2, rows - 1):
             s = ds.samples[i]
             assert (s.label, s.data) == (ds.labels[i], ds.data[i].tobytes())
@@ -671,6 +698,9 @@ class TestDatasetArrays:
         assert same == ds
         same.provenance.stripped_len[0] += 1
         assert same != ds
+        same = ds._take(np.arange(len(ds.labels)))
+        same.provenance.first[0] += 1
+        assert same != ds
 
     def test_sample_of_wrong_length_refused(self):
         with pytest.raises(ValueError, match="sample_len"):
@@ -703,8 +733,9 @@ class TestDatasetArrays:
         for side, idx in zip((train, val), split_indices(ds.labels, 0.25, 1)):
             assert list(side.samples) == [ds.samples[i] for i in idx]
             want, got = ds.provenance.take(np.array(idx)), side.provenance
-            assert got.sources == want.sources and got.units == want.units
+            assert got.sources == want.sources
             assert np.array_equal(got.source, want.source)
+            assert np.array_equal(got.first, want.first)
             assert np.array_equal(got.stripped_len, want.stripped_len)
 
     def test_write_validates_before_creating_the_file(self, tmp_path):
