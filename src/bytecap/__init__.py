@@ -11,7 +11,6 @@ from .pcap import (
     CaptureMeta,
     Dissection,
     FiveTuple,
-    FlowKey,
     L3Kind,
     NonIpPacketError,
     PacketRecord,

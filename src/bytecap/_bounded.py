@@ -4,6 +4,8 @@ pcap, FTLD and FTLW files all carry length fields that are read before the
 bytes they describe, and `read(n)` allocates `n` bytes up front. So a false
 claim must not reach `read` unchecked: a regular file's remaining size is
 checked first, and a pipe, which has no size, is read in bounded chunks.
+`field_reader` states the FTLD and FTLW headers' one rule on top of that:
+each named field is read whole or the file is truncated at that field.
 """
 
 from __future__ import annotations
@@ -39,3 +41,9 @@ def read_exact(fp, nbytes: int, truncated: Callable[[int], Exception]) -> bytes:
     if len(raw) < nbytes:
         raise truncated(len(raw))
     return raw
+
+
+def field_reader(fp, error: Callable[[str], Exception]) -> Callable[[int, str], bytes]:
+    """`read(nbytes, what)`: read_exact of the field `what` from `fp`,
+    raising `error(f"truncated {what}")` when the file ends inside it."""
+    return lambda nbytes, what: read_exact(fp, nbytes, lambda _: error(f"truncated {what}"))

@@ -213,14 +213,13 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def _guard_existing_dataset(path: Path, n: int):
-    if path.exists():
-        try:
-            existing, _ = read_dataset_header(path)
-        except DatasetFormatError:
-            return  # not a dataset, plain overwrite
-        if existing.sample_len != n:
-            raise ValueError(f"{path}: existing dataset has sample length "
-                             f"{existing.sample_len}, refusing to mix with {n}")
+    try:
+        existing = read_dataset_header(path)
+    except (FileNotFoundError, DatasetFormatError):
+        return  # nothing there, or not a dataset: plain write or overwrite
+    if existing.sample_len != n:
+        raise ValueError(f"{path}: existing dataset has sample length "
+                         f"{existing.sample_len}, refusing to mix with {n}")
 
 
 def cmd_build(cfg: RunConfig, args) -> int:
@@ -228,26 +227,28 @@ def cmd_build(cfg: RunConfig, args) -> int:
         raise ValueError("build needs --labels <file> (lines of 'pcap-path,class-name')")
     if not cfg.out:
         raise ValueError("build needs --out <path>")
-    inputs = read_labels_file(cfg.labels)
     views = list(ViewKind) if args.all_views else [ViewKind(cfg.view)]
     cats = list(HeaderCategory) if args.all_categories else [CATEGORY_FLAGS[cfg.category]]
     grid = len(views) * len(cats) > 1
     out = Path(cfg.out)
+    cells = [(view, cat, out / f"{view.value}_{cat.value}.ftld" if grid else out)
+             for view in views for cat in cats]
+    # every output is checked before any capture is read or file written
+    for _, _, path in cells:
+        _guard_existing_dataset(path, cfg.n)
+    inputs = read_labels_file(cfg.labels)
     if grid:
         out.mkdir(parents=True, exist_ok=True)
     # each capture the task keeps is parsed once and shared by every cell
     captures = [(Capture.read(path), name) for path, name in inputs
                 if label_index(name, cfg.task) is not None]
-    for view in views:
-        for cat in cats:
-            ds = build_dataset(captures, view, cat, cfg.n, cfg.task,
-                               include_non_ip=cfg.include_non_ip,
-                               drop_empty=cfg.drop_empty_samples)
-            path = out / f"{view.value}_{cat.value}.ftld" if grid else out
-            _guard_existing_dataset(path, cfg.n)
-            write_dataset(path, ds)
-            counts = ", ".join(f"{k}={v}" for k, v in ds.class_counts().items())
-            print(f"{path}: {len(ds.labels)} samples ({counts})")
+    for view, cat, path in cells:
+        ds = build_dataset(captures, view, cat, cfg.n, cfg.task,
+                           include_non_ip=cfg.include_non_ip,
+                           drop_empty=cfg.drop_empty_samples)
+        write_dataset(path, ds)
+        counts = ", ".join(f"{k}={v}" for k, v in ds.class_counts().items())
+        print(f"{path}: {len(ds.labels)} samples ({counts})")
     return 0
 
 
@@ -305,11 +306,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     ds = read_dataset(args.dataset)
-    ckpt = load_weights(args.weights)
-    if len(ds.class_names) != ckpt.config.class_count:
-        raise ValueError(f"dataset has {len(ds.class_names)} classes but the "
-                         f"model outputs {ckpt.config.class_count}")
-    report = evaluate(ckpt, ds)
+    report = evaluate(load_weights(args.weights), ds)
     print(report.to_text_table())
     if args.confusion:
         print()

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._bounded import read_exact
+from ._bounded import field_reader
 from .views import class_catalog
 
 _EPS = 1e-7  # probability clamp for cross-entropy
@@ -644,9 +644,9 @@ class Checkpoint:
     # (weights it was built from, float32 model) behind shared_model
     _shared: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def to_model(self, dtype=np.float32) -> Model:
-        """A fresh model holding a copy of the weights."""
-        return Model(self.config, dtype=dtype, weights=self.weights)
+    def to_model(self) -> Model:
+        """A fresh float32 model holding a copy of the weights."""
+        return Model(self.config, weights=self.weights)
 
     def shared_model(self) -> Model:
         """One float32 model per checkpoint for inference, built on first use
@@ -709,32 +709,26 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         magic = fp.read(4)
         if magic != _WEIGHTS_MAGIC:
             raise WeightsFormatError(f"{path}: bad weights magic {magic!r}")
-        head = fp.read(8)
-        if len(head) < 8:
-            raise WeightsFormatError(f"{path}: truncated weights header")
-        version, input_len, layer_count = struct.unpack("<HIH", head)
+        field = field_reader(fp, lambda message: WeightsFormatError(f"{path}: {message}"))
+        version, input_len, layer_count = struct.unpack("<HIH", field(8, "weights header"))
         if version not in _WEIGHTS_VERSIONS:
             raise WeightsFormatError(f"{path}: unsupported weights version {version}")
 
-        def need(nbytes, what):
-            return read_exact(fp, nbytes, lambda _: WeightsFormatError(
-                f"{path}: truncated while reading {what}"))
-
         loss = None  # version 1: inferred from the class count below
         if version == 2:
-            (code,) = struct.unpack("<B", need(1, "loss"))
+            (code,) = struct.unpack("<B", field(1, "while reading loss"))
             if code not in _LOSS_FROM_CODE:
                 raise WeightsFormatError(f"{path}: unknown loss code {code}")
             loss = _LOSS_FROM_CODE[code]
 
         layers: list[LayerSpec] = []
         for i in range(layer_count):
-            (code,) = struct.unpack("<B", need(1, f"layer {i} kind"))
+            (code,) = struct.unpack("<B", field(1, f"while reading layer {i} kind"))
             if code not in _KIND_FROM_CODE:
                 raise WeightsFormatError(f"{path}: unknown layer kind {code}")
             spec_type, kind = _KIND_FROM_CODE[code]
-            values = struct.unpack(kind.fmt, need(struct.calcsize(kind.fmt),
-                                                  f"layer {i} ({kind.name})"))
+            values = struct.unpack(kind.fmt, field(struct.calcsize(kind.fmt),
+                                                   f"while reading layer {i} ({kind.name})"))
             args = dict(zip(kind.fields, values))
             if "activation" in args:
                 if args["activation"] not in _ACT_FROM_CODE:
@@ -760,11 +754,12 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         for i, layer in enumerate(plan):
             tensors = []
             for shape in layer.param_shapes:
-                raw = need(math.prod(shape) * 4, f"layer {i} ({layer.kind.name}) tensor")
+                raw = field(math.prod(shape) * 4,
+                            f"while reading layer {i} ({layer.kind.name}) tensor")
                 tensors.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
             weights.append(tensors)
 
-        best_epoch, best_acc = struct.unpack("<If", need(8, "trailer"))
+        best_epoch, best_acc = struct.unpack("<If", field(8, "while reading trailer"))
         if fp.read(1):
             raise WeightsFormatError(f"{path}: bytes after the trailer")
         return Checkpoint(config=config, weights=weights,

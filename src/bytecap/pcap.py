@@ -74,9 +74,6 @@ class FiveTuple:
     proto: int
 
 
-FlowKey = FiveTuple
-
-
 @dataclass(frozen=True)
 class SessionKey:
     """Direction-free key: endpoint pairs stored in sorted order."""
@@ -102,10 +99,8 @@ class PacketRecord:
 
 @dataclass
 class CaptureMeta:
-    magic: int
     byte_order: str  # struct prefix, "<" or ">"
     ts_resolution: str  # "micro" or "nano"
-    version: tuple[int, int]
     snaplen: int
     link_type: int
 
@@ -162,21 +157,12 @@ class PcapReader:
         if len(head) < GLOBAL_HEADER_LEN:
             raise PcapFormatError(f"{self._path}: truncated global header")
         order, resolution = _MAGIC_TABLE[magic_be]
-        vmaj, vmin, _zone, _sigfigs, snaplen, linktype = struct.unpack(
-            order + "HHiIII", head[4:]
-        )
+        _, _, _, _, snaplen, linktype = struct.unpack(order + "HHiIII", head[4:])
         if linktype != LINKTYPE_ETHERNET:
             raise PcapFormatError(
                 f"{self._path}: unsupported link type {linktype}, expected Ethernet (1)"
             )
-        return CaptureMeta(
-            magic=magic_be,
-            byte_order=order,
-            ts_resolution=resolution,
-            version=(vmaj, vmin),
-            snaplen=snaplen,
-            link_type=linktype,
-        )
+        return CaptureMeta(order, resolution, snaplen, linktype)
 
     def __iter__(self) -> Iterator[PacketRecord]:
         if self._fp.closed:
@@ -233,7 +219,7 @@ def read_pcap_records(path) -> tuple[CaptureMeta, list[PacketRecord]]:
         return r.meta, list(r)
 
 
-def write_pcap(path, records, *, snaplen=65535, byte_order="<", ts_resolution="micro"):
+def write_pcap(path, records, *, byte_order="<", ts_resolution="micro"):
     """Write records as a classic-pcap Ethernet capture (fixture/corpus writer).
 
     `records` is an iterable of PacketRecord or (ts_sec, ts_frac, data)
@@ -242,7 +228,7 @@ def write_pcap(path, records, *, snaplen=65535, byte_order="<", ts_resolution="m
     [magic] = [m for m, form in _MAGIC_TABLE.items() if form == (byte_order, ts_resolution)]
     with open(path, "wb") as fp:
         fp.write(struct.pack(">I", magic))
-        fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET))
+        fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
         for rec in records:
             if isinstance(rec, PacketRecord):
                 ts_sec, ts_frac, data, orig = rec.ts_sec, rec.ts_frac, rec.data, rec.orig_len
@@ -329,7 +315,7 @@ def _dissect_transport(data, n, ip_end, proto, frag_offset):
     return None, None, 0, 0
 
 
-def keys(d: Dissection) -> tuple[FlowKey, SessionKey]:
+def keys(d: Dissection) -> tuple[FiveTuple, SessionKey]:
     """Directed flow key and direction-canonicalized session key."""
     t = d.five_tuple
     if d.l3_kind is L3Kind.NON_IP or t is None:

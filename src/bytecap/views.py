@@ -23,9 +23,11 @@ which `byte_distribution` needs and FTLD does not store). In every view a
 unit is named by the record index of its first packet, whose
 `keys(dissect(record))` are the flow or session key.
 FTLD records are written and read as one (N, 2 + sample_len) byte
-matrix and `tensors()` is a cast. `DatasetFile.samples` is a read-only
-sequence of `Sample(label, data)` rows built on access, kept for the
-benchmark harness and other callers that walk samples one at a time.
+matrix and `tensors()` is a cast, after a header read one named field at
+a time into a `DatasetHeader`. Class names are `class_catalog`'s.
+`DatasetFile.samples` is a read-only sequence of `Sample(label, data)`
+rows built on access, kept for the benchmark harness and other callers
+that walk samples one at a time.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._bounded import read_exact
+from ._bounded import field_reader, read_exact
 from .pcap import (
     Dissection,
     FrameColumns,
@@ -477,21 +479,16 @@ class Capture:
 
 
 def label_index(name: str, task: str) -> Optional[int]:
-    """Map a scenario name to its class index; None means 'skip this file'."""
-    if task == "binary":
-        if name == "benign":
-            return 0
-        if name == "malicious" or name in BOTNET_CLASSES:
-            return 1
-        raise ValueError(f"unknown class label {name!r} for binary task")
-    if task == "multi":
-        if name == "benign":
-            return None  # multi-class is botnet-only
-        try:
-            return BOTNET_CLASSES.index(name)
-        except ValueError:
-            raise ValueError(f"unknown class label {name!r} for multi task") from None
-    raise ValueError(f"unknown task {task!r}")
+    """A scenario name's index in `class_catalog(task)`, or None to skip the
+    file: binary counts a botnet as malicious, botnet-only multi skips benign."""
+    names = class_catalog(task)
+    if task == "binary" and name in class_catalog("multi"):
+        name = "malicious"
+    if task == "multi" and name == "benign":
+        return None
+    if name not in names:
+        raise ValueError(f"unknown class label {name!r} for {task} task")
+    return names.index(name)
 
 
 def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
@@ -592,16 +589,25 @@ def write_dataset(path, ds: DatasetFile):
         fp.write(records)
 
 
-def _read_header(fp, path) -> tuple[DatasetFile, int]:
-    """Parse everything before the sample records: a DatasetFile with no
-    samples yet, and the sample count the file claims."""
+class DatasetHeader(NamedTuple):
+    """An FTLD file's fields before its records, and the sample count it claims."""
+
+    view: ViewKind
+    category: HeaderCategory
+    sample_len: int
+    class_names: list[str]
+    count: int
+
+
+def _read_header(fp, path) -> DatasetHeader:
+    """Parse everything before the sample records, each field after the
+    magic through `field_reader`: a cut names the file and the field."""
     magic = fp.read(4)
     if magic != _DATASET_MAGIC:
         raise DatasetFormatError(f"{path}: bad dataset magic {magic!r}")
-    head = fp.read(10)
-    if len(head) < 10:
-        raise DatasetFormatError(f"{path}: truncated dataset header")
-    version, view_code, cat_code, sample_len, class_count = struct.unpack("<HBBIH", head)
+    field = field_reader(fp, lambda message: DatasetFormatError(f"{path}: {message}"))
+    version, view_code, cat_code, sample_len, class_count = struct.unpack(
+        "<HBBIH", field(10, "dataset header"))
     if version != _DATASET_VERSION:
         raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
     if view_code not in _VIEW_FROM_CODE or cat_code not in _CATEGORY_FROM_CODE:
@@ -610,50 +616,38 @@ def _read_header(fp, path) -> tuple[DatasetFile, int]:
         raise DatasetFormatError(f"{path}: empty class table")
     names = []
     for i in range(class_count):
-        ln = fp.read(2)
-        if len(ln) < 2:
-            raise DatasetFormatError(f"{path}: truncated class table")
-        (name_len,) = struct.unpack("<H", ln)
-        raw = fp.read(name_len)
-        if len(raw) < name_len:
-            raise DatasetFormatError(f"{path}: truncated class name")
+        (name_len,) = struct.unpack("<H", field(2, "class table"))
         try:
-            names.append(raw.decode("utf-8"))
+            names.append(field(name_len, "class name").decode("utf-8"))
         except UnicodeDecodeError:
             raise DatasetFormatError(f"{path}: class name {i} is not UTF-8") from None
-    cnt_raw = fp.read(8)
-    if len(cnt_raw) < 8:
-        raise DatasetFormatError(f"{path}: truncated sample count")
-    (count,) = struct.unpack("<Q", cnt_raw)
-    ds = DatasetFile(view=_VIEW_FROM_CODE[view_code],
-                     category=_CATEGORY_FROM_CODE[cat_code],
-                     sample_len=sample_len, class_names=names)
-    return ds, count
+    (count,) = struct.unpack("<Q", field(8, "sample count"))
+    return DatasetHeader(_VIEW_FROM_CODE[view_code], _CATEGORY_FROM_CODE[cat_code],
+                         sample_len, names, count)
 
 
-def read_dataset_header(path) -> tuple[DatasetFile, int]:
-    """An FTLD file's header without its samples: a DatasetFile whose
-    sample list is empty, and the sample count the file claims."""
+def read_dataset_header(path) -> DatasetHeader:
+    """An FTLD file's header fields without reading its samples."""
     with open(path, "rb") as fp:
         return _read_header(fp, path)
 
 
 def read_dataset(path) -> DatasetFile:
     with open(path, "rb") as fp:
-        ds, count = _read_header(fp, path)
-        rec_len = 2 + ds.sample_len
-        raw = read_exact(fp, count * rec_len, lambda have: DatasetFormatError(
+        head = _read_header(fp, path)
+        rec_len = 2 + head.sample_len
+        raw = read_exact(fp, head.count * rec_len, lambda have: DatasetFormatError(
             f"{path}: truncated at sample {have // rec_len}"))
         if fp.read(1):
-            raise DatasetFormatError(f"{path}: bytes after the last of {count} samples")
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(count, rec_len)
+            raise DatasetFormatError(f"{path}: bytes after the last of {head.count} samples")
+        records = np.frombuffer(raw, dtype=np.uint8).reshape(head.count, rec_len)
     labels = records[:, 0].astype(np.int64) | records[:, 1].astype(np.int64) << 8
-    bad = np.flatnonzero(labels >= len(ds.class_names))
+    bad = np.flatnonzero(labels >= len(head.class_names))
     if bad.size:
         raise DatasetFormatError(f"{path}: sample {bad[0]} label {labels[bad[0]]} "
                                  "out of range")
-    ds.data, ds.labels = records[:, 2:], labels
-    return ds
+    return DatasetFile(head.view, head.category, head.sample_len, head.class_names,
+                       data=records[:, 2:], labels=labels)
 
 
 def split_indices(labels, val_fraction: float = 0.2,

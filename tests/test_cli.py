@@ -19,7 +19,7 @@ from bytecap.cli import (
     parse_config,
     render_config,
 )
-from bytecap.nn import default_config
+from bytecap.nn import Checkpoint, Model, default_config, save_weights
 from bytecap.pcap import read_pcap_records
 from bytecap.synth import SynthClass, binary_synth_classes, multi_synth_classes, synth_corpus
 from bytecap.train import train
@@ -363,6 +363,28 @@ class TestBuild:
                      "--n", "64", "--out", str(out))
         assert rc == 1
 
+    def test_grid_refused_before_any_capture_or_file(self, cli_corpus, tmp_path,
+                                                     monkeypatch, capsys):
+        labels = str(cli_corpus / "labels.txt")
+        grid = tmp_path / "grid"
+        grid.mkdir()
+        kept = grid / "flow_all_headers.ftld"
+        assert run_cli("build", "--labels", labels, "--view", "flow", "--category", "all",
+                       "--n", "64", "--out", str(kept)) == 0
+        before = kept.read_bytes()
+        reads = []
+        real_read = views.Capture.read
+        monkeypatch.setattr(views.Capture, "read",
+                            lambda path: reads.append(path) or real_read(path))
+        capsys.readouterr()
+        assert run_cli("build", "--labels", labels, "--all-views", "--all-categories",
+                       "--out", str(grid)) == 1
+        assert (f"error: {kept}: existing dataset has sample length 64, refusing to "
+                "mix with 115") in capsys.readouterr().err
+        assert [p.name for p in grid.iterdir()] == [kept.name]
+        assert kept.read_bytes() == before
+        assert reads == []
+
     def test_non_dataset_output_is_overwritten(self, cli_corpus, tmp_path):
         out = tmp_path / "notes.ftld"
         out.write_text("not a dataset\n")
@@ -462,6 +484,15 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f": {name} must " in err
         assert not w.exists()
+
+    def test_eval_class_count_mismatch_is_an_error(self, dataset, tmp_path, capsys):
+        cfg = default_config("multi", input_len=115)
+        w = tmp_path / "multi.ftlw"
+        save_weights(w, Checkpoint(cfg, Model(cfg).copy_weights(), 0, 0.0))
+        assert run_cli("eval", str(dataset), str(w)) == 1
+        err = capsys.readouterr().err
+        assert "error: dataset has 2 classes, model expects 12" in err
+        assert "Traceback" not in err
 
     def test_task_mismatch_is_descriptive(self, dataset, tmp_path, capsys):
         rc = run_cli("train", str(dataset), "--task", "multi", "--epochs", "1",

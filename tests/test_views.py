@@ -15,6 +15,7 @@ from bytecap.views import (
     Capture,
     DatasetFile,
     DatasetFormatError,
+    DatasetHeader,
     HeaderCategory,
     Provenance,
     Sample,
@@ -23,8 +24,10 @@ from bytecap.views import (
     build_dataset,
     byte_distribution,
     filter_packets,
+    label_index,
     read_capture,
     read_dataset,
+    read_dataset_header,
     split_indices,
     split_view,
     strip_headers,
@@ -197,6 +200,25 @@ class TestAssemble:
     def test_minimum_n(self):
         with pytest.raises(ValueError):
             assemble_sample([], ALL, 0)
+
+
+@pytest.mark.parametrize("task, name, index", [
+    ("binary", "benign", 0), ("binary", "malicious", 1),
+    *[("binary", name, 1) for name in BOTNET_CLASSES],
+    ("multi", "benign", None),
+    *[("multi", name, i) for i, name in enumerate(BOTNET_CLASSES)]])
+def test_label_index(task, name, index):
+    assert label_index(name, task) == index
+
+
+@pytest.mark.parametrize("task, name, match", [
+    ("binary", "nonsense", "unknown class label 'nonsense' for binary task"),
+    ("multi", "malicious", "unknown class label 'malicious' for multi task"),
+    ("multi", "mirai", "unknown class label 'mirai' for multi task"),
+    ("ternary", "benign", "unknown task 'ternary', expected 'binary' or 'multi'")])
+def test_label_index_refuses(task, name, match):
+    with pytest.raises(ValueError, match=match):
+        label_index(name, task)
 
 
 class TestBuildDataset:
@@ -622,6 +644,44 @@ class TestDatasetIO:
                 read_through_pipe(read_dataset, blob)
             else:
                 read_dataset(p)
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_every_header_cut_names_the_file(self, tmp_path, through_pipe):
+        ds = DatasetFile(ViewKind.FLOW, ALL, 4, ["benign", "malicious"],
+                         [Sample(1, b"abcd")])
+        whole = tmp_path / "whole.ftld"
+        write_dataset(whole, ds)
+        blob = whole.read_bytes()
+        cut = tmp_path / "cut.ftld"
+        messages = set()
+
+        def refused(path):
+            with pytest.raises(DatasetFormatError) as err:
+                read_dataset(path)
+            assert str(err.value).startswith(f"{path}: ")
+            messages.add(str(err.value)[len(f"{path}: "):])
+
+        # every cut from byte 0 up to the first record (one of 2 + 4 bytes)
+        for end in range(len(blob) - 6 + 1):
+            if through_pipe:
+                read_through_pipe(refused, blob[:end])
+            else:
+                cut.write_bytes(blob[:end])
+                refused(cut)
+        assert {m for m in messages if not m.startswith("bad dataset magic")} == {
+            "truncated dataset header", "truncated class table",
+            "truncated class name", "truncated sample count",
+            "truncated at sample 0"}
+
+    def test_header_fields_of_a_written_file(self, tmp_path):
+        ds = DatasetFile(ViewKind.SESSION, NO_ETH, 5, list(BOTNET_CLASSES),
+                         [Sample(3, bytes(5)), Sample(11, b"12345")])
+        p = tmp_path / "h.ftld"
+        write_dataset(p, ds)
+        head = read_dataset_header(p)
+        assert head == DatasetHeader(ViewKind.SESSION, NO_ETH, 5, BOTNET_CLASSES, 2)
+        assert (head.sample_len, head.count) == (5, 2)
 
     def test_non_utf8_class_name(self, tmp_path):
         p = self.header_only(tmp_path, 8, names=(b"benign", b"\xff\xfe"))
