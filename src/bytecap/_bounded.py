@@ -1,7 +1,7 @@
 """Bounded reads of lengths that a file claims for itself.
 
-pcap, FTLD and FTLW files all carry length fields that are read before the
-bytes they describe, and `read(n)` allocates `n` bytes up front. So a false
+FTLD and FTLW files carry length fields that are read before the bytes
+they describe, and `read(n)` allocates `n` bytes up front. So a false
 claim must not reach `read` unchecked: a regular file's remaining size is
 checked first, and a pipe, which has no size, is read in bounded chunks.
 `field_reader` states the FTLD and FTLW headers' one rule on top of that:

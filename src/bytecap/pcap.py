@@ -4,13 +4,19 @@ Only the classic format with the Ethernet link type is handled (magic
 0xA1B2C3D4 family, both byte orders, micro- and nanosecond timestamps).
 Dissection covers Ethernet/802.1Q + IPv4/IPv6 + TCP/UDP; anything
 malformed degrades to absent offsets instead of raising, because real
-capture files contain garbage frames. `dissect` states the rules for one
-packet; `dissect_frames` applies the same rules to every frame of a
-buffer at once, as numpy columns.
+capture files contain garbage frames. A capture's records are read in
+one read and their headers walked once (`_walk`), which states every
+record rule; `PcapReader` yields records from that walk and
+`PcapReader.read_frames` returns its columns. `dissect` states the rules
+for one packet; `dissect_frames` applies the same rules to every frame
+of a buffer at once, as numpy columns.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -18,12 +24,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._bounded import CHUNK, read_exact
-
 LINKTYPE_ETHERNET = 1
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
+SNAPLEN = 65535  # the snaplen write_pcap declares
 
 # (byte order prefix, timestamp resolution) keyed by the magic read big-endian.
 _MAGIC_TABLE = {
@@ -128,12 +133,17 @@ class Dissection:
 
 
 class PcapReader:
-    """Streaming reader over one classic-pcap file.
+    """Reader over one classic-pcap file.
 
-    Iterating yields PacketRecord in file order with bounded memory, in
-    one pass: the file closes when an iteration ends, so iterating again
-    yields nothing. Usable as a context manager; `meta` is parsed eagerly
-    on open, and a link type other than Ethernet is refused there.
+    `meta` is parsed eagerly on open, and a link type other than Ethernet
+    is refused there. The records after the global header are read in one
+    read (a pipe to its end, so no claimed length is ever allocated) and
+    walked once by `_walk`. Iterating yields PacketRecord in file order;
+    when the walk stops at a bad record, the records before it are yielded
+    before its error is raised. `read_frames` returns the same records as
+    one buffer with offset columns. Either makes the one pass a reader
+    has: the file closes after its read, so a second pass sees no records.
+    Usable as a context manager.
     """
 
     def __init__(self, path):
@@ -164,30 +174,44 @@ class PcapReader:
             )
         return CaptureMeta(order, resolution, snaplen, linktype)
 
+    def _records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Exception]]:
+        """Read the records left in one read (see _read_rest) and walk them:
+        the buffer read, each good record's body offset in it and its
+        (ts_sec, ts_frac, incl_len, orig_len) as an (n, 4) int64 array, and
+        the error that stopped the walk early, if any."""
+        buf, size = np.zeros(0, dtype=np.uint8), 0
+        if not self._fp.closed:
+            with self._fp as fp:
+                buf, size = _read_rest(fp, self.meta.snaplen)
+        order = self.meta.byte_order
+        start, error = _walk(memoryview(buf)[:size], order, self.meta.snaplen, self._path)
+        fields = _windows(buf, start - RECORD_HEADER_LEN, RECORD_HEADER_LEN)
+        return buf, start, fields.view(order + "u4").astype(np.int64), error
+
     def __iter__(self) -> Iterator[PacketRecord]:
-        if self._fp.closed:
-            return
-        path, snaplen = self._path, self.meta.snaplen
-        unpack = struct.Struct(self.meta.byte_order + "IIII").unpack
-        with self._fp as fp:
-            index = 0
-            while head := fp.read(RECORD_HEADER_LEN):
-                if len(head) < RECORD_HEADER_LEN:
-                    raise _truncated(path, "header", index)
-                ts_sec, ts_frac, incl_len, orig_len = unpack(head)
-                if incl_len > orig_len or (snaplen and incl_len > snaplen):
-                    raise PcapFormatError(
-                        f"{path}: record {index} header is corrupt "
-                        f"(incl_len={incl_len}, orig_len={orig_len}, snaplen={snaplen})"
-                    )
-                # the common short record is one plain read; a longer claim goes
-                # through the bounded read, which refuses it before allocating
-                data = (fp.read(incl_len) if incl_len <= CHUNK else
-                        read_exact(fp, incl_len, lambda have: _truncated(path, "body", index)))
-                if len(data) < incl_len:
-                    raise _truncated(path, "body", index)
-                yield PacketRecord(index, ts_sec, ts_frac, incl_len, orig_len, data)
-                index += 1
+        buf, start, fields, error = self._records()
+        raw = memoryview(buf)
+        for index, (at, (ts_sec, ts_frac, incl_len, orig_len)) in enumerate(
+                zip(start.tolist(), fields.tolist())):
+            yield PacketRecord(index, ts_sec, ts_frac, incl_len, orig_len,
+                               raw[at:at + incl_len].tobytes())
+        if error is not None:
+            raise error
+
+    def read_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every record at once: (frames, start, cap_len).
+
+        frames is the uint8 buffer as read, record headers in place, so
+        frame i is frames[start[i]:start[i] + cap_len[i]]; after the last
+        record it holds at least as many zero bytes as the longest frame,
+        so a window of up to that width may start anywhere up to the end
+        of any frame. start and cap_len are int64. A bad record raises its
+        error.
+        """
+        frames, start, fields, error = self._records()
+        if error is not None:
+            raise error
+        return frames, start, fields[:, 2].copy()
 
     def close(self):
         if not self._fp.closed:
@@ -201,6 +225,68 @@ class PcapReader:
         return False
 
 
+def _read_rest(fp, snaplen: int) -> tuple[np.ndarray, int]:
+    """Everything left in the binary file `fp`, in one read: a zeroed uint8
+    buffer and the count of bytes read into its start. After them it has
+    room for the longest frame the file can hold: snaplen, or the bytes
+    read if fewer or if snaplen is 0. A regular file is read straight into
+    the buffer; a pipe, which has no size, is read to its end first.
+
+    The buffer is an anonymous mapping of its own, zero-filled by the
+    system: padding never touched takes no memory, and the buffer goes
+    back to the system as soon as it is dropped instead of leaving a hole
+    in the heap.
+    """
+    st = os.fstat(fp.fileno())
+    if stat.S_ISREG(st.st_mode):
+        size = max(st.st_size - fp.tell(), 0)
+        buf = _zeroed(size + min(snaplen or size, size))
+        return buf, fp.readinto(memoryview(buf)[:size])
+    raw = fp.read()
+    buf = _zeroed(len(raw) + min(snaplen or len(raw), len(raw)))
+    buf[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    return buf, len(raw)
+
+
+def _zeroed(nbytes: int) -> np.ndarray:
+    if not nbytes:  # an anonymous mapping cannot be empty
+        return np.zeros(0, dtype=np.uint8)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+
+
+def _walk(raw, order: str, snaplen: int, path: str) -> tuple[np.ndarray, Optional[Exception]]:
+    """Walk the records that fill `raw`, the bytes after a global header.
+
+    Returns the int64 offset of each good record's body and, when a record
+    is bad, the error for it (None when the walk reaches the end): a
+    header cut short, an incl_len above its orig_len or a nonzero snaplen,
+    or a body that runs past the end. The records before it are the ones
+    returned.
+    """
+    unpack = struct.Struct(order + "IIII").unpack_from
+    end, at, index, start = len(raw), 0, 0, []
+    error = None
+    while at < end:
+        if at + RECORD_HEADER_LEN > end:
+            error = _truncated(path, "header", index)
+            break
+        _, _, incl_len, orig_len = unpack(raw, at)
+        if incl_len > orig_len or (snaplen and incl_len > snaplen):
+            error = PcapFormatError(
+                f"{path}: record {index} header is corrupt "
+                f"(incl_len={incl_len}, orig_len={orig_len}, snaplen={snaplen})"
+            )
+            break
+        at += RECORD_HEADER_LEN
+        if at + incl_len > end:
+            error = _truncated(path, "body", index)
+            break
+        start.append(at)
+        at += incl_len
+        index += 1
+    return np.array(start, dtype=np.int64), error
+
+
 def _truncated(path: str, part: str, index: int) -> TruncatedCaptureError:
     """Record `index`'s header or body ends early; the records before it were read."""
     message = (f"{path}: truncated record {part} after record {index - 1}" if index
@@ -209,7 +295,7 @@ def _truncated(path: str, part: str, index: int) -> TruncatedCaptureError:
 
 
 def read_pcap(path) -> PcapReader:
-    """Open a capture for streaming iteration; metadata is on `.meta`."""
+    """Open a capture; metadata is on `.meta`, records come from iterating it."""
     return PcapReader(path)
 
 
@@ -223,20 +309,33 @@ def write_pcap(path, records, *, byte_order="<", ts_resolution="micro"):
     """Write records as a classic-pcap Ethernet capture (fixture/corpus writer).
 
     `records` is an iterable of PacketRecord or (ts_sec, ts_frac, data)
-    tuples; orig_len defaults to len(data).
+    tuples; orig_len defaults to len(data). A record that the reader would
+    refuse, one longer than SNAPLEN or with orig_len below len(data),
+    raises ValueError naming its index before the file is created.
     """
     [magic] = [m for m, form in _MAGIC_TABLE.items() if form == (byte_order, ts_resolution)]
+    records = list(records)
+    for index, (_, _, data, orig) in enumerate(map(_record_fields, records)):
+        if len(data) > SNAPLEN:
+            raise ValueError(f"record {index} holds {len(data)} bytes, "
+                             f"more than the file's snaplen {SNAPLEN}")
+        if orig < len(data):
+            raise ValueError(f"record {index} has orig_len {orig}, "
+                             f"below its {len(data)} captured bytes")
     with open(path, "wb") as fp:
         fp.write(struct.pack(">I", magic))
-        fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
-        for rec in records:
-            if isinstance(rec, PacketRecord):
-                ts_sec, ts_frac, data, orig = rec.ts_sec, rec.ts_frac, rec.data, rec.orig_len
-            else:
-                ts_sec, ts_frac, data = rec
-                orig = len(data)
+        fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
+        for ts_sec, ts_frac, data, orig in map(_record_fields, records):
             fp.write(struct.pack(byte_order + "IIII", ts_sec, ts_frac, len(data), orig))
             fp.write(data)
+
+
+def _record_fields(rec) -> tuple[int, int, bytes, int]:
+    """(ts_sec, ts_frac, data, orig_len) of a write_pcap record."""
+    if isinstance(rec, PacketRecord):
+        return rec.ts_sec, rec.ts_frac, rec.data, rec.orig_len
+    ts_sec, ts_frac, data = rec
+    return ts_sec, ts_frac, data, len(data)
 
 
 def _u16(data: bytes, off: int) -> int:

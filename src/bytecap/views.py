@@ -5,16 +5,17 @@ unit's packets are stripped per header category, and the concatenated
 bytes become one fixed-length labeled sample. Datasets serialize to a
 small binary format (magic "FTLD") that round-trips byte-exactly.
 
-`Capture.read` parses a capture once into flat arrays: one frame buffer,
-per-packet layer offsets and flow/session unit ids. It dissects every
-frame at once as numpy columns (`pcap.dissect_frames`) and numbers units
-with `np.unique` over packed key bytes. `build_dataset` assembles every
-view x category cell from a `Capture` by slicing with those offsets, so
-a grid of cells needs one parse per capture. The per-packet path
-(`read_capture` with `pcap.dissect`, `filter_packets`, `split_view` with
-`pcap.keys`, `strip_headers`, `assemble_sample`) states the same rules
-one packet at a time and is the reference the tests hold the array path
-to.
+`Capture.read` parses a capture once into flat arrays: the frame buffer
+as read (`pcap.PcapReader.read_frames`), per-packet layer offsets and
+flow/session unit ids. It dissects every frame at once as numpy columns
+(`pcap.dissect_frames`) and numbers units with `np.unique` over packed
+key bytes. `build_dataset` assembles every view x category cell from a
+`Capture` by reading windows of that buffer at those offsets, without
+copying it, so a grid of cells needs one parse per capture. The
+per-packet path (`read_capture` with `pcap.dissect`, `filter_packets`,
+`split_view` with `pcap.keys`, `strip_headers`, `assemble_sample`)
+states the same rules one packet at a time and is the reference the
+tests hold the array path to.
 
 A `DatasetFile` holds its samples as arrays: an (N, sample_len) uint8
 `data` matrix and an (N,) int64 `labels` vector, plus, when built from
@@ -46,6 +47,7 @@ from .pcap import (
     FrameColumns,
     L3Kind,
     PacketRecord,
+    _windows,
     dissect,
     dissect_frames,
     keys,
@@ -358,7 +360,10 @@ def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
 class Capture:
     """One capture, read and dissected once, as flat per-packet arrays.
 
-    Packet i is frames[start[i]:start[i] + cap_len[i]]; eth_end and ip_end
+    Packet i is frames[start[i]:start[i] + cap_len[i]]. frames is the
+    buffer PcapReader.read_frames read, record headers in place, and ends
+    in zero padding at least as long as the longest frame, which assemble
+    relies on to read a full-width window from any piece. eth_end and ip_end
     are offsets into that frame, ip_end is -1 for non-IP packets (the only
     ones without an IP header end). flow_id and session_id number each
     IP packet's unit in first-appearance order (-1 for non-IP packets) and
@@ -382,19 +387,17 @@ class Capture:
     def read(cls, path) -> "Capture":
         """Read a capture once and dissect all its frames as numpy columns.
 
-        read_pcap yields the records, pcap.dissect_frames gives every
-        packet's layer offsets and addresses from the joined frame buffer,
-        and flows and sessions are numbered over packed key bytes (see
-        _number_units). dissect and keys state the same rules one packet at
-        a time and are the reference this path is tested against. No
-        per-packet or per-unit objects are kept.
+        PcapReader.read_frames gives the frame buffer and its offset
+        columns from one read and one record walk, pcap.dissect_frames
+        every packet's layer offsets and addresses, and flows and sessions
+        are numbered over packed key bytes (see _number_units). dissect and
+        keys state the same rules one packet at a time and are the
+        reference this path is tested against. No per-packet or per-unit
+        objects are made.
         """
         with read_pcap(path) as reader:
             scale = reader.meta.ts_scale
-            chunks = [rec.data for rec in reader]
-        cap_len = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
-        frames = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        start = np.cumsum(cap_len) - cap_len
+            frames, start, cap_len = reader.read_frames()
         cols = dissect_frames(frames, start, cap_len)
         return cls(str(path), scale, frames, start, cap_len, cols.eth_end,
                    cols.ip_end, *_number_units(cols))
@@ -460,22 +463,44 @@ class Capture:
         lead = np.flatnonzero(np.diff(rows, prepend=-1))
         pos = before - before[lead][rows]
         take = np.clip(n - pos, 0, length)
-        # Packets that contribute bytes, one window row each; valid bytes
-        # run unit by unit in capture order, so they fill each unit's row
-        # left to right.
-        piece = take > 0
-        take, start, head, tail = take[piece], start[piece], head[piece], tail[piece]
-        width = int(take.max()) if take.size else 1
-        col = np.arange(width)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([self.frames, np.zeros(width, dtype=np.uint8)]), width)
-        piece_bytes = windows[start + tail - head]
-        if head.any():
-            piece_bytes = np.where(col < head[:, None], windows[start], piece_bytes)
         out = np.zeros((len(first), n), dtype=np.uint8)
-        out[np.arange(n) < np.minimum(totals, n)[:, None]] = \
-            piece_bytes[col < take[:, None]]
+        piece = take > 0
+        # A unit's first piece (its first packet with bytes to give) starts
+        # its row, so one row assignment lays in every unit's first piece.
+        at = np.flatnonzero(piece & (pos == 0))
+        piece_bytes, valid = self._pieces(at, start, head, tail, take)
+        out[rows[at], :valid.shape[1]] = piece_bytes * valid
+        # The later pieces fill a row on from where its first piece ended.
+        # Their valid bytes run unit by unit in capture order, so a boolean
+        # scatter over just those units' rows puts them in place.
+        at = np.flatnonzero(piece & (pos > 0))
+        if at.size:
+            unit = rows[at]
+            unit_first = np.flatnonzero(np.diff(unit, prepend=-1))
+            begin, unit = pos[at[unit_first]], unit[unit_first]
+            col = np.arange(n)
+            fill = (col >= begin[:, None]) & (col < np.minimum(totals[unit], n)[:, None])
+            piece_bytes, valid = self._pieces(at, start, head, tail, take)
+            block = out[unit]
+            block[fill] = piece_bytes[valid]
+            out[unit] = block
         return out, totals, first
+
+    def _pieces(self, at, start, head, tail, take) -> tuple[np.ndarray, np.ndarray]:
+        """The first take[i] stripped bytes of each packet i of `at`, one
+        window row each, and the mask of those valid bytes. A window may run
+        past its frame into the next record or the buffer's zero padding;
+        the mask leaves those bytes out."""
+        start, head, tail, take = start[at], head[at], tail[at], take[at]
+        width = int(take.max(initial=1))
+        col = np.arange(width)
+        piece_bytes = _windows(self.frames, start + tail - head, width)
+        if head.any():  # the kept head bytes lead the row
+            reach = min(int(head.max()), width)
+            piece_bytes[:, :reach] = np.where(col[:reach] < head[:, None],
+                                              _windows(self.frames, start, reach),
+                                              piece_bytes[:, :reach])
+        return piece_bytes, col < take[:, None]
 
 
 def label_index(name: str, task: str) -> Optional[int]:

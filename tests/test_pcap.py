@@ -172,6 +172,124 @@ class TestReader:
         assert back == recs
 
 
+class TestWritePcap:
+    @pytest.mark.parametrize("records,match", [
+        ([(0, 0, b"\0" * 70000)], "record 0 holds 70000 bytes"),
+        ([(0, 0, b"\1" * 8), PacketRecord(1, 0, 0, 10, 9, b"\2" * 10)],
+         "record 1 has orig_len 9, below its 10"),
+    ], ids=["past-snaplen", "orig-below-data"])
+    def test_refuses_what_the_reader_refuses(self, tmp_path, records, match):
+        p = tmp_path / "refused.pcap"
+        with pytest.raises(ValueError, match=match):
+            write_pcap(p, iter(records))
+        assert not p.exists()
+
+    def test_longest_record_reads_back(self, tmp_path):
+        p = tmp_path / "snaplen.pcap"
+        write_pcap(p, [(0, 0, b"\3" * 65535)])
+        meta, [rec] = read_pcap_records(p)
+        assert meta.snaplen == 65535 and rec.data == b"\3" * 65535
+
+
+def outcome(read, blob, path, through_pipe):
+    """read(path) of `blob` from a file or a pipe: its result, or the error's
+    class, message (the path it was given written as <capture>) and
+    last_good_index."""
+    given = []
+
+    def call(p):
+        given.append(str(p))
+        return read(p)
+
+    try:
+        if through_pipe:
+            return read_through_pipe(call, blob)
+        path.write_bytes(blob)
+        return call(path)
+    except (PcapFormatError, TruncatedCaptureError) as e:
+        return (type(e), str(e).replace(given[0], "<capture>"),
+                getattr(e, "last_good_index", None))
+
+
+def assert_readers_agree(blob, path, through_pipe):
+    """Capture.read and read_pcap_records raise the same error for `blob`,
+    or both read it and Capture.frames holds each record's data at its
+    start, zero padding of at least the longest frame after the last."""
+    cap = outcome(Capture.read, blob, path, through_pipe)
+    records = outcome(read_pcap_records, blob, path, through_pipe)
+    if isinstance(records, tuple) and isinstance(records[0], type):
+        assert cap == records
+        return
+    _, recs = records
+    buf = cap.frames.tobytes()
+    assert cap.start.dtype == cap.cap_len.dtype == np.int64
+    assert cap.cap_len.tolist() == [r.cap_len for r in recs]
+    assert [buf[s:s + n] for s, n in zip(cap.start.tolist(), cap.cap_len.tolist())] == \
+        [r.data for r in recs]
+    end = int(cap.start[-1] + cap.cap_len[-1]) if recs else 0
+    assert len(buf) - end >= max([r.cap_len for r in recs], default=0)
+    assert not any(buf[end:])
+
+
+class TestReadersAgree:
+    """Capture.read and PcapReader share one record walk: every capture,
+    whole, cut or corrupt, reads the same through both."""
+
+    FRAMES = [ipv4_frame(payload=b"\x11" * 9), b"", b"\x01" * 5, arp_frame()]
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    @pytest.mark.parametrize("order,resolution", [
+        ("<", "micro"), (">", "micro"), ("<", "nano"), (">", "nano")])
+    def test_every_cut(self, tmp_path, order, resolution, through_pipe):
+        p = tmp_path / "whole.pcap"
+        write_pcap(p, [(i, i * 3, f) for i, f in enumerate(self.FRAMES)],
+                   byte_order=order, ts_resolution=resolution)
+        blob = p.read_bytes()
+        for cut in range(len(blob) + 1):
+            assert_readers_agree(blob[:cut], tmp_path / "cut.pcap", through_pipe)
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    @pytest.mark.parametrize("incl,orig,snaplen", [
+        (50, 10, 65535), (70, 70, 64), (1 << 30, 1 << 30, 0)],
+        ids=["incl-above-orig", "incl-above-snaplen", "claim-past-end"])
+    def test_bad_third_record(self, tmp_path, incl, orig, snaplen, through_pipe):
+        blob = (global_header(snaplen=snaplen) + record(b"\x01" * 30) + record(b"")
+                + struct.pack("<IIII", 0, 0, incl, orig) + b"\xff" * 40)
+        assert_readers_agree(blob, tmp_path / "bad.pcap", through_pipe)
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_huge_claim_not_allocated(self, tmp_path, through_pipe):
+        blob = (global_header(snaplen=0) + record(b"\x00" * 30)
+                + struct.pack("<IIII", 0, 0, 1 << 30, 1 << 30) + b"\xff" * 40)
+        p = tmp_path / "claim.pcap"
+        p.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedCaptureError) as ei:
+                if through_pipe:
+                    read_through_pipe(Capture.read, blob)
+                else:
+                    Capture.read(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ei.value.last_good_index == 0
+        assert peak < 1 << 20
+
+    def test_records_before_a_cut_are_yielded(self, tmp_path):
+        p = tmp_path / "cut.pcap"
+        p.write_bytes(global_header() + record(b"\x01" * 20) + record(b"\x02" * 3)
+                      + struct.pack("<IIII", 0, 0, 100, 100) + b"\xff" * 40)
+        seen = []
+        with pytest.raises(TruncatedCaptureError, match="body after record 1"):
+            for rec in read_pcap(p):
+                seen.append(rec.data)
+        assert seen == [b"\x01" * 20, b"\x02" * 3]
+
+
 def rec_of(data):
     return PacketRecord(index=0, ts_sec=0, ts_frac=0, cap_len=len(data),
                         orig_len=len(data), data=data)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bytecap.pcap import PacketRecord, dissect, keys, read_pcap_records, write_pcap
 from bytecap.synth import binary_synth_classes, synth_corpus
@@ -417,7 +419,11 @@ class TestCapture:
         _, pairs = read_capture(path)
         assert cap.ts_scale == 1e-9
         assert len(cap) == len(frames)
-        assert cap.frames.tobytes() == b"".join(frames)
+        # every frame at its start, record headers between, zero padding after
+        buf = cap.frames.tobytes()
+        assert [buf[s:s + n] for s, n in zip(cap.start.tolist(), cap.cap_len.tolist())] == frames
+        end = int(cap.start[-1] + cap.cap_len[-1])
+        assert len(buf) - end >= max(map(len, frames)) and not any(buf[end:])
         assert int(cap.non_ip.sum()) == sum(d.five_tuple is None for _, d in pairs)
         for view in ViewKind:
             for include_non_ip in (False, True):
@@ -467,6 +473,65 @@ class TestCapture:
                     assert first.dtype == np.int64 and first.tolist() == want
                     assert ds.data.shape == (len(want), 8)
                     assert ds.provenance.source.tolist() == [0] * len(want)
+
+
+@st.composite
+def small_captures(draw):
+    """The frames of 1-4 interleaved IPv4 or IPv6 TCP/UDP sessions and ARP
+    frames, each maybe cut short, down to runts and empty frames."""
+    sessions = draw(st.lists(st.tuples(st.sampled_from([4, 6]), st.sampled_from([6, 17]),
+                                       st.integers(0, 2)), min_size=1, max_size=4))
+    frames = []
+    for i in range(draw(st.integers(1, 12))):
+        which = draw(st.integers(0, len(sessions)))
+        if which == len(sessions):
+            frame = arp_frame()
+        else:
+            version, proto, tags = sessions[which]
+            ends = [((10, 0, 0, which), 5000 + which), ((10, 0, 1, which), 80)]
+            if draw(st.booleans()):
+                ends.reverse()
+            (src, sport), (dst, dport) = ends
+            payload = bytes([i + 1]) * draw(st.integers(0, 40))
+            if version == 4:
+                frame = ipv4_frame(payload=payload, proto=proto, src=src, dst=dst,
+                                   sport=sport, dport=dport, vlan_tags=tags)
+            else:
+                frame = ipv6_frame(payload=payload, next_header=proto, sport=sport,
+                                   dport=dport, src=bytes(src) + bytes(12),
+                                   dst=bytes(dst) + bytes(12))
+        if draw(st.booleans()):
+            frame = frame[:draw(st.integers(0, len(frame)))]
+        frames.append(frame)
+    return frames
+
+
+def test_assemble_matches_per_packet_oracle(tmp_path):
+    """Capture.assemble equals split_view + assemble_sample for every view,
+    category and n of 1, a drawn length and one longer than any unit.
+    Derandomized and bounded, like the hostile-input properties."""
+    path = tmp_path / "drawn.pcap"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_captures(), st.integers(2, 120))
+    def check(frames, drawn):
+        write_pcap(path, [(i, 0, f) for i, f in enumerate(frames)])
+        cap = Capture.read(path)
+        _, pairs = read_capture(path)
+        for view in ViewKind:
+            for include_non_ip in (False, True):
+                units = list(split_view(filter_packets(pairs, view, include_non_ip),
+                                        view).values())
+                for cat in HeaderCategory:
+                    for n in (1, drawn, sum(map(len, frames)) + 1):
+                        data, totals, first = cap.assemble(view, cat, n, include_non_ip)
+                        want = [assemble_sample(unit, cat, n) for unit in units]
+                        where = (view, include_non_ip, cat, n)
+                        assert [bytes(row) for row in data] == [w for w, _ in want], where
+                        assert totals.tolist() == [t for _, t in want], where
+                        assert first.tolist() == [unit[0][0].index for unit in units], where
+
+    check()
 
 
 def one_built_row(data: bytes, stripped_len: int) -> DatasetFile:
