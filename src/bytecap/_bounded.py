@@ -1,49 +1,59 @@
-"""Bounded reads of lengths that a file claims for itself.
-
-FTLD and FTLW files carry length fields that are read before the bytes
-they describe, and `read(n)` allocates `n` bytes up front. So a false
-claim must not reach `read` unchecked: a regular file's remaining size is
-checked first, and a pipe, which has no size, is read in bounded chunks.
-`field_reader` states the FTLD and FTLW headers' one rule on top of that:
-each named field is read whole or the file is truncated at that field.
+"""One read rule for the binary inputs (pcap, FTLD, FTLW): no `read()` is
+sized by a length the file claims. A reader reads its fixed-width header
+fields, then everything left in the file in one read (`read_rest`), and
+only then checks the claims against the bytes it holds.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import stat
+import sys
 from typing import Callable
 
-# claims up to this size are one read(); a longer one from a pipe is read
-# this many bytes at a time, so a false claim is never allocated
-CHUNK = 1 << 16
+import numpy as np
 
 
-def read_exact(fp, nbytes: int, truncated: Callable[[int], Exception]) -> bytes:
-    """Exactly `nbytes` from the binary file `fp`, or raise
-    `truncated(have)`, `have` being how many of them the file holds."""
-    if nbytes > CHUNK:
-        st = os.fstat(fp.fileno())
-        if stat.S_ISREG(st.st_mode):
-            left = st.st_size - fp.tell()
-            if nbytes > left:
-                raise truncated(max(left, 0))
-        else:
-            parts, have = [], 0
-            while have < nbytes:
-                part = fp.read(min(CHUNK, nbytes - have))
-                if not part:
-                    raise truncated(have)
-                parts.append(part)
-                have += len(part)
-            return b"".join(parts)
-    raw = fp.read(nbytes)
-    if len(raw) < nbytes:
-        raise truncated(len(raw))
-    return raw
+def read_rest(fp, pad: int = 0) -> tuple[np.ndarray, int]:
+    """Everything left in the binary file `fp`, in one read: a uint8 buffer
+    and the count of bytes read into its start, followed by min(pad, count)
+    zero bytes. A regular file is read straight into the buffer; a pipe,
+    which has no size, to its end first.
+
+    Unpadded, the buffer is a heap array. Padded, it is an anonymous
+    mapping of its own, zero-filled by the system: padding never touched
+    takes no memory, and the buffer goes back to the system as soon as it
+    is dropped instead of leaving a hole in the heap.
+    """
+    st = os.fstat(fp.fileno())
+    if stat.S_ISREG(st.st_mode):
+        size = max(st.st_size - fp.tell(), 0)
+        buf = _zeroed(size + min(pad, size)) if pad else np.empty(size, dtype=np.uint8)
+        return buf, fp.readinto(memoryview(buf)[:size])
+    raw = np.frombuffer(fp.read(), dtype=np.uint8)
+    if not pad:
+        return raw, len(raw)
+    buf = _zeroed(len(raw) + min(pad, len(raw)))
+    buf[:len(raw)] = raw
+    return buf, len(raw)
+
+
+def _zeroed(nbytes: int) -> np.ndarray:
+    if not nbytes:  # an anonymous mapping cannot be empty
+        return np.zeros(0, dtype=np.uint8)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
 
 
 def field_reader(fp, error: Callable[[str], Exception]) -> Callable[[int, str], bytes]:
-    """`read(nbytes, what)`: read_exact of the field `what` from `fp`,
-    raising `error(f"truncated {what}")` when the file ends inside it."""
-    return lambda nbytes, what: read_exact(fp, nbytes, lambda _: error(f"truncated {what}"))
+    """`read(nbytes, what)`: the field `what` from `fp`, raising
+    `error(f"truncated {what}")` when the file ends inside it. A field on
+    disk is at most 64 KiB by its format; a longer one is read from bytes
+    in memory, whose read(n) returns no more than they hold, with n capped
+    at sys.maxsize, the most read() takes."""
+    def read(nbytes: int, what: str) -> bytes:
+        raw = fp.read(min(nbytes, sys.maxsize))
+        if len(raw) < nbytes:
+            raise error(f"truncated {what}")
+        return raw
+    return read

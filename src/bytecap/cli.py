@@ -213,10 +213,14 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def _guard_existing_dataset(path: Path, n: int):
+    # only a regular file can hold a dataset to mix with; a pipe or device
+    # is written as it is (reading one the build itself feeds would block)
+    if not path.is_file():
+        return
     try:
         existing = read_dataset_header(path)
-    except (FileNotFoundError, DatasetFormatError):
-        return  # nothing there, or not a dataset: plain write or overwrite
+    except DatasetFormatError:
+        return  # not a dataset: plain overwrite
     if existing.sample_len != n:
         raise ValueError(f"{path}: existing dataset has sample length "
                          f"{existing.sample_len}, refusing to mix with {n}")

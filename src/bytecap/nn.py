@@ -23,6 +23,7 @@ The default profile reproduces the reference shape column
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._bounded import field_reader
+from ._bounded import field_reader, read_rest
 from .views import class_catalog
 
 _EPS = 1e-7  # probability clamp for cross-entropy
@@ -323,7 +324,21 @@ class ModelConfig:
         return [layer.out_shape for layer in self.plan()]
 
     def validate(self) -> list[LayerPlan]:
-        """The layer plan of a well-formed model; raises ShapeError otherwise."""
+        """The layer plan of a well-formed model; raises ShapeError otherwise,
+        or ValueError naming a training setting that cannot train: a
+        learning rate that is not finite (0 is allowed), an epsilon that is
+        not finite and > 0, a moment decay outside [0, 1), or fewer than one
+        epoch or sample per batch."""
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         plan = self.plan()
         if not self.layers or not isinstance(self.layers[-1], DenseSpec):
             raise ShapeError("model must end with a dense layer")
@@ -709,7 +724,9 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
         magic = fp.read(4)
         if magic != _WEIGHTS_MAGIC:
             raise WeightsFormatError(f"{path}: bad weights magic {magic!r}")
-        field = field_reader(fp, lambda message: WeightsFormatError(f"{path}: {message}"))
+        rest, size = read_rest(fp)
+        body = io.BytesIO(rest[:size])
+        field = field_reader(body, lambda message: WeightsFormatError(f"{path}: {message}"))
         version, input_len, layer_count = struct.unpack("<HIH", field(8, "weights header"))
         if version not in _WEIGHTS_VERSIONS:
             raise WeightsFormatError(f"{path}: unsupported weights version {version}")
@@ -760,7 +777,7 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
             weights.append(tensors)
 
         best_epoch, best_acc = struct.unpack("<If", field(8, "while reading trailer"))
-        if fp.read(1):
+        if body.read(1):
             raise WeightsFormatError(f"{path}: bytes after the trailer")
         return Checkpoint(config=config, weights=weights,
                           best_epoch=best_epoch, best_val_accuracy=best_acc)

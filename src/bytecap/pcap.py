@@ -4,9 +4,11 @@ Only the classic format with the Ethernet link type is handled (magic
 0xA1B2C3D4 family, both byte orders, micro- and nanosecond timestamps).
 Dissection covers Ethernet/802.1Q + IPv4/IPv6 + TCP/UDP; anything
 malformed degrades to absent offsets instead of raising, because real
-capture files contain garbage frames. A capture's records are read in
-one read and their headers walked once (`_walk`), which states every
-record rule; `PcapReader` yields records from that walk and
+capture files contain garbage frames. After its fixed 24-byte global
+header, a capture's records are read in one read sized by the file
+(`_bounded.read_rest`), never by a length a record claims, and their
+headers walked once (`_walk`), which checks every claim against the
+bytes read; `PcapReader` yields records from that walk and
 `PcapReader.read_frames` returns its columns. `dissect` states the rules
 for one packet; `dissect_frames` applies the same rules to every frame
 of a buffer at once, as numpy columns.
@@ -14,15 +16,15 @@ of a buffer at once, as numpy columns.
 
 from __future__ import annotations
 
-import mmap
-import os
-import stat
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
 import numpy as np
+
+from ._bounded import read_rest
 
 LINKTYPE_ETHERNET = 1
 
@@ -137,8 +139,8 @@ class PcapReader:
 
     `meta` is parsed eagerly on open, and a link type other than Ethernet
     is refused there. The records after the global header are read in one
-    read (a pipe to its end, so no claimed length is ever allocated) and
-    walked once by `_walk`. Iterating yields PacketRecord in file order;
+    read, sized by the file (a pipe to its end), and walked once by
+    `_walk`. Iterating yields PacketRecord in file order;
     when the walk stops at a bad record, the records before it are yielded
     before its error is raised. `read_frames` returns the same records as
     one buffer with offset columns. Either makes the one pass a reader
@@ -175,14 +177,16 @@ class PcapReader:
         return CaptureMeta(order, resolution, snaplen, linktype)
 
     def _records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Exception]]:
-        """Read the records left in one read (see _read_rest) and walk them:
-        the buffer read, each good record's body offset in it and its
+        """Read the records left (`read_rest`) and walk them: the buffer
+        read, each good record's body offset in it and its
         (ts_sec, ts_frac, incl_len, orig_len) as an (n, 4) int64 array, and
         the error that stopped the walk early, if any."""
         buf, size = np.zeros(0, dtype=np.uint8), 0
         if not self._fp.closed:
             with self._fp as fp:
-                buf, size = _read_rest(fp, self.meta.snaplen)
+                # padding for the longest frame the file can hold: snaplen,
+                # or the bytes read if fewer or if snaplen is 0
+                buf, size = read_rest(fp, self.meta.snaplen or sys.maxsize)
         order = self.meta.byte_order
         start, error = _walk(memoryview(buf)[:size], order, self.meta.snaplen, self._path)
         fields = _windows(buf, start - RECORD_HEADER_LEN, RECORD_HEADER_LEN)
@@ -223,35 +227,6 @@ class PcapReader:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-def _read_rest(fp, snaplen: int) -> tuple[np.ndarray, int]:
-    """Everything left in the binary file `fp`, in one read: a zeroed uint8
-    buffer and the count of bytes read into its start. After them it has
-    room for the longest frame the file can hold: snaplen, or the bytes
-    read if fewer or if snaplen is 0. A regular file is read straight into
-    the buffer; a pipe, which has no size, is read to its end first.
-
-    The buffer is an anonymous mapping of its own, zero-filled by the
-    system: padding never touched takes no memory, and the buffer goes
-    back to the system as soon as it is dropped instead of leaving a hole
-    in the heap.
-    """
-    st = os.fstat(fp.fileno())
-    if stat.S_ISREG(st.st_mode):
-        size = max(st.st_size - fp.tell(), 0)
-        buf = _zeroed(size + min(snaplen or size, size))
-        return buf, fp.readinto(memoryview(buf)[:size])
-    raw = fp.read()
-    buf = _zeroed(len(raw) + min(snaplen or len(raw), len(raw)))
-    buf[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    return buf, len(raw)
-
-
-def _zeroed(nbytes: int) -> np.ndarray:
-    if not nbytes:  # an anonymous mapping cannot be empty
-        return np.zeros(0, dtype=np.uint8)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
 
 
 def _walk(raw, order: str, snaplen: int, path: str) -> tuple[np.ndarray, Optional[Exception]]:

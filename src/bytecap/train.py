@@ -147,9 +147,6 @@ def train(config: ModelConfig, train_data, val_data, *,
     metric's maximum); otherwise all epochs run and the best epoch's
     weights are returned either way.
     """
-    for name, value in (("epochs", config.epochs), ("batch_size", config.batch_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     x_train, y_train = _as_tensors(train_data, config.input_len, config.class_count)
     x_val, y_val = _as_tensors(val_data, config.input_len, config.class_count)
     if len(y_train) == 0 or len(y_val) == 0:

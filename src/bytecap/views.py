@@ -24,8 +24,10 @@ which `byte_distribution` needs and FTLD does not store). In every view a
 unit is named by the record index of its first packet, whose
 `keys(dissect(record))` are the flow or session key.
 FTLD records are written and read as one (N, 2 + sample_len) byte
-matrix and `tensors()` is a cast, after a header read one named field at
-a time into a `DatasetHeader`. Class names are `class_catalog`'s.
+matrix and `tensors()` is a cast. A reader takes the header one named
+field at a time into a `DatasetHeader`, then the rest of the file as the
+records (`_bounded.read_rest`), which only then meet the sample count
+the header claims. Class names are `class_catalog`'s.
 `DatasetFile.samples` is a read-only sequence of `Sample(label, data)`
 rows built on access, kept for the benchmark harness and other callers
 that walk samples one at a time.
@@ -41,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._bounded import field_reader, read_exact
+from ._bounded import field_reader, read_rest
 from .pcap import (
     Dissection,
     FrameColumns,
@@ -660,12 +662,13 @@ def read_dataset_header(path) -> DatasetHeader:
 def read_dataset(path) -> DatasetFile:
     with open(path, "rb") as fp:
         head = _read_header(fp, path)
-        rec_len = 2 + head.sample_len
-        raw = read_exact(fp, head.count * rec_len, lambda have: DatasetFormatError(
-            f"{path}: truncated at sample {have // rec_len}"))
-        if fp.read(1):
-            raise DatasetFormatError(f"{path}: bytes after the last of {head.count} samples")
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(head.count, rec_len)
+        raw, have = read_rest(fp)
+    rec_len = 2 + head.sample_len
+    if have < head.count * rec_len:
+        raise DatasetFormatError(f"{path}: truncated at sample {have // rec_len}")
+    if have > head.count * rec_len:
+        raise DatasetFormatError(f"{path}: bytes after the last of {head.count} samples")
+    records = raw[:have].reshape(head.count, rec_len)
     labels = records[:, 0].astype(np.int64) | records[:, 1].astype(np.int64) << 8
     bad = np.flatnonzero(labels >= len(head.class_names))
     if bad.size:

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior."""
 
 import argparse
+import os
 import struct
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 
 import pytest
@@ -24,6 +26,7 @@ from bytecap.pcap import read_pcap_records
 from bytecap.synth import SynthClass, binary_synth_classes, multi_synth_classes, synth_corpus
 from bytecap.train import train
 from bytecap.views import read_dataset
+from conftest import needs_dev_fd
 from test_nn import HOSTILE_SPECS, write_hostile_weights
 
 
@@ -325,6 +328,33 @@ class TestBuild:
         with pytest.raises(ValueError, match=rf"sample length {n} must lie in \[1, 2\^32 - 1\]"):
             views.build_dataset([], views.ViewKind.PACKET, views.HeaderCategory.ALL_HEADERS,
                                 int(n), "binary")
+
+    @needs_dev_fd
+    def test_out_may_name_a_pipe(self, cli_corpus, tmp_path):
+        # a child builds into a pipe that this process drains; an overwrite
+        # guard that read its own output pipe would wait on it for ever
+        labels = str(cli_corpus / "labels.txt")
+        assert run_cli("build", "--labels", labels, "--out", str(tmp_path / "file.ftld")) == 0
+        r, w = os.pipe()
+        code = "import sys; from bytecap.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen([sys.executable, "-c", code, "build", "--labels", labels,
+                                 "--out", f"/dev/fd/{w}"], pass_fds=(w,),
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        os.close(w)
+        piped = []
+        with open(r, "rb") as fp:
+            reader = threading.Thread(target=lambda: piped.append(fp.read()))
+            reader.start()
+            try:
+                returncode = proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+                pytest.fail("build --out <pipe> did not finish in 30 s")
+            finally:
+                reader.join()
+        assert returncode == 0
+        assert piped == [(tmp_path / "file.ftld").read_bytes()]
 
     def test_out_of_memory_is_an_error_line(self, cli_corpus, tmp_path, capsys,
                                             monkeypatch):

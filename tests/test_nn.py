@@ -715,3 +715,50 @@ class TestWeightsFile:
         header = 4 + 8 + sum(spec_bytes[type(s)] for s in ckpt.config.layers)
         params = sum(a.size for layer in ckpt.weights for a in layer)
         assert p.stat().st_size == header + params * 4 + 8
+
+    def refusal(self, tmp_path, blob, through_pipe):
+        """load_weights' error for `blob`, from a file or from a pipe,
+        without the path prefix."""
+        p = tmp_path / "cut.ftlw"
+        p.write_bytes(blob)
+        with pytest.raises(WeightsFormatError) as err:
+            if through_pipe:
+                read_through_pipe(load_weights, blob)
+            else:
+                load_weights(p)
+        return str(err.value).split(": ", 1)[1]
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_every_cut_names_its_field(self, tmp_path, through_pipe):
+        # a two-class CCE dense model over 4 inputs: a version 2 file
+        cfg = ModelConfig(input_len=4, layers=(DenseSpec(2, "softmax"),),
+                          loss=LOSS_CCE, class_count=2)
+        p = tmp_path / "tiny.ftlw"
+        save_weights(p, Checkpoint(config=cfg, weights=Model(cfg).copy_weights(),
+                                   best_epoch=1, best_val_accuracy=0.5))
+        blob = p.read_bytes()
+        # (end of the field, the message of a cut inside it), by hand
+        layout = [(12, "truncated weights header"), (13, "truncated while reading loss"),
+                  (14, "truncated while reading layer 0 kind"),
+                  (19, "truncated while reading layer 0 (dense)"),
+                  (19 + 32 + 8, "truncated while reading layer 0 (dense) tensor"),
+                  (19 + 40 + 8, "truncated while reading trailer")]
+        assert len(blob) == layout[-1][0]
+        for end in range(4, len(blob)):
+            want = next(message for field_end, message in layout if end < field_end)
+            assert self.refusal(tmp_path, blob[:end], through_pipe) == want, end
+        assert self.refusal(tmp_path, blob + b"\x00", through_pipe) == \
+            "bytes after the trailer"
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_claim_past_the_largest_read_is_truncated(self, tmp_path, through_pipe):
+        # a conv1d of 2^32 - 1 filters, each 2^32 - 1 wide, claims more than
+        # 2^66 bytes of weights, past what one read(n) can be asked for
+        big = 0xFFFFFFFF
+        blob = (b"FTLW" + struct.pack("<HIH", 1, big, 3)
+                + struct.pack("<BIIIB", 0, big, big, 1, 1) + struct.pack("<B", 2)
+                + struct.pack("<BIB", 3, 2, 2) + b"\x00" * 64)
+        assert self.refusal(tmp_path, blob, through_pipe) == \
+            "truncated while reading layer 0 (conv1d) tensor"

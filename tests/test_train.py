@@ -1,5 +1,7 @@
 """Training loop, checkpoint selection, metrics and prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,28 @@ class TestTrainLoop:
         pred_p = model_p.forward(x).argmax(axis=1)
         pred_s = model_s.forward(x).argmax(axis=1)
         assert np.array_equal(pred_p, pred_s)
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    ("learning_rate", float("nan"), "must be finite"),
+    ("learning_rate", float("inf"), "must be finite"),
+    ("epsilon", float("nan"), "must be finite and > 0"),
+    ("epsilon", 0.0, "must be finite and > 0"),
+    ("epsilon", -1e-7, "must be finite and > 0"),
+    ("beta1", 1.0, r"must lie in \[0, 1\)"),
+    ("beta1", -0.1, r"must lie in \[0, 1\)"),
+    ("beta2", float("nan"), r"must lie in \[0, 1\)"),
+    ("beta2", 1.5, r"must lie in \[0, 1\)"),
+    ("epochs", 0, "must be >= 1"),
+    ("batch_size", -3, "must be >= 1")])
+def test_config_refuses_settings_that_cannot_train(name, value, rule):
+    # each of these once trained every weight into NaN, or not at all
+    with pytest.raises(ValueError, match=f"{name} {rule}, got {value!r}"):
+        default_config("binary", "table", **{name: value})
+    cfg = replace(default_config("binary", "table", epochs=1), **{name: value})
+    data = toy_data(4, input_len=20)
+    with pytest.raises(ValueError, match=f"{name} {rule}"):
+        train(cfg, data, data)
 
 
 class TestMetrics:

@@ -739,6 +739,30 @@ class TestDatasetIO:
             "truncated class name", "truncated sample count",
             "truncated at sample 0"}
 
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_every_record_cut_names_the_sample(self, tmp_path, through_pipe):
+        ds = DatasetFile(ViewKind.SESSION, ALL, 3, ["benign", "malicious"],
+                         data=np.arange(9, dtype=np.uint8).reshape(3, 3),
+                         labels=np.array([1, 0, 1]))
+        p = tmp_path / "three.ftld"
+        write_dataset(p, ds)
+        blob = p.read_bytes()
+        records = len(blob) - 3 * (2 + 3)
+
+        def message(cut):
+            p.write_bytes(cut)
+            with pytest.raises(DatasetFormatError) as err:
+                if through_pipe:
+                    read_through_pipe(read_dataset, cut)
+                else:
+                    read_dataset(p)
+            return str(err.value).split(": ", 1)[1]
+
+        for end in range(records, len(blob)):
+            assert message(blob[:end]) == f"truncated at sample {(end - records) // 5}"
+        assert message(blob + b"\x00") == "bytes after the last of 3 samples"
+
     def test_header_fields_of_a_written_file(self, tmp_path):
         ds = DatasetFile(ViewKind.SESSION, NO_ETH, 5, list(BOTNET_CLASSES),
                          [Sample(3, bytes(5)), Sample(11, b"12345")])
