@@ -75,7 +75,6 @@ from .nn import (
     load_weights,
     loss_and_grad,
     maxpool1d_forward,
-    one_hot,
     save_weights,
 )
 from .train import (

@@ -252,7 +252,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
                            drop_empty=cfg.drop_empty_samples)
         write_dataset(path, ds)
         counts = ", ".join(f"{k}={v}" for k, v in ds.class_counts().items())
-        print(f"{path}: {len(ds.labels)} samples ({counts})")
+        print(f"{path}: {len(ds.labels)} samples ({counts})", file=sys.stderr)
     return 0
 
 

@@ -10,8 +10,10 @@ rule (`_plan_layer`). Activations are (L, C) per sample or (B, L, C)
 batched; every public op accepts either.
 
 Forward builds caches only for training (`Model.forward(want_cache=True)`);
-inference builds none. conv1d caches its window matrix and its output,
-whose sign is the ReLU mask; max_pool1d its input and output, from which
+inference builds none. conv1d gathers its windows as a copy of a strided
+view of its contiguous input (window axis stepping by the stride, kernel
+axis by one position) and caches that window matrix and its output, whose
+sign is the ReLU mask; max_pool1d its input and output, from which
 backward routes each window's gradient to the first position equal to the
 max; global_avg_pool1d its input shape; dense its flattened input. Backward
 writes every parameter gradient into one fresh flat buffer laid out like
@@ -27,7 +29,6 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -90,26 +91,20 @@ def _apply_activation(z, activation):
     raise ValueError(f"unknown activation {activation!r}")
 
 
-@lru_cache(maxsize=64)
-def _window_index(l_in, size, stride):
-    """Input positions of every output window.
-
-    Cached, so every model shares one array per geometry: callers must not
-    write to it. It stays writeable because np.take copies read-only indices.
-    """
-    l_out = (l_in - size) // stride + 1
-    return np.arange(l_out)[:, None] * stride + np.arange(size)[None, :]
-
-
 def _conv_forward(spec, params, a, need_cache):
     """Windows gathered into one matrix (rows are output positions, columns
     ordered (k, c)) times the flattened kernel; bias and ReLU in place.
     Caches the window matrix and the output, whose sign is the ReLU mask."""
     w, b = params
     f, k, c = w.shape
-    idx = _window_index(a.shape[1], k, spec.stride)
-    xcol = np.take(a, idx, axis=1)  # (B, L_out, K, C), contiguous
-    b_dim, l_out = xcol.shape[0], xcol.shape[1]
+    a = np.ascontiguousarray(a)
+    b_dim, l_out = a.shape[0], (a.shape[1] - k) // spec.stride + 1
+    s0, s1, s2 = a.strides
+    # windows as a strided view of the input (window axis steps by the stride,
+    # kernel axis by one position), copied; np.ndarray skips as_strided's
+    # Python overhead, which shows at B=1
+    xcol = np.ndarray((b_dim, l_out, k, c), a.dtype, a, 0,
+                      (s0, spec.stride * s1, s1, s2)).copy()
     xflat = xcol.reshape(b_dim * l_out, k * c)
     wmat = w.transpose(1, 2, 0).reshape(k * c, f)
     z = (xflat @ wmat).reshape(b_dim, l_out, f)
@@ -133,7 +128,7 @@ def _conv_backward(spec, params, cache, g, grads, need_dx):
     if not need_dx:
         return None
     # scatter window contributions; per k the targets are disjoint
-    contrib = np.tensordot(g, w, axes=([2], [0]))  # (B, L_out, K, C)
+    contrib = (gflat @ w.reshape(f, -1)).reshape(bsz, l_out, *w.shape[1:])  # (B, L_out, K, C)
     dx = np.zeros(in_shape, dtype=g.dtype)
     for k in range(w.shape[1]):
         dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
@@ -453,17 +448,6 @@ def dense_forward(x, w, b, activation: str = "none"):
 # ---------------------------------------------------------------------------
 # Loss
 
-def one_hot(labels, class_count: int, dtype=np.float64) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim == 0:
-        labels = labels[None]
-    if np.any(labels < 0) or np.any(labels >= class_count):
-        raise ValueError(f"label index out of range [0, {class_count})")
-    out = np.zeros((labels.shape[0], class_count), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def loss_and_grad(pred, labels, loss: str, activation: str):
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
@@ -471,20 +455,35 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
     through the stated output activation analytically. Probabilities are
     clamped to [1e-7, 1-1e-7] inside the logs (with matching zero gradient
     where the clamp is active, so finite differences agree).
+
+    Each row's labelled probability is picked by index, with no one-hot
+    matrix: CCE reads only that entry and BCE swaps it into the (1 - p)
+    terms. Off-label CCE gradients are -0.0, so loss and gradient equal the
+    textbook y*log(p) + (1-y)*log(1-p) formula bit for bit.
     """
     pred2, squeeze = _batched(pred, 2)
-    y = one_hot(labels, pred2.shape[1], dtype=pred2.dtype)
-    p = np.clip(pred2, _EPS, 1.0 - _EPS)
+    batch, classes = pred2.shape
+    labels = np.asarray(labels).reshape(-1)
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"label index out of range [0, {classes})")
+    at = np.arange(0, batch * classes, classes) + labels  # flat, row-major
+    p = np.minimum(np.maximum(pred2, _EPS), 1.0 - _EPS)  # np.clip, less overhead
+    picked = p.take(at)
     if loss == LOSS_CCE:
-        per_sample = -(y * np.log(p)).sum(axis=1)
-        dldp = -y / p
+        per_sample = -np.log(picked)
+        dldp = np.full_like(p, -0.0)
+        dldp.put(at, -1.0 / picked)
     elif loss == LOSS_BCE:
-        u = pred2.shape[1]
-        per_sample = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1) / u
-        dldp = (-(y / p) + (1.0 - y) / (1.0 - p)) / u
+        q = 1.0 - p
+        terms = np.log(q)
+        terms.put(at, np.log(picked))
+        per_sample = -terms.sum(axis=1) / classes
+        dldp = np.divide(1.0, q, out=q)
+        dldp.put(at, -1.0 / picked)
+        dldp /= classes
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    dldp = dldp * ((pred2 > _EPS) & (pred2 < 1.0 - _EPS))
+    dldp *= (pred2 > _EPS) & (pred2 < 1.0 - _EPS)
 
     if activation == "softmax":
         inner = (dldp * pred2).sum(axis=1, keepdims=True)
@@ -496,10 +495,9 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
     else:
         raise ValueError(f"unknown output activation {activation!r}")
 
-    batch = pred2.shape[0]
-    loss_value = float(per_sample.mean())
-    dz = dz / batch
-    return loss_value, (dz[0] if squeeze else dz)
+    dz /= batch
+    # np.mean's own arithmetic, without its overhead
+    return float(per_sample.dtype.type(per_sample.sum() / batch)), (dz[0] if squeeze else dz)
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,11 @@ class TestBuild:
         assert rc == 0
         files = sorted(p.name for p in out.glob("*.ftld"))
         assert len(files) == 12
-        # one dataset line per cell: each cell is built and written once
-        assert len(capsys.readouterr().out.strip().splitlines()) == 12
+        # one dataset line per cell, on stderr: each cell is built and written once
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines()
+                    if not line.startswith("# ")]) == 12
         assert "session_no_headers.ftld" in files
         assert "packet_all_headers.ftld" in files
 
@@ -355,6 +358,19 @@ class TestBuild:
                 reader.join()
         assert returncode == 0
         assert piped == [(tmp_path / "file.ftld").read_bytes()]
+
+    @needs_dev_fd
+    def test_out_may_name_stdout(self, cli_corpus, tmp_path):
+        # the summary line goes to stderr, so stdout carries only the dataset
+        labels = str(cli_corpus / "labels.txt")
+        assert run_cli("build", "--labels", labels, "--out", str(tmp_path / "file.ftld")) == 0
+        code = "import sys; from bytecap.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, "build", "--labels", labels,
+                               "--out", "/dev/stdout"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == (tmp_path / "file.ftld").read_bytes()
+        assert b"/dev/stdout: 20 samples (" in proc.stderr
 
     def test_out_of_memory_is_an_error_line(self, cli_corpus, tmp_path, capsys,
                                             monkeypatch):

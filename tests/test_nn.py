@@ -235,6 +235,126 @@ class TestLoss:
 
 
 # ---------------------------------------------------------------------------
+# Earlier kernels kept as oracles: the shipped ones must match them bit for bit
+
+def oracle_window_gather(a, k, stride):
+    """conv1d's window matrix as np.take over a table of window positions."""
+    l_out = (a.shape[1] - k) // stride + 1
+    idx = np.arange(l_out)[:, None] * stride + np.arange(k)[None, :]
+    return np.take(a, idx, axis=1)  # (B, L_out, K, C), contiguous
+
+
+def oracle_conv_forward(spec, params, a, need_cache):
+    w, b = params
+    f, k, c = w.shape
+    xcol = oracle_window_gather(a, k, spec.stride)
+    b_dim, l_out = xcol.shape[0], xcol.shape[1]
+    xflat = xcol.reshape(b_dim * l_out, k * c)
+    z = (xflat @ w.transpose(1, 2, 0).reshape(k * c, f)).reshape(b_dim, l_out, f)
+    z += b
+    if spec.activation == "relu":
+        np.maximum(z, 0, out=z)
+    return z, ((a.shape, xflat, z) if need_cache else None)
+
+
+def oracle_conv_backward(spec, params, cache, g, grads, need_dx):
+    in_shape, xflat, out = cache
+    w, _ = params
+    dw, db = grads
+    if spec.activation == "relu":
+        g = g * (out > 0)
+    bsz, l_out, f = g.shape
+    np.matmul(g.reshape(bsz * l_out, f).T, xflat, out=dw.reshape(f, -1))
+    np.sum(g, axis=(0, 1), out=db)
+    if not need_dx:
+        return None
+    contrib = np.tensordot(g, w, axes=([2], [0]))  # (B, L_out, K, C)
+    dx = np.zeros(in_shape, dtype=g.dtype)
+    for k in range(w.shape[1]):
+        dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
+    return dx
+
+
+def oracle_loss_and_grad(pred, labels, loss, activation):
+    """Cross-entropy through a one-hot matrix and y*log(p) + (1-y)*log(1-p)."""
+    pred2 = np.asarray(pred)
+    y = np.zeros(pred2.shape, dtype=pred2.dtype)
+    y[np.arange(len(labels)), labels] = 1.0
+    p = np.clip(pred2, nn._EPS, 1.0 - nn._EPS)
+    if loss == LOSS_CCE:
+        per_sample = -(y * np.log(p)).sum(axis=1)
+        dldp = -y / p
+    else:
+        u = pred2.shape[1]
+        per_sample = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1) / u
+        dldp = (-(y / p) + (1.0 - y) / (1.0 - p)) / u
+    dldp = dldp * ((pred2 > nn._EPS) & (pred2 < 1.0 - nn._EPS))
+    if activation == "softmax":
+        dz = pred2 * (dldp - (dldp * pred2).sum(axis=1, keepdims=True))
+    elif activation == "sigmoid":
+        dz = dldp * pred2 * (1.0 - pred2)
+    else:
+        dz = dldp
+    return float(per_sample.mean()), dz / pred2.shape[0]
+
+
+class TestOracles:
+    @pytest.mark.parametrize("shape,k,stride", [
+        ((20, 115, 1), 64, 3),   # prose conv1
+        ((20, 3, 64), 3, 1),     # prose conv2
+        ((20, 20, 1), 3, 1),     # table conv1
+        ((20, 18, 64), 3, 1),    # table conv2
+        ((1, 115, 1), 64, 3),    # one sample
+        ((3, 31, 2), 2, 5),      # stride > kernel
+        ((2, 9, 3), 9, 4),       # one window
+    ])
+    def test_conv_matches_take_and_tensordot(self, shape, k, stride):
+        rng = np.random.default_rng(k * 100 + stride)
+        a = rng.normal(size=shape).astype(np.float32)
+        spec = Conv1dSpec(5, k, stride, "relu")
+        params = (rng.normal(size=(5, k, shape[2])).astype(np.float32),
+                  rng.normal(size=5).astype(np.float32))
+        for x in (a, np.asfortranarray(a), a[:, ::-1, :], np.repeat(a, 2, axis=1)[:, ::2]):
+            z, (in_shape, xflat, out) = nn._conv_forward(spec, params, x, True)
+            ref_z, (_, ref_xflat, _) = oracle_conv_forward(spec, params, x, True)
+            assert xflat.tobytes() == ref_xflat.tobytes() and in_shape == x.shape
+            assert z.tobytes() == ref_z.tobytes() and out is z
+            g = rng.normal(size=z.shape).astype(np.float32)
+            grads, ref_grads = ([np.empty_like(t) for t in params] for _ in range(2))
+            dx = nn._conv_backward(spec, params, (in_shape, xflat, out), g, grads, True)
+            ref_dx = oracle_conv_backward(spec, params, (in_shape, xflat, out), g, ref_grads, True)
+            assert dx.tobytes() == ref_dx.tobytes()
+            assert all(t.tobytes() == r.tobytes() for t, r in zip(grads, ref_grads))
+        assert not hasattr(nn, "_window_index")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("classes", [2, 12])
+    @pytest.mark.parametrize("activation", ["softmax", "sigmoid", "none"])
+    @pytest.mark.parametrize("loss", [LOSS_BCE, LOSS_CCE])
+    def test_loss_matches_one_hot_formula(self, loss, activation, classes, dtype):
+        rng = np.random.default_rng(classes)
+        z = rng.normal(size=(20, classes)) * 3
+        pred = (np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)).astype(dtype)
+        eps = dtype(nn._EPS)
+        # both clamp edges, exactly, on and off the label
+        pred[0, :2] = (0, 1)
+        pred[1, :2] = (1, 0)
+        pred[2, :2] = (eps, 1 - eps)
+        pred[3, :2] = (1 - eps, eps)
+        pred[4, :] = eps
+        labels = rng.integers(0, classes, 20)
+        labels[:5] = (0, 0, 0, 1, classes - 1)
+        got_loss, got_dz = loss_and_grad(pred, labels, loss, activation)
+        ref_loss, ref_dz = oracle_loss_and_grad(pred, labels, loss, activation)
+        assert np.float64(got_loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert got_dz.dtype == ref_dz.dtype and got_dz.tobytes() == ref_dz.tobytes()
+        # one sample, unbatched
+        got_loss, got_dz = loss_and_grad(pred[2], labels[2], loss, activation)
+        ref_loss, ref_dz = oracle_loss_and_grad(pred[2:3], labels[2:3], loss, activation)
+        assert got_loss == ref_loss and got_dz.tobytes() == ref_dz[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Finite-difference oracles
 
 def fd_param_grads(model, x, y, h):

@@ -1,13 +1,18 @@
 """Training loop, checkpoint selection, metrics and prediction."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bytecap import nn
 from bytecap.nn import default_config, load_weights, save_weights
 from bytecap.train import evaluate, metrics_from_confusion, predict, train
 from bytecap.views import HeaderCategory, ViewKind, build_dataset, train_val_split
+from test_nn import oracle_conv_backward, oracle_conv_forward, oracle_loss_and_grad
+
+train_module = importlib.import_module("bytecap.train")  # the package re-exports train()
 
 
 def toy_data(n=40, input_len=115, seed=0):
@@ -99,6 +104,34 @@ class TestTrainLoop:
         pred_p = model_p.forward(x).argmax(axis=1)
         pred_s = model_s.forward(x).argmax(axis=1)
         assert np.array_equal(pred_p, pred_s)
+
+
+class TestOracleKernels:
+    """Training with the earlier kernels patched in gives the same bits."""
+
+    @pytest.mark.parametrize("task,pairing", [("binary", "paper"), ("multi", "paper"),
+                                              ("binary", "standard")])
+    def test_one_epoch_matches_oracle_kernels(self, task, pairing, tmp_path, monkeypatch):
+        cfg = default_config(task, pairing=pairing, epochs=1, seed=11)
+        rng = np.random.default_rng(11)
+        y = np.arange(200) % cfg.class_count
+        x = (rng.random((200, 115, 1)) * 0.5 + y[:, None, None] / (2 * cfg.class_count))
+        data, val = (x[:160].astype(np.float32), y[:160]), (x[160:].astype(np.float32), y[160:])
+
+        def run(name):
+            ckpt, history = train(cfg, data, val)
+            save_weights(tmp_path / name, ckpt)
+            return ((tmp_path / name).read_bytes(),
+                    [(e.train_loss, e.train_acc, e.val_loss, e.val_acc) for e in history.epochs])
+
+        shipped = run("shipped.ftlw")
+        with monkeypatch.context() as m:
+            conv = nn._KINDS[nn.Conv1dSpec]
+            m.setitem(nn._KINDS, nn.Conv1dSpec, conv._replace(forward=oracle_conv_forward,
+                                                              backward=oracle_conv_backward))
+            m.setattr(train_module, "loss_and_grad", oracle_loss_and_grad)
+            oracle = run("oracle.ftlw")
+        assert shipped == oracle
 
 
 @pytest.mark.parametrize("name, value, rule", [
