@@ -280,6 +280,9 @@ def read_pcap_records(path) -> tuple[CaptureMeta, list[PacketRecord]]:
         return r.meta, list(r)
 
 
+_RECORD_HEADER = {order: struct.Struct(order + "IIII") for order in "<>"}
+
+
 def write_pcap(path, records, *, byte_order="<", ts_resolution="micro"):
     """Write records as a classic-pcap Ethernet capture (fixture/corpus writer).
 
@@ -289,20 +292,21 @@ def write_pcap(path, records, *, byte_order="<", ts_resolution="micro"):
     raises ValueError naming its index before the file is created.
     """
     [magic] = [m for m, form in _MAGIC_TABLE.items() if form == (byte_order, ts_resolution)]
-    records = list(records)
-    for index, (_, _, data, orig) in enumerate(map(_record_fields, records)):
+    fields = [_record_fields(rec) for rec in records]
+    for index, (_, _, data, orig) in enumerate(fields):
         if len(data) > SNAPLEN:
             raise ValueError(f"record {index} holds {len(data)} bytes, "
                              f"more than the file's snaplen {SNAPLEN}")
         if orig < len(data):
             raise ValueError(f"record {index} has orig_len {orig}, "
                              f"below its {len(data)} captured bytes")
+    pack = _RECORD_HEADER[byte_order].pack
+    body = b"".join([part for ts_sec, ts_frac, data, orig in fields
+                     for part in (pack(ts_sec, ts_frac, len(data), orig), data)])
     with open(path, "wb") as fp:
         fp.write(struct.pack(">I", magic))
         fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
-        for ts_sec, ts_frac, data, orig in map(_record_fields, records):
-            fp.write(struct.pack(byte_order + "IIII", ts_sec, ts_frac, len(data), orig))
-            fp.write(data)
+        fp.write(body)
 
 
 def _record_fields(rec) -> tuple[int, int, bytes, int]:
