@@ -10,7 +10,8 @@ drift in CPU speed falls on both sides alike. After every run the report
 perfbench writes (`.perfbench_out/report-<workload>-seed<N>-trace0.json`)
 is read, and its `environment`, `metrics`, `digests`, `rep_seconds` and
 `setup_seconds` are kept under the workload and seed. `--traced` adds one
-`--trace 1` run of this checkout, whose per-layer metrics are kept too.
+`--trace 1` run of this checkout, whose per-layer metrics are kept under
+the same seed.
 The output file is updated, not replaced: other workloads and seeds in it
 stay, so one command per workload and seed builds up the record. Each
 seed's `summary` gives, per metric, both medians, the base's quartiles and
@@ -77,6 +78,8 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", action="store_true",
                         help="add one --trace 1 run of this checkout")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     entry = record.setdefault(args.workload, {})
@@ -91,13 +94,12 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {args.seed} pair {i + 1}/{args.pairs} "
                   f"{side}: wall_ref_s {wall:.4f}", flush=True)
         pairs.append(pair)
-    entry[f"seed{args.seed}"] = {"seconds": BENCHMARK["run_seconds"], "pairs": pairs,
-                                 "summary": summary(pairs)}
+    seed_entry = entry[f"seed{args.seed}"] = {
+        "seconds": BENCHMARK["run_seconds"], "pairs": pairs, "summary": summary(pairs)}
     if args.traced:
-        report = run(HERE, args.workload, args.seed, 1)
-        entry["traced"] = {"seed": args.seed, "metrics": report["per_layer"]}
+        seed_entry["traced"] = run(HERE, args.workload, args.seed, 1)["per_layer"]
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(json.dumps(entry[f"seed{args.seed}"]["summary"]["metrics"]["wall_ref_s"]))
+    print(json.dumps(seed_entry["summary"]["metrics"]["wall_ref_s"]))
     return 0
 
 

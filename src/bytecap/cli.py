@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -291,30 +293,50 @@ def cmd_inspect(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _is_stream(path: Path) -> bool:
+    """Whether `path` names a pipe, a device or the file this process's
+    stdout writes to, rather than a regular file of its own (one that does
+    not exist yet will be a regular file)."""
+    try:
+        st = path.stat()
+        return not stat.S_ISREG(st.st_mode) or os.path.samestat(st, os.fstat(1))
+    except OSError:  # a path not made yet (the write reports other faults); no stdout
+        return False
+
+
 def cmd_train(cfg: RunConfig, args) -> int:
     if not cfg.out:
         raise ValueError("train needs --out <weights path>")
+    # weights written to stdout, a pipe or a device are the whole stream:
+    # the table goes to stderr and no history file is made beside them
+    stream = _is_stream(Path(cfg.out))
     ds = read_dataset(args.dataset)
     model_cfg = _model_config(cfg, ds.sample_len, ds.class_names)
     train_ds, val_ds = train_val_split(ds, 0.2, cfg.seed)
     ckpt, history = train(model_cfg, train_ds, val_ds, early_stop=cfg.early_stop)
     save_weights(cfg.out, ckpt)
-    history_path = Path(str(cfg.out) + ".history.jsonl")
-    history_path.write_text("\n".join(history.to_records()) + "\n", encoding="utf-8")
-    print(history.to_text_table())
-    print(f"best epoch {ckpt.best_epoch} val_acc {ckpt.best_val_accuracy:.4f}")
+    if stream:
+        history_path = "not written (--out names stdout, a pipe or a device)"
+    else:
+        history_path = Path(str(cfg.out) + ".history.jsonl")
+        history_path.write_text("\n".join(history.to_records()) + "\n", encoding="utf-8")
+    table = sys.stderr if stream else sys.stdout
+    print(history.to_text_table(), file=table)
+    print(f"best epoch {ckpt.best_epoch} val_acc {ckpt.best_val_accuracy:.4f}", file=table)
     print(f"# weights: {cfg.out}", file=sys.stderr)
     print(f"# history: {history_path}", file=sys.stderr)
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
+    # records written to stdout, a pipe or a device are the whole stream
+    table = sys.stderr if cfg.out and _is_stream(Path(cfg.out)) else sys.stdout
     ds = read_dataset(args.dataset)
     report = evaluate(load_weights(args.weights), ds)
-    print(report.to_text_table())
+    print(report.to_text_table(), file=table)
     if args.confusion:
-        print()
-        print(report.confusion_table())
+        print(file=table)
+        print(report.confusion_table(), file=table)
     if cfg.out:
         Path(cfg.out).write_text("\n".join(report.to_records()) + "\n",
                                  encoding="utf-8")

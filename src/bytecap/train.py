@@ -93,7 +93,8 @@ class MetricsReport:
 
 
 def _as_tensors(data, input_len: int, class_count: int):
-    """Accept a DatasetFile (bytes scaled by 1/255) or a ready (X, y) pair."""
+    """A DatasetFile's (N, L) uint8 byte rows and int64 labels, as they are
+    held, or a ready (X, y) pair as float32 (N, L, 1) and int64."""
     if isinstance(data, DatasetFile):
         if data.sample_len != input_len:
             raise ValueError(f"dataset sample length {data.sample_len} != "
@@ -101,7 +102,8 @@ def _as_tensors(data, input_len: int, class_count: int):
         if len(data.class_names) != class_count:
             raise ValueError(f"dataset has {len(data.class_names)} classes, "
                              f"model expects {class_count}")
-        return data.tensors()
+        labels = np.asarray(data.labels, dtype=np.int64)
+        return data.data.reshape(len(labels), input_len), labels
     x, y = data
     x = np.asarray(x, dtype=np.float32)
     if x.ndim == 2:
@@ -114,12 +116,30 @@ def _as_tensors(data, input_len: int, class_count: int):
     return x, y
 
 
+def _rows(x, index) -> np.ndarray:
+    """Model input for `x[index]`. Byte rows are scaled as they are used, with
+    the two operations of `DatasetFile.tensors()` (a float32 cast, then an
+    in-place float32 division by 255), so each batch equals the matching
+    slice of that whole-dataset copy bit for bit; float32 rows pass through."""
+    xb = x[index]
+    if xb.dtype == np.uint8:
+        xb = xb[..., None].astype(np.float32)
+        xb /= 255.0
+    return xb
+
+
+def _forward_batches(model: Model, x):
+    """(rows, probabilities) for each EVAL_BATCH-row slice of `x`, in order."""
+    for start in range(0, len(x), EVAL_BATCH):
+        rows = slice(start, start + EVAL_BATCH)
+        yield rows, model.forward(_rows(x, rows))
+
+
 def _loss_acc(model: Model, x, y, loss: str) -> tuple[float, float]:
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(y), EVAL_BATCH):
-        xb, yb = x[start:start + EVAL_BATCH], y[start:start + EVAL_BATCH]
-        probs = model.forward(xb)
+    for rows, probs in _forward_batches(model, x):
+        yb = y[rows]
         batch_loss, _ = loss_and_grad(probs, yb, loss, model.final_activation)
         total_loss += batch_loss * len(yb)
         correct += int((probs.argmax(axis=1) == yb).sum())
@@ -141,6 +161,12 @@ def train_step(model: Model, state, step: int, xb, yb) -> tuple[float, np.ndarra
 def train(config: ModelConfig, train_data, val_data, *,
           early_stop: bool = False) -> tuple[Checkpoint, TrainHistory]:
     """Run the epoch loop and return the best-validation-accuracy weights.
+
+    Each set is a DatasetFile or an (X, y) pair. A DatasetFile's uint8 rows
+    are the only copy of its samples held: every training batch and every
+    EVAL_BATCH slice of the validation pass is scaled by 1/255 as it is
+    used, so the memory beyond the datasets is bounded by the batch, not by
+    their size, and the result equals training on `tensors()` bit for bit.
 
     Shuffling is seeded per config; batches keep the trailing partial batch.
     With early_stop the loop ends once validation accuracy hits 1.0 (the
@@ -171,7 +197,7 @@ def train(config: ModelConfig, train_data, val_data, *,
         epoch_correct = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            xb, yb = _rows(x_train, idx), y_train[idx]
             step += 1
             batch_loss, probs = train_step(model, state, step, xb, yb)
             epoch_loss += batch_loss * len(yb)
@@ -223,15 +249,19 @@ def metrics_from_confusion(confusion, class_names=None) -> MetricsReport:
 
 
 def evaluate(ckpt: Checkpoint, data) -> MetricsReport:
-    """Run the checkpoint over a dataset and tabulate the confusion matrix."""
+    """Run the checkpoint over a dataset and tabulate the confusion matrix.
+
+    `data` is a DatasetFile or an (X, y) pair. A DatasetFile is read from its
+    uint8 rows EVAL_BATCH rows at a time, each slice scaled by 1/255 as it is
+    used, so no float32 copy of the whole dataset is made.
+    """
     cfg = ckpt.config
     x, y = _as_tensors(data, cfg.input_len, cfg.class_count)
     model = ckpt.to_model()
     c = cfg.class_count
     pred = np.zeros(len(y), dtype=np.int64)
-    for start in range(0, len(y), EVAL_BATCH):
-        probs = model.forward(x[start:start + EVAL_BATCH])
-        pred[start:start + EVAL_BATCH] = probs.argmax(axis=1)  # ties: lowest class
+    for rows, probs in _forward_batches(model, x):
+        pred[rows] = probs.argmax(axis=1)  # ties: lowest class
     cm = np.bincount(y * c + pred, minlength=c * c).reshape(c, c)
     names = data.class_names if isinstance(data, DatasetFile) else None
     return metrics_from_confusion(cm, names)

@@ -181,7 +181,13 @@ class DatasetFile:
         return dict(zip(self.class_names, counts.tolist()))
 
     def tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Byte matrix scaled to [0,1] as (count, sample_len, 1) plus labels."""
+        """Byte matrix scaled to [0,1] as (count, sample_len, 1) plus labels.
+
+        This is a float32 copy of the whole dataset, 4x the bytes of `data`,
+        for callers that want every row at once, such as the tests and the
+        benchmark's load stage. `train` and `evaluate` never make it: they
+        scale each batch of `data` as they use it, with these same two
+        operations, so they see the same values bit for bit."""
         x = self.data.reshape(len(self.labels), self.sample_len, 1).astype(np.float32)
         x /= 255.0
         return x, self.labels.astype(np.int64)

@@ -34,6 +34,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# `bytecap <argv>` in a child process
+CLI_MAIN = "import sys; from bytecap.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 # each command's arguments besides --config and its settings
 OWN_ARGUMENTS = {"synth": set(), "build": {"--all-views", "--all-categories"},
                  "inspect": set(), "train": {"dataset"},
@@ -339,8 +343,7 @@ class TestBuild:
         labels = str(cli_corpus / "labels.txt")
         assert run_cli("build", "--labels", labels, "--out", str(tmp_path / "file.ftld")) == 0
         r, w = os.pipe()
-        code = "import sys; from bytecap.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.Popen([sys.executable, "-c", code, "build", "--labels", labels,
+        proc = subprocess.Popen([sys.executable, "-c", CLI_MAIN, "build", "--labels", labels,
                                  "--out", f"/dev/fd/{w}"], pass_fds=(w,),
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         os.close(w)
@@ -364,8 +367,7 @@ class TestBuild:
         # the summary line goes to stderr, so stdout carries only the dataset
         labels = str(cli_corpus / "labels.txt")
         assert run_cli("build", "--labels", labels, "--out", str(tmp_path / "file.ftld")) == 0
-        code = "import sys; from bytecap.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run([sys.executable, "-c", code, "build", "--labels", labels,
+        proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "build", "--labels", labels,
                                "--out", "/dev/stdout"],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
         assert proc.returncode == 0
@@ -487,6 +489,44 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "accuracy" in out and "weighted f1" in out
         assert "benign" in out and "malicious" in out
+
+    @needs_dev_fd
+    @pytest.mark.parametrize("stdout_is", ["pipe", "file"])
+    def test_train_out_may_name_stdout(self, dataset, tmp_path, stdout_is):
+        # the weights are the whole stream, whatever stdout is: the table goes
+        # to stderr and no history file is made beside /dev/stdout
+        w = tmp_path / "model.ftlw"
+        assert run_cli("train", str(dataset), "--epochs", "1", "--out", str(w)) == 0
+        argv = [sys.executable, "-c", CLI_MAIN, "train", str(dataset), "--epochs", "1",
+                "--out", "/dev/stdout"]
+        if stdout_is == "pipe":
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  timeout=60)
+            streamed = proc.stdout
+        else:
+            with open(tmp_path / "stdout.bin", "wb") as fp:
+                proc = subprocess.run(argv, stdout=fp, stderr=subprocess.PIPE, timeout=60)
+            streamed = (tmp_path / "stdout.bin").read_bytes()
+        assert proc.returncode == 0, proc.stderr
+        assert streamed == w.read_bytes()
+        assert b"best epoch 0 val_acc" in proc.stderr
+        assert (b"# history: not written (--out names stdout, a pipe or a device)"
+                in proc.stderr)
+        assert not os.path.exists("/dev/stdout.history.jsonl")
+
+    @needs_dev_fd
+    def test_eval_out_may_name_stdout(self, dataset, tmp_path, capsys):
+        w, records = tmp_path / "model.ftlw", tmp_path / "records.jsonl"
+        assert run_cli("train", str(dataset), "--epochs", "1", "--out", str(w)) == 0
+        capsys.readouterr()
+        assert run_cli("eval", str(dataset), str(w), "--confusion", "--out", str(records)) == 0
+        table = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "eval", str(dataset), str(w),
+                               "--confusion", "--out", "/dev/stdout"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == records.read_bytes()
+        assert table.encode() in proc.stderr
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
     def test_eval_hostile_weights_is_an_error(self, dataset, tmp_path, capsys, case):

@@ -1,6 +1,7 @@
 """Training loop, checkpoint selection, metrics and prediction."""
 
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,14 @@ import pytest
 from bytecap import nn
 from bytecap.nn import default_config, load_weights, save_weights
 from bytecap.train import evaluate, metrics_from_confusion, predict, train
-from bytecap.views import HeaderCategory, ViewKind, build_dataset, train_val_split
+from bytecap.views import (
+    DatasetFile,
+    HeaderCategory,
+    ViewKind,
+    build_dataset,
+    class_catalog,
+    train_val_split,
+)
 from test_nn import oracle_conv_backward, oracle_conv_forward, oracle_loss_and_grad
 
 train_module = importlib.import_module("bytecap.train")  # the package re-exports train()
@@ -23,6 +31,24 @@ def toy_data(n=40, input_len=115, seed=0):
     x[y == 0] = rng.uniform(0.0, 0.45, size=x[y == 0].shape).astype(np.float32)
     x[y == 1] = rng.uniform(0.55, 1.0, size=x[y == 1].shape).astype(np.float32)
     return x, y.astype(np.int64)
+
+
+def byte_dataset(task, n, input_len=115, seed=0):
+    """n byte rows whose band of byte values follows the label, held as the
+    strided (N, input_len) view of a record matrix that read_dataset gives."""
+    names = class_catalog(task)
+    band = 256 // len(names)
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n, dtype=np.int64) % len(names)
+    records = np.zeros((n, 2 + input_len), dtype=np.uint8)
+    records[:, 2:] = rng.integers(0, band, (n, input_len)) + labels[:, None] * band
+    return DatasetFile(ViewKind.PACKET, HeaderCategory.ALL_HEADERS, input_len, names,
+                       data=records[:, 2:], labels=labels)
+
+
+def sans_clock(hist):
+    return [(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc)
+            for e in hist.epochs]
 
 
 class TestTrainLoop:
@@ -63,11 +89,6 @@ class TestTrainLoop:
 
         h1 = run(tmp_path / "a.ftlw")
         h2 = run(tmp_path / "b.ftlw")
-
-        def sans_clock(hist):
-            return [(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc)
-                    for e in hist.epochs]
-
         assert sans_clock(h1) == sans_clock(h2)
         assert (tmp_path / "a.ftlw").read_bytes() == (tmp_path / "b.ftlw").read_bytes()
 
@@ -132,6 +153,51 @@ class TestOracleKernels:
             m.setattr(train_module, "loss_and_grad", oracle_loss_and_grad)
             oracle = run("oracle.ftlw")
         assert shipped == oracle
+
+
+class TestByteRows:
+    """A DatasetFile trains and evaluates from its uint8 rows, scaled per batch."""
+
+    @pytest.mark.parametrize("task,pairing", [("binary", "paper"), ("multi", "paper"),
+                                              ("binary", "standard")])
+    def test_rows_train_and_evaluate_as_their_tensors(self, task, pairing, tmp_path):
+        # 173 rows at batch 20 end in a partial batch of 13; 300 validation
+        # rows make one full EVAL_BATCH slice and a partial one
+        cfg = default_config(task, pairing=pairing, epochs=2, seed=5)
+        train_ds, val_ds = byte_dataset(task, 173, seed=1), byte_dataset(task, 300, seed=2)
+
+        def run(name, train_data, val_data):
+            ckpt, history = train(cfg, train_data, val_data)
+            save_weights(tmp_path / name, ckpt)
+            return ckpt, (tmp_path / name).read_bytes(), sans_clock(history)
+
+        ckpt, *from_rows = run("rows.ftlw", train_ds, val_ds)
+        _, *from_tensors = run("tensors.ftlw", train_ds.tensors(), val_ds.tensors())
+        assert from_rows == from_tensors
+        by_rows, by_tensors = evaluate(ckpt, val_ds), evaluate(ckpt, val_ds.tensors())
+        assert np.array_equal(by_rows.confusion, by_tensors.confusion)
+        assert by_rows.confusion.sum() == 300
+
+    def test_memory_is_bounded_by_the_batch_not_the_dataset(self):
+        # a float32 copy of 12,000 rows of 115 bytes is 5.5 MB, well above
+        # the ~3.2 MB working set of one EVAL_BATCH forward pass
+        n, input_len = 12_000, 115
+        ds = byte_dataset("binary", n, input_len, seed=3)
+        train_ds = byte_dataset("binary", 2_000, input_len, seed=4)
+        val_ds = byte_dataset("binary", n - 2_000, input_len, seed=5)
+        cfg = default_config("binary", epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            ckpt, _ = train(cfg, train_ds, val_ds)
+            train_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            evaluate(ckpt, ds)
+            evaluate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = n * input_len * 4
+        assert train_peak < bound, f"train peak {train_peak} B"
+        assert evaluate_peak < bound, f"evaluate peak {evaluate_peak} B"
 
 
 @pytest.mark.parametrize("name, value, rule", [
