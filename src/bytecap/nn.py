@@ -19,6 +19,10 @@ max; global_avg_pool1d its input shape; dense its flattened input. Backward
 writes every parameter gradient into one fresh flat buffer laid out like
 `Model.flat_params` and returns per-layer views of it.
 
+`Model.forward` first cuts each batch to the leading input positions the
+output depends on (`Model.read_length`), so every windowed layer computes
+exactly the positions the next layer reads.
+
 The default profile reproduces the reference shape column
 18x64 -> 3x64 -> 1x64 -> 64 -> {2|12} from a length-115 input.
 """
@@ -127,8 +131,10 @@ def _conv_backward(spec, params, cache, g, grads, need_dx):
     np.sum(g, axis=(0, 1), out=db)
     if not need_dx:
         return None
-    # scatter window contributions; per k the targets are disjoint
     contrib = (gflat @ w.reshape(f, -1)).reshape(bsz, l_out, *w.shape[1:])  # (B, L_out, K, C)
+    if in_shape[1] == w.shape[1]:  # one window covers the whole input
+        return contrib.reshape(in_shape)
+    # scatter window contributions; per k the targets are disjoint
     dx = np.zeros(in_shape, dtype=g.dtype)
     for k in range(w.shape[1]):
         dx[:, k:k + spec.stride * l_out:spec.stride, :] += contrib[:, :, k]
@@ -147,27 +153,35 @@ def _maxpool_forward(spec, params, a, need_cache):
 
 def _maxpool_backward(spec, params, cache, g, grads, need_dx):
     """Each window's gradient goes to its first position equal to the max;
-    overlapping windows (stride < pool) add into the positions they share."""
+    overlapping windows (stride < pool) add into the positions they share.
+    Where the windows tile the input (stride = pool, length = pool * n_out,
+    as `Model.forward`'s cut leaves them), each window offset is written
+    once into an unfilled array."""
     a, out = cache
     span = spec.stride * out.shape[1]
-    dx = np.zeros(a.shape, dtype=g.dtype)
+    tiled = spec.stride == spec.pool and a.shape[1] == span
+    dx = (np.empty if tiled else np.zeros)(a.shape, dtype=g.dtype)
     todo = np.ones(out.shape, dtype=bool)  # windows whose max is not yet found
     for p in range(spec.pool):
         at = np.s_[:, p:p + span:spec.stride, :]
         hit = a[at] == out
         hit &= todo
         todo ^= hit
-        dst = dx[at]
-        dst += g * hit  # a masked np.add(..., where=) is several times slower
+        if tiled:
+            np.multiply(g, hit, out=dx[at])
+        else:
+            dst = dx[at]
+            dst += g * hit  # a masked np.add(..., where=) is several times slower
     return dx
 
 
 def _gap_forward(spec, params, a, need_cache):
-    return a.mean(axis=1), (a.shape if need_cache else None)
+    # np.mean's own sum and division, without its overhead
+    return np.add.reduce(a, axis=1) / a.shape[1], (a.shape if need_cache else None)
 
 
 def _gap_backward(spec, params, cache, g, grads, need_dx):
-    return np.broadcast_to(g[:, None, :] / cache[1], cache).astype(g.dtype)
+    return np.divide(g[:, None, :], cache[1], out=np.empty(cache, dtype=g.dtype))
 
 
 def _dense_forward(spec, params, a, need_cache):
@@ -503,6 +517,22 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
 # ---------------------------------------------------------------------------
 # Model with caching forward and exact reverse-mode backward
 
+def _read_length(plan, input_len: int) -> int:
+    """How many leading input positions the output depends on, worked back
+    from the final (dense) layer: a windowed layer whose next layer reads
+    n of its outputs reads stride*(n-1)+window of its input; a dense or
+    global-average layer reads its whole input."""
+    lengths = [input_len] + [layer.out_shape[0] for layer in plan[:-1]]
+    read = 0
+    for layer, length in zip(reversed(plan), reversed(lengths)):
+        if layer.kind.window:
+            size, stride = (getattr(layer.spec, name) for name in layer.kind.window)
+            read = stride * (read - 1) + size
+        else:
+            read = length
+    return read
+
+
 def _fresh_params(plan, rng):
     """Glorot-uniform weights, zero biases, in fixed layer order.
 
@@ -530,12 +560,14 @@ class Model:
     arrays in `params` are views into it, so optimizer updates through
     either alias are equivalent. Gradients come back the same way: one
     fresh flat buffer per backward pass, with per-layer views into it.
+    `read_length` is how many leading input positions the output depends on.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, weights=None):
         self.config = config
         self.dtype = dtype
         self._plan = config.validate()
+        self.read_length = _read_length(self._plan, config.input_len)
         if weights is None:
             weights = _fresh_params(self._plan, np.random.default_rng(config.seed))
         self.set_weights(weights)
@@ -545,11 +577,18 @@ class Model:
         return self.config.layers[-1].activation
 
     def forward(self, x, want_cache: bool = False):
-        """Probabilities for a batch (B, L, 1); with the per-layer caches that
-        `backward` needs when `want_cache`, and no caches built otherwise."""
+        """Probabilities for a batch (B, L, 1) or (B, L), L the config's
+        `input_len`; with the per-layer caches that `backward` needs when
+        `want_cache`, and no caches built otherwise. Any other sample shape
+        raises ShapeError. The layers run on the first `read_length`
+        positions only, so the caches hold exactly what each layer reads."""
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim == 2:
             a = a[..., None]
+        if a.shape[1:] != (self.config.input_len, 1):
+            raise ShapeError(f"input samples of shape {a.shape[1:]} != model "
+                             f"input shape {(self.config.input_len, 1)}")
+        a = a[:, :self.read_length]
         caches = []
         for layer, params in zip(self._plan, self.params):
             a, cache = layer.kind.forward(layer.spec, params, a, want_cache)

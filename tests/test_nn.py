@@ -147,6 +147,57 @@ class TestForwards:
         x = np.random.default_rng(batch).random((batch, 115, 1), dtype=np.float32)
         assert np.array_equal(model.forward(x), model.forward(x, want_cache=True)[0])
 
+    @pytest.mark.parametrize("length", [90, 100, 114, 116, 120, 160])
+    def test_forward_refuses_other_input_lengths(self, length):
+        # before the check, 120 bytes read as their first 115, 160 gave other
+        # probabilities, 100 gave NaN and 90 raised numpy's own stride error
+        model = Model(default_config("binary"))
+        x = np.random.default_rng(length).random((4, length, 1), dtype=np.float32)
+        want = rf"input samples of shape \({length}, 1\) != model input shape \(115, 1\)"
+        with pytest.raises(ShapeError, match=want):
+            model.forward(x)
+        with pytest.raises(ShapeError, match=want):
+            model.forward(x[..., 0], want_cache=True)
+        with pytest.raises(ValueError, match=f"sample has {length} bytes, model expects 115"):
+            predict(Checkpoint(model.config, model.copy_weights(), 0, 0.0), bytes(length))
+
+    def test_forward_refuses_other_channel_counts(self):
+        model = Model(default_config("binary", "table"))
+        with pytest.raises(ShapeError, match=r"shape \(20, 2\) != model input shape \(20, 1\)"):
+            model.forward(np.zeros((3, 20, 2), dtype=np.float32))
+
+    READ_LENGTHS = {  # layers, input length, read length
+        "prose": (default_config("binary").layers, 115, 106),
+        "table": (default_config("binary", "table").layers, 20, 17),
+        "cut_stack": ((Conv1dSpec(3, 3, 1), Conv1dSpec(3, 2, 2), MaxPool1dSpec(2, 2),
+                       DenseSpec(2, "softmax")), 15, 14),
+        "conv_dense": ((Conv1dSpec(2, 4, 3), DenseSpec(2, "softmax")), 11, 10),
+        "conv_gap": ((Conv1dSpec(2, 4, 3), GlobalAvgPoolSpec(), DenseSpec(2, "softmax")), 12, 10),
+        "pool_conv_gap": ((MaxPool1dSpec(3, 3), Conv1dSpec(2, 2, 2), GlobalAvgPoolSpec(),
+                           DenseSpec(2, "softmax")), 17, 12),
+        "dense": ((DenseSpec(2, "softmax"),), 6, 6),
+    }
+
+    @pytest.mark.parametrize("case", sorted(READ_LENGTHS))
+    def test_read_length(self, case):
+        layers, input_len, read = self.READ_LENGTHS[case]
+        assert Model(ModelConfig(input_len, layers, LOSS_CCE, 2)).read_length == read
+
+    @pytest.mark.parametrize("profile,read", [("prose", 106), ("table", 17)])
+    def test_output_depends_on_the_read_bytes_only(self, profile, read):
+        model = Model(default_config("binary", profile, seed=2))
+        assert model.read_length == read
+        rng = np.random.default_rng(read)
+        x = rng.random((8, model.config.input_len, 1), dtype=np.float32)
+        base = model.forward(x)
+        past = x.copy()
+        past[:, read:] = rng.random(past[:, read:].shape, dtype=np.float32)
+        assert np.array_equal(model.forward(past), base)
+        assert np.array_equal(model.forward(past, want_cache=True)[0], base)
+        inside = x.copy()
+        inside[:, read - 1] = 1.0 - inside[:, read - 1]
+        assert (model.forward(inside) != base).any(axis=1).all()
+
     def test_init_seeded(self):
         cfg = default_config("multi", seed=13)
         a, b = Model(cfg), Model(cfg)
@@ -197,6 +248,17 @@ class TestMaxPoolBackward:
             assert np.array_equal(dx, expect)
         else:  # shared positions may sum their windows in another order
             assert np.allclose(dx, expect)
+
+    @pytest.mark.parametrize("pool,n_out", [(2, 6), (3, 5), (5, 3), (5, 1), (1, 4)])
+    def test_windows_that_tile_the_input(self, pool, n_out):
+        # stride = pool and length = pool * n_out, as the model's cut leaves
+        # the stock pools: every position is written once, nothing is added
+        rng = np.random.default_rng(pool * 10 + n_out)
+        a = np.maximum(rng.integers(-2, 3, size=(4, pool * n_out, 3)), 0).astype(float)
+        g, dx = self.run(a, pool, pool)
+        assert np.array_equal(dx, maxpool_backward_oracle(a, g, pool, pool))
+        g, dx = self.run(np.zeros_like(a), pool, pool)
+        assert np.array_equal(dx, maxpool_backward_oracle(np.zeros_like(a), g, pool, pool))
 
     @pytest.mark.parametrize("pool,stride", [(3, 3), (2, 3), (3, 2)])
     def test_all_zero_windows_route_to_window_start(self, pool, stride):
@@ -306,7 +368,9 @@ class TestOracles:
         ((20, 18, 64), 3, 1),    # table conv2
         ((1, 115, 1), 64, 3),    # one sample
         ((3, 31, 2), 2, 5),      # stride > kernel
-        ((2, 9, 3), 9, 4),       # one window
+        ((2, 9, 3), 9, 4),       # one window covers the input
+        ((1, 5, 1), 5, 1),       # one window, one sample, one channel
+        ((4, 3, 64), 3, 2),      # the cut prose conv2's shape, another stride
     ])
     def test_conv_matches_take_and_tensordot(self, shape, k, stride):
         rng = np.random.default_rng(k * 100 + stride)
@@ -326,6 +390,19 @@ class TestOracles:
             assert dx.tobytes() == ref_dx.tobytes()
             assert all(t.tobytes() == r.tobytes() for t, r in zip(grads, ref_grads))
         assert not hasattr(nn, "_window_index")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gap_matches_mean_and_broadcast(self, dtype):
+        kind = nn._KINDS[GlobalAvgPoolSpec]
+        rng = np.random.default_rng(7)
+        for length in (1, 3, 7, 20, 33):
+            a = rng.normal(size=(5, length, 4)).astype(dtype)
+            y, shape = kind.forward(GlobalAvgPoolSpec(), (), a, True)
+            assert y.dtype == dtype and y.tobytes() == a.mean(axis=1).tobytes()
+            g = rng.normal(size=y.shape).astype(dtype)
+            dx = kind.backward(GlobalAvgPoolSpec(), (), shape, g, (), True)
+            ref = np.broadcast_to(g[:, None, :] / length, shape).astype(dtype)
+            assert dx.dtype == dtype and dx.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("classes", [2, 12])
@@ -467,7 +544,12 @@ GRAD_CASES = [
     ("full_stack", tiny_config([Conv1dSpec(5, 6, 2), MaxPool1dSpec(3, 3),
                                 Conv1dSpec(4, 2, 1), GlobalAvgPoolSpec(),
                                 DenseSpec(3, "sigmoid")], LOSS_CCE, 3, 20)),
+    # reads 14 of 15 inputs; the second conv takes, and returns the dx of,
+    # 12 of the first conv's 13 positions
+    ("cut_stack", tiny_config([Conv1dSpec(3, 3, 1), Conv1dSpec(3, 2, 2), MaxPool1dSpec(2, 2),
+                               DenseSpec(2, "softmax")], LOSS_CCE, 2, 15)),
 ]
+F32_CASES = GRAD_CASES[:7] + GRAD_CASES[-1:]
 
 
 class TestGradients:
@@ -484,7 +566,7 @@ class TestGradients:
             an = analytic_param_grads(model, x, y)
             assert rel_err(an, fd) < 1e-5, f"{name} draw {draw}"
 
-    @pytest.mark.parametrize("name,cfg", GRAD_CASES[:7], ids=[c[0] for c in GRAD_CASES[:7]])
+    @pytest.mark.parametrize("name,cfg", F32_CASES, ids=[c[0] for c in F32_CASES])
     def test_fd_oracle_f32(self, name, cfg):
         # f32 analytic path against an accurately evaluated FD oracle;
         # the >=100-draw battery runs in the acceptance suite

@@ -127,6 +127,32 @@ class TestTrainLoop:
         assert np.array_equal(pred_p, pred_s)
 
 
+class TestReadLength:
+    """Training on the bytes the output reads gives the bits of training on
+    whole samples."""
+
+    @pytest.mark.parametrize("profile,input_len", [("prose", 115), ("table", 20)])
+    @pytest.mark.parametrize("task,pairing", [("binary", "paper"), ("multi", "paper"),
+                                              ("binary", "standard")])
+    def test_cut_trains_as_whole_samples(self, task, pairing, profile, input_len,
+                                         tmp_path, monkeypatch):
+        cfg = default_config(task, profile, pairing, epochs=2, seed=7)
+        train_ds = byte_dataset(task, 173, input_len, seed=1)
+        val_ds = byte_dataset(task, 300, input_len, seed=2)
+
+        def run(name):
+            ckpt, history = train(cfg, train_ds, val_ds)
+            save_weights(tmp_path / name, ckpt)
+            return (tmp_path / name).read_bytes(), sans_clock(history)
+
+        cut = run("cut.ftlw")
+        with monkeypatch.context() as m:
+            m.setattr(nn, "_read_length", lambda plan, input_len: input_len)
+            assert nn.Model(cfg).read_length == input_len
+            whole = run("whole.ftlw")
+        assert cut == whole
+
+
 class TestOracleKernels:
     """Training with the earlier kernels patched in gives the same bits."""
 
@@ -180,7 +206,7 @@ class TestByteRows:
 
     def test_memory_is_bounded_by_the_batch_not_the_dataset(self):
         # a float32 copy of 12,000 rows of 115 bytes is 5.5 MB, well above
-        # the ~3.2 MB working set of one EVAL_BATCH forward pass
+        # the ~2.2 MB working set of one EVAL_BATCH forward pass
         n, input_len = 12_000, 115
         ds = byte_dataset("binary", n, input_len, seed=3)
         train_ds = byte_dataset("binary", 2_000, input_len, seed=4)
