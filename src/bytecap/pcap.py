@@ -7,8 +7,9 @@ malformed degrades to absent offsets instead of raising, because real
 capture files contain garbage frames. After its fixed 24-byte global
 header, a capture's records are read in one read sized by the file
 (`_bounded.read_rest`), never by a length a record claims, and their
-headers walked once (`_walk`), which checks every claim against the
-bytes read; `PcapReader` yields records from that walk and
+headers walked once (`_walk`): its loop only follows each incl_len, and
+every claim is checked against the bytes read on the header columns it
+collected, after the loop; `PcapReader` yields records from that walk and
 `PcapReader.read_frames` returns its columns. `dissect` states the rules
 for one packet; `dissect_frames` applies the same rules to every frame
 of a buffer at once, as numpy columns.
@@ -187,10 +188,8 @@ class PcapReader:
                 # padding for the longest frame the file can hold: snaplen,
                 # or the bytes read if fewer or if snaplen is 0
                 buf, size = read_rest(fp, self.meta.snaplen or sys.maxsize)
-        order = self.meta.byte_order
-        start, error = _walk(memoryview(buf)[:size], order, self.meta.snaplen, self._path)
-        fields = _windows(buf, start - RECORD_HEADER_LEN, RECORD_HEADER_LEN)
-        return buf, start, fields.view(order + "u4").astype(np.int64), error
+        return (buf, *_walk(buf, size, self.meta.byte_order, self.meta.snaplen,
+                            self._path))
 
     def __iter__(self) -> Iterator[PacketRecord]:
         buf, start, fields, error = self._records()
@@ -229,37 +228,44 @@ class PcapReader:
         return False
 
 
-def _walk(raw, order: str, snaplen: int, path: str) -> tuple[np.ndarray, Optional[Exception]]:
-    """Walk the records that fill `raw`, the bytes after a global header.
+def _walk(buf: np.ndarray, size: int, order: str, snaplen: int,
+          path: str) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
+    """Walk the records that fill buf[:size], the bytes after a global header.
 
-    Returns the int64 offset of each good record's body and, when a record
-    is bad, the error for it (None when the walk reaches the end): a
-    header cut short, an incl_len above its orig_len or a nonzero snaplen,
-    or a body that runs past the end. The records before it are the ones
-    returned.
+    The loop only follows each record's incl_len to the next header; the
+    record rules are checked after it, on the header columns it found.
+    Returns each good record's int64 body offset, its (ts_sec, ts_frac,
+    incl_len, orig_len) as an (n, 4) int64 array and, when a record is
+    bad, the error for the first one (None when the walk reaches the end):
+    an incl_len above its orig_len or a nonzero snaplen, a body that runs
+    past the end, or a header cut short, in that order of precedence on one
+    record. The records before it are the ones returned.
     """
-    unpack = struct.Struct(order + "IIII").unpack_from
-    end, at, index, start = len(raw), 0, 0, []
-    error = None
-    while at < end:
-        if at + RECORD_HEADER_LEN > end:
-            error = _truncated(path, "header", index)
-            break
-        _, _, incl_len, orig_len = unpack(raw, at)
-        if incl_len > orig_len or (snaplen and incl_len > snaplen):
-            error = PcapFormatError(
-                f"{path}: record {index} header is corrupt "
-                f"(incl_len={incl_len}, orig_len={orig_len}, snaplen={snaplen})"
-            )
-            break
-        at += RECORD_HEADER_LEN
-        if at + incl_len > end:
-            error = _truncated(path, "body", index)
-            break
-        start.append(at)
-        at += incl_len
-        index += 1
-    return np.array(start, dtype=np.int64), error
+    incl_len = struct.Struct(order + "8xI").unpack_from
+    raw, at, heads = memoryview(buf), 0, []
+    append, last = heads.append, size - RECORD_HEADER_LEN
+    while at <= last:
+        append(at)
+        at += incl_len(raw, at)[0] + RECORD_HEADER_LEN
+    heads = np.array(heads, dtype=np.int64)
+    start = heads + RECORD_HEADER_LEN
+    fields = _windows(buf, heads, RECORD_HEADER_LEN)
+    fields = fields.view(order + "u4").astype(np.int64)
+    corrupt = fields[:, 2] > fields[:, 3]
+    if snaplen:
+        corrupt |= fields[:, 2] > snaplen
+    index, error = len(start), None
+    if corrupt.any():
+        index = int(corrupt.argmax())
+        _, _, incl, orig = fields[index].tolist()
+        error = PcapFormatError(f"{path}: record {index} header is corrupt "
+                                f"(incl_len={incl}, orig_len={orig}, snaplen={snaplen})")
+    elif at > size:
+        index -= 1
+        error = _truncated(path, "body", index)
+    elif at < size:
+        error = _truncated(path, "header", index)
+    return start[:index], fields[:index], error
 
 
 def _truncated(path: str, part: str, index: int) -> TruncatedCaptureError:

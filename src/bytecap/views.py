@@ -6,12 +6,18 @@ bytes become one fixed-length labeled sample. Datasets serialize to a
 small binary format (magic "FTLD") that round-trips byte-exactly.
 
 `Capture.read` parses a capture once into flat arrays: the frame buffer
-as read (`pcap.PcapReader.read_frames`), per-packet layer offsets and
-flow/session unit ids. It dissects every frame at once as numpy columns
+as read (`pcap.PcapReader.read_frames`, whose record walk only follows
+each incl_len and checks the record rules on the collected header
+columns after the loop), per-packet layer offsets and flow/session unit
+ids. It dissects every frame at once as numpy columns
 (`pcap.dissect_frames`) and numbers units with `np.unique` over packed
-key bytes. `build_dataset` assembles every view x category cell from a
-`Capture` by reading windows of that buffer at those offsets, without
-copying it, so a grid of cells needs one parse per capture. The
+key bytes; the session key is the flow key with its two endpoint blocks
+swapped, by one boolean row assignment, in the rows whose first endpoint
+is the greater. `build_dataset` assembles every view x category cell
+from a `Capture` by reading windows of that buffer at those offsets,
+without copying it, so a grid of cells needs one parse per capture. The
+masks that pick each window's bytes are run-length rows (`_band_mask`),
+never a broadcast int64 compare or a width-squared table. The
 per-packet path (`read_capture` with `pcap.dissect`, `filter_packets`,
 `split_view` with `pcap.keys`, `strip_headers`, `assemble_sample`)
 states the same rules one packet at a time and is the reference the
@@ -355,12 +361,14 @@ def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
     proto = cols.proto[rows, None].astype(np.uint8)
     a = _endpoints(cols.src, cols.src_port, rows)
     b = _endpoints(cols.dst, cols.dst_port, rows)
+    flow = np.hstack([version, a, b, proto])
+    flow_id, flow_first = _first_appearance(flow, rows, count)
     # a and b compare at their first differing byte; equal endpoints stay
     at = (np.arange(len(rows)), (a != b).argmax(axis=1))
-    swap = (a[at] > b[at])[:, None]
-    flow_id, flow_first = _first_appearance(np.hstack([version, a, b, proto]), rows, count)
-    session_id, session_first = _first_appearance(
-        np.hstack([version, np.where(swap, b, a), np.where(swap, a, b), proto]), rows, count)
+    swap = a[at] > b[at]
+    session = flow.copy()
+    session[swap, 1:19], session[swap, 19:37] = b[swap], a[swap]
+    session_id, session_first = _first_appearance(session, rows, count)
     return flow_id, flow_first, session_id, session_first
 
 
@@ -477,7 +485,8 @@ class Capture:
         # its row, so one row assignment lays in every unit's first piece.
         at = np.flatnonzero(piece & (pos == 0))
         piece_bytes, valid = self._pieces(at, start, head, tail, take)
-        out[rows[at], :valid.shape[1]] = piece_bytes * valid
+        piece_bytes *= valid
+        out[rows[at], :valid.shape[1]] = piece_bytes
         # The later pieces fill a row on from where its first piece ended.
         # Their valid bytes run unit by unit in capture order, so a boolean
         # scatter over just those units' rows puts them in place.
@@ -486,8 +495,7 @@ class Capture:
             unit = rows[at]
             unit_first = np.flatnonzero(np.diff(unit, prepend=-1))
             begin, unit = pos[at[unit_first]], unit[unit_first]
-            col = np.arange(n)
-            fill = (col >= begin[:, None]) & (col < np.minimum(totals[unit], n)[:, None])
+            fill = _band_mask(begin, np.minimum(totals[unit], n), n)
             piece_bytes, valid = self._pieces(at, start, head, tail, take)
             block = out[unit]
             block[fill] = piece_bytes[valid]
@@ -501,14 +509,25 @@ class Capture:
         the mask leaves those bytes out."""
         start, head, tail, take = start[at], head[at], tail[at], take[at]
         width = int(take.max(initial=1))
-        col = np.arange(width)
+        zero = np.zeros_like(take)
         piece_bytes = _windows(self.frames, start + tail - head, width)
         if head.any():  # the kept head bytes lead the row
             reach = min(int(head.max()), width)
-            piece_bytes[:, :reach] = np.where(col[:reach] < head[:, None],
-                                              _windows(self.frames, start, reach),
-                                              piece_bytes[:, :reach])
-        return piece_bytes, col < take[:, None]
+            np.copyto(piece_bytes[:, :reach], _windows(self.frames, start, reach),
+                      where=_band_mask(zero, np.minimum(head, reach), reach))
+        return piece_bytes, _band_mask(zero, take, width)
+
+
+def _band_mask(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """Rows of `width` booleans, row i True in columns lo[i] <= c < hi[i]
+    (0 <= lo <= hi <= width), laid out as three runs a row by np.repeat:
+    no broadcast compare against an int64 column index, and no table
+    whose size grows with width (width follows the longest frame)."""
+    runs = np.empty((len(lo), 3), dtype=np.int64)
+    runs[:, 0], runs[:, 1], runs[:, 2] = lo, hi - lo, width - hi
+    values = np.zeros(runs.shape, dtype=bool)
+    values[:, 1] = True
+    return np.repeat(values.reshape(-1), runs.reshape(-1)).reshape(len(lo), width)
 
 
 def label_index(name: str, task: str) -> Optional[int]:

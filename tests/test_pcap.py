@@ -290,6 +290,53 @@ class TestReadersAgree:
         assert seen == [b"\x01" * 20, b"\x02" * 3]
 
 
+class TestWalkPrecedence:
+    """The walk's verdict on one record: a corrupt header before a body
+    that runs past the end, the first bad record before any later one, and
+    a header cut at the end, each with its exact message and
+    last_good_index, read by both readers from a file and from a pipe."""
+
+    GOOD = record(b"\x01" * 30) + record(b"") + record(ipv4_frame())
+    CASES = {
+        # incl_len above orig_len, and the body it claims runs past the end
+        "corrupt-and-past-end": (
+            record(b"\x01" * 30) + struct.pack("<IIII", 0, 0, 100, 50) + b"\xff" * 40,
+            (PcapFormatError, "<capture>: record 1 header is corrupt "
+             "(incl_len=100, orig_len=50, snaplen=65535)", None)),
+        # the corrupt third record's body fits and good records follow it
+        "corrupt-after-two": (
+            record(b"\x01" * 30) + record(b"\x02" * 4)
+            + struct.pack("<IIII", 0, 0, 8, 7) + b"\xff" * 8 + GOOD,
+            (PcapFormatError, "<capture>: record 2 header is corrupt "
+             "(incl_len=8, orig_len=7, snaplen=65535)", None)),
+        "header-cut-after-three": (
+            GOOD + struct.pack("<IIII", 0, 0, 9, 9)[:7],
+            (TruncatedCaptureError, "<capture>: truncated record header after record 2", 2)),
+        "body-cut-after-three": (
+            GOOD + struct.pack("<IIII", 0, 0, 9, 9) + b"\xff" * 8,
+            (TruncatedCaptureError, "<capture>: truncated record body after record 2", 2)),
+    }
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_record(self, tmp_path, case, through_pipe):
+        tail, want = self.CASES[case]
+        blob = global_header() + tail
+        for read in (read_pcap_records, Capture.read):
+            assert outcome(read, blob, tmp_path / "bad.pcap", through_pipe) == want
+
+    @pytest.mark.parametrize("through_pipe", [
+        False, pytest.param(True, marks=needs_dev_fd)], ids=["file", "pipe"])
+    def test_last_body_ending_at_the_end_reads_clean(self, tmp_path, through_pipe):
+        blob = global_header() + self.GOOD
+        _, recs = outcome(read_pcap_records, blob, tmp_path / "whole.pcap", through_pipe)
+        assert [r.data for r in recs] == [b"\x01" * 30, b"", ipv4_frame()]
+        cap = outcome(Capture.read, blob, tmp_path / "whole.pcap", through_pipe)
+        assert cap.cap_len.tolist() == [30, 0, len(ipv4_frame())]
+        assert int(cap.start[-1] + cap.cap_len[-1]) == len(blob) - 24
+
+
 def rec_of(data):
     return PacketRecord(index=0, ts_sec=0, ts_frac=0, cap_len=len(data),
                         orig_len=len(data), data=data)

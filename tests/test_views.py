@@ -454,6 +454,35 @@ class TestCapture:
             shared = build_dataset(captures, view, ONLY_ETH, 115, "binary")
             assert from_paths == shared
 
+    def test_masks_grow_with_units_times_width(self, tmp_path):
+        """A 40,000-byte frame makes 40,000-column masks; the cells stay
+        within a small multiple of units x width bytes, where one mask table
+        over every width would take width squared (1.6 GB here)."""
+        big = ipv4_frame(payload=b"\x5a" * 39_946)
+        frames = [big, ipv4_frame(payload=b"\x01" * 9, src=(10, 0, 0, 2), dst=(10, 0, 0, 1),
+                                  sport=80, dport=5000), ipv4_frame(payload=b"\x02" * 3)]
+        assert len(big) == 40_000
+        path = tmp_path / "big.pcap"
+        write_pcap(path, [(i, 0, f) for i, f in enumerate(frames)])
+        cap = Capture.read(path)
+        n = 50_000
+        tracemalloc.start()
+        try:
+            for view in ViewKind:
+                for cat in HeaderCategory:
+                    cap.assemble(view, cat, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(frames) * n
+        _, pairs = read_capture(path)
+        for view in ViewKind:
+            units = list(split_view(pairs, view).values())
+            for cat in HeaderCategory:
+                data, _, _ = cap.assemble(view, cat, n)
+                assert [bytes(row) for row in data] == [
+                    assemble_sample(unit, cat, n)[0] for unit in units], (view, cat)
+
     @pytest.mark.parametrize("frames", [[], [arp_frame()] * 3], ids=["empty", "all-arp"])
     def test_captures_without_ip_name_units_by_first_record(self, tmp_path, frames):
         path = tmp_path / "no-ip.pcap"
