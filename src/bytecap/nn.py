@@ -21,7 +21,7 @@ writes every parameter gradient into one fresh flat buffer laid out like
 
 `Model.forward` first cuts each batch to the leading input positions the
 output depends on (`Model.read_length`), so every windowed layer computes
-exactly the positions the next layer reads.
+exactly the positions the next layer reads, then scales uint8 bytes to [0,1].
 
 The default profile reproduces the reference shape column
 18x64 -> 3x64 -> 1x64 -> 64 -> {2|12} from a length-115 input.
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._bounded import field_reader, read_rest
-from .views import class_catalog
+from .views import class_catalog, scale_bytes
 
 _EPS = 1e-7  # probability clamp for cross-entropy
 
@@ -581,14 +581,17 @@ class Model:
         `input_len`; with the per-layer caches that `backward` needs when
         `want_cache`, and no caches built otherwise. Any other sample shape
         raises ShapeError. The layers run on the first `read_length`
-        positions only, so the caches hold exactly what each layer reads."""
-        a = np.asarray(x, dtype=self.dtype)
+        positions only, so the caches hold exactly what each layer reads.
+        After the cut a uint8 batch is scaled by `views.scale_bytes`, as
+        `DatasetFile.tensors()` is, then any batch is cast to `dtype`."""
+        a = np.asarray(x)
         if a.ndim == 2:
             a = a[..., None]
         if a.shape[1:] != (self.config.input_len, 1):
             raise ShapeError(f"input samples of shape {a.shape[1:]} != model "
                              f"input shape {(self.config.input_len, 1)}")
         a = a[:, :self.read_length]
+        a = (scale_bytes(a) if a.dtype == np.uint8 else a).astype(self.dtype, copy=False)
         caches = []
         for layer, params in zip(self._plan, self.params):
             a, cache = layer.kind.forward(layer.spec, params, a, want_cache)

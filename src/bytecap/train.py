@@ -92,9 +92,9 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _as_tensors(data, input_len: int, class_count: int):
-    """A DatasetFile's (N, L) uint8 byte rows and int64 labels, as they are
-    held, or a ready (X, y) pair as float32 (N, L, 1) and int64."""
+def _rows_and_labels(data, input_len: int, class_count: int):
+    """Model input rows, (N, L) or (N, L, 1), and int64 labels: a DatasetFile's
+    uint8 bytes as held, or an (X, y) pair's X as given, uncast."""
     if isinstance(data, DatasetFile):
         if data.sample_len != input_len:
             raise ValueError(f"dataset sample length {data.sample_len} != "
@@ -105,34 +105,23 @@ def _as_tensors(data, input_len: int, class_count: int):
         labels = np.asarray(data.labels, dtype=np.int64)
         return data.data.reshape(len(labels), input_len), labels
     x, y = data
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 2:
-        x = x[..., None]
+    x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"input rows must be (N, L) or (N, L, 1), got a {x.ndim}-dim array")
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} input rows but {len(y)} labels")
     if x.shape[1] != input_len:
         raise ValueError(f"input length {x.shape[1]} != model input length {input_len}")
-    y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= class_count):
         raise ValueError("label index out of range")
     return x, y
-
-
-def _rows(x, index) -> np.ndarray:
-    """Model input for `x[index]`. Byte rows are scaled as they are used, with
-    the two operations of `DatasetFile.tensors()` (a float32 cast, then an
-    in-place float32 division by 255), so each batch equals the matching
-    slice of that whole-dataset copy bit for bit; float32 rows pass through."""
-    xb = x[index]
-    if xb.dtype == np.uint8:
-        xb = xb[..., None].astype(np.float32)
-        xb /= 255.0
-    return xb
 
 
 def _forward_batches(model: Model, x):
     """(rows, probabilities) for each EVAL_BATCH-row slice of `x`, in order."""
     for start in range(0, len(x), EVAL_BATCH):
         rows = slice(start, start + EVAL_BATCH)
-        yield rows, model.forward(_rows(x, rows))
+        yield rows, model.forward(x[rows])
 
 
 def _loss_acc(model: Model, x, y, loss: str) -> tuple[float, float]:
@@ -162,19 +151,19 @@ def train(config: ModelConfig, train_data, val_data, *,
           early_stop: bool = False) -> tuple[Checkpoint, TrainHistory]:
     """Run the epoch loop and return the best-validation-accuracy weights.
 
-    Each set is a DatasetFile or an (X, y) pair. A DatasetFile's uint8 rows
-    are the only copy of its samples held: every training batch and every
-    EVAL_BATCH slice of the validation pass is scaled by 1/255 as it is
-    used, so the memory beyond the datasets is bounded by the batch, not by
-    their size, and the result equals training on `tensors()` bit for bit.
+    Each set is a DatasetFile or an (X, y) pair, one label per row. Batches
+    of either go to `Model.forward` as held, a DatasetFile's as uint8 bytes
+    that `forward` scales, so no copy of a set is made, the memory beyond
+    the sets is bounded by the batch, and the result equals training on
+    `tensors()` bit for bit.
 
     Shuffling is seeded per config; batches keep the trailing partial batch.
     With early_stop the loop ends once validation accuracy hits 1.0 (the
     metric's maximum); otherwise all epochs run and the best epoch's
     weights are returned either way.
     """
-    x_train, y_train = _as_tensors(train_data, config.input_len, config.class_count)
-    x_val, y_val = _as_tensors(val_data, config.input_len, config.class_count)
+    x_train, y_train = _rows_and_labels(train_data, config.input_len, config.class_count)
+    x_val, y_val = _rows_and_labels(val_data, config.input_len, config.class_count)
     if len(y_train) == 0 or len(y_val) == 0:
         raise ValueError("train and validation sets must be non-empty")
     present = np.unique(y_train)
@@ -197,7 +186,7 @@ def train(config: ModelConfig, train_data, val_data, *,
         epoch_correct = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = _rows(x_train, idx), y_train[idx]
+            xb, yb = x_train[idx], y_train[idx]
             step += 1
             batch_loss, probs = train_step(model, state, step, xb, yb)
             epoch_loss += batch_loss * len(yb)
@@ -251,13 +240,13 @@ def metrics_from_confusion(confusion, class_names=None) -> MetricsReport:
 def evaluate(ckpt: Checkpoint, data) -> MetricsReport:
     """Run the checkpoint over a dataset and tabulate the confusion matrix.
 
-    `data` is a DatasetFile or an (X, y) pair. A DatasetFile is read from its
-    uint8 rows EVAL_BATCH rows at a time, each slice scaled by 1/255 as it is
-    used, so no float32 copy of the whole dataset is made.
+    `data` is a DatasetFile or an (X, y) pair, fed EVAL_BATCH rows at a time
+    to the checkpoint's shared model (as in `predict`), a DatasetFile's as
+    uint8 bytes that `Model.forward` scales: no float32 copy is made.
     """
     cfg = ckpt.config
-    x, y = _as_tensors(data, cfg.input_len, cfg.class_count)
-    model = ckpt.to_model()
+    x, y = _rows_and_labels(data, cfg.input_len, cfg.class_count)
+    model = ckpt.shared_model()
     c = cfg.class_count
     pred = np.zeros(len(y), dtype=np.int64)
     for rows, probs in _forward_batches(model, x):
@@ -269,11 +258,10 @@ def evaluate(ckpt: Checkpoint, data) -> MetricsReport:
 
 def predict(ckpt: Checkpoint, sample_bytes: bytes) -> tuple[int, np.ndarray]:
     """Classify one raw byte vector of the model's input length, with the
-    checkpoint's shared model."""
+    checkpoint's shared model, which scales the bytes."""
     cfg = ckpt.config
     if len(sample_bytes) != cfg.input_len:
         raise ValueError(f"sample has {len(sample_bytes)} bytes, "
                          f"model expects {cfg.input_len}")
-    x = np.frombuffer(sample_bytes, dtype=np.uint8).astype(np.float32) / 255.0
-    probs = ckpt.shared_model().forward(x[None, :, None])[0]
+    probs = ckpt.shared_model().forward(np.frombuffer(sample_bytes, np.uint8)[None])[0]
     return int(probs.argmax()), probs

@@ -189,14 +189,21 @@ class DatasetFile:
     def tensors(self) -> tuple[np.ndarray, np.ndarray]:
         """Byte matrix scaled to [0,1] as (count, sample_len, 1) plus labels.
 
-        This is a float32 copy of the whole dataset, 4x the bytes of `data`,
-        for callers that want every row at once, such as the tests and the
-        benchmark's load stage. `train` and `evaluate` never make it: they
-        scale each batch of `data` as they use it, with these same two
-        operations, so they see the same values bit for bit."""
-        x = self.data.reshape(len(self.labels), self.sample_len, 1).astype(np.float32)
-        x /= 255.0
+        A float32 copy of the whole dataset by `scale_bytes`, 4x the bytes of
+        `data`, for callers that want every row at once (the tests, the
+        benchmark's load stage). `train` and `evaluate` never make it: they
+        pass uint8 batches of `data` to `Model.forward`, which scales them
+        by the same rule, so the model sees the same values bit for bit."""
+        x = scale_bytes(self.data.reshape(len(self.labels), self.sample_len, 1))
         return x, self.labels.astype(np.int64)
+
+
+def scale_bytes(data: np.ndarray) -> np.ndarray:
+    """uint8 bytes as model input in [0,1] (Wang et al.): a float32 copy,
+    then an in-place float32 division by 255."""
+    x = data.astype(np.float32)
+    x /= 255.0
+    return x
 
 
 def _same_provenance(p: Optional[Provenance], q: Optional[Provenance]) -> bool:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bytecap import nn
-from bytecap.nn import default_config, load_weights, save_weights
+from bytecap.nn import Checkpoint, default_config, load_weights, save_weights
 from bytecap.train import evaluate, metrics_from_confusion, predict, train
 from bytecap.views import (
     DatasetFile,
@@ -224,6 +224,75 @@ class TestByteRows:
         bound = n * input_len * 4
         assert train_peak < bound, f"train peak {train_peak} B"
         assert evaluate_peak < bound, f"evaluate peak {evaluate_peak} B"
+
+
+class TestOneWayIn:
+    """Model.forward turns uint8 bytes into model input for every caller."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uint8_batch_is_its_tensors_rows(self, dtype):
+        ds = byte_dataset("multi", 37, seed=6)
+        model = nn.Model(default_config("multi", seed=3), dtype=dtype)
+        want = model.forward(ds.tensors()[0])
+        assert want.dtype == dtype
+        for rows in (ds.data, ds.data[..., None]):
+            got = model.forward(rows)
+            assert rows.dtype == np.uint8 and got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    def test_predict_is_forward_on_its_tensors_row(self):
+        ds = byte_dataset("binary", 9, seed=7)
+        ckpt, _ = train(default_config("binary", epochs=1, seed=2), ds, ds)
+        x, _ = ds.tensors()
+        model = ckpt.to_model()
+        for i, sample in enumerate(ds.samples):
+            _, probs = predict(ckpt, sample.data)
+            assert np.array_equal(probs, model.forward(x[i:i + 1])[0])
+
+    def test_evaluate_scores_with_new_weights(self):
+        ds = byte_dataset("binary", 40, seed=8)
+        cfg = default_config("binary", seed=2)
+
+        def voting_for(cls):
+            # a zero last dense layer whose bias picks `cls` for every row
+            weights = nn.Model(cfg).copy_weights()
+            weights[-1][0][...] = 0.0
+            weights[-1][1][...] = 0.0
+            weights[-1][1][cls] = 10.0
+            return weights
+
+        ckpt = Checkpoint(config=cfg, weights=voting_for(0), best_epoch=0,
+                          best_val_accuracy=0.0)
+        assert evaluate(ckpt, ds).confusion[:, 0].sum() == 40
+        ckpt.weights = voting_for(1)
+        assert evaluate(ckpt, ds).confusion[:, 1].sum() == 40
+
+
+class TestPairRowCounts:
+    """An (X, y) pair is refused unless X is (N, L) or (N, L, 1) with N labels."""
+
+    def test_train_refuses_fewer_labels_than_rows(self):
+        x, y = toy_data(6)
+        cfg = default_config("binary", epochs=1)
+        with pytest.raises(ValueError, match="6 input rows but 4 labels"):
+            train(cfg, (x, y[:4]), (x, y))
+        with pytest.raises(ValueError, match="6 input rows but 4 labels"):
+            train(cfg, (x, y), (x, y[:4]))
+
+    def test_evaluate_refuses_unequal_counts(self):
+        x, y = toy_data(6)
+        ckpt, _ = train(default_config("binary", epochs=1), (x, y), (x, y))
+        with pytest.raises(ValueError, match="6 input rows but 4 labels"):
+            evaluate(ckpt, (x, y[:4]))
+        with pytest.raises(ValueError, match="4 input rows but 6 labels"):
+            evaluate(ckpt, (x[:4], y))
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_rank_outside_two_and_three_is_refused(self, rank):
+        x, y = toy_data(6)
+        rows = x.reshape(-1) if rank == 1 else x[..., None]
+        with pytest.raises(ValueError, match=f"got a {rank}-dim array"):
+            train(default_config("binary", epochs=1), (rows, y), (x, y))
 
 
 @pytest.mark.parametrize("name, value, rule", [
