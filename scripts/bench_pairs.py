@@ -9,7 +9,10 @@ once in this one, alternating which side runs first, so a
 drift in CPU speed falls on both sides alike. After every run the report
 perfbench writes (`.perfbench_out/report-<workload>-seed<N>-trace0.json`)
 is read, and its `environment`, `metrics`, `digests`, `rep_seconds` and
-`setup_seconds` are kept under the workload and seed. `--traced` adds one
+`setup_seconds` are kept under the workload and seed. The two checkouts'
+resolved paths must have the same length, since perfbench's `peak_rss_mb`
+moves with the directory name alone; the script exits naming both paths
+before any run when they differ. `--traced` adds one
 `--trace 1` run of this checkout, whose per-layer metrics are kept under
 the same seed.
 The output file is updated, not replaced: other workloads and seeds in it
@@ -80,6 +83,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    base = args.base.resolve()
+    if len(str(base)) != len(str(HERE)):
+        parser.error(f"--base {base} and this checkout {HERE} have resolved paths of "
+                     f"different lengths ({len(str(base))} and {len(str(HERE))})")
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     entry = record.setdefault(args.workload, {})
@@ -88,7 +95,7 @@ def main(argv=None) -> int:
         sides = ("base", "change") if i % 2 == 0 else ("change", "base")
         pair = {}
         for side in sides:
-            report = run(args.base if side == "base" else HERE, args.workload, args.seed, 0)
+            report = run(base if side == "base" else HERE, args.workload, args.seed, 0)
             pair[side] = {k: report[k] for k in KEPT + ("correct",)}
             wall = report["metrics"]["wall_ref_s"]["value"]
             print(f"{args.workload} seed {args.seed} pair {i + 1}/{args.pairs} "

@@ -108,6 +108,8 @@ def _rows_and_labels(data, input_len: int, class_count: int):
     x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
     if x.ndim not in (2, 3):
         raise ValueError(f"input rows must be (N, L) or (N, L, 1), got a {x.ndim}-dim array")
+    if y.ndim != 1:
+        raise ValueError(f"labels must be 1-dim (N,), got shape {y.shape}")
     if len(x) != len(y):
         raise ValueError(f"{len(x)} input rows but {len(y)} labels")
     if x.shape[1] != input_len:

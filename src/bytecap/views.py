@@ -10,14 +10,17 @@ as read (`pcap.PcapReader.read_frames`, whose record walk only follows
 each incl_len and checks the record rules on the collected header
 columns after the loop), per-packet layer offsets and flow/session unit
 ids. It dissects every frame at once as numpy columns
-(`pcap.dissect_frames`) and numbers units with `np.unique` over packed
-key bytes; the session key is the flow key with its two endpoint blocks
-swapped, by one boolean row assignment, in the rows whose first endpoint
-is the greater. `build_dataset` assembles every view x category cell
-from a `Capture` by reading windows of that buffer at those offsets,
-without copying it, so a grid of cells needs one parse per capture. The
-masks that pick each window's bytes are run-length rows (`_band_mask`),
-never a broadcast int64 compare or a width-squared table. The
+(`pcap.dissect_frames`) and groups the packets once: one stable lexsort
+over packed flow key words numbers the flows, and sessions are numbered
+from the flow table, one row per flow with its two endpoint blocks
+swapped where the first is the greater. `build_dataset` assembles every
+view x category cell from a `Capture` by reading windows of that buffer
+at those offsets, without copying it, so a grid of cells needs one parse
+per capture. Each view's unit order is computed at most once per capture
+and shared by its four category cells. Only a unit whose first piece is
+shorter than its window is masked and zero-filled; the masks that pick
+each window's bytes are run-length rows (`_band_mask`), never a
+broadcast int64 compare or a width-squared table. The
 per-packet path (`read_capture` with `pcap.dissect`, `filter_packets`,
 `split_view` with `pcap.keys`, `strip_headers`, `assemble_sample`)
 states the same rules one packet at a time and is the reference the
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -199,11 +202,10 @@ class DatasetFile:
 
 
 def scale_bytes(data: np.ndarray) -> np.ndarray:
-    """uint8 bytes as model input in [0,1] (Wang et al.): a float32 copy,
-    then an in-place float32 division by 255."""
-    x = data.astype(np.float32)
-    x /= 255.0
-    return x
+    """uint8 bytes as model input in [0,1] (Wang et al.): one float32
+    division by 255 into a new float32 array, each byte cast to float32
+    first (bit for bit a float32 copy, then an in-place division)."""
+    return np.divide(data, np.float32(255), dtype=np.float32)
 
 
 def _same_provenance(p: Optional[Provenance], q: Optional[Provenance]) -> bool:
@@ -326,57 +328,69 @@ def assemble_sample(unit: Sequence[PacketPair], cat: HeaderCategory,
     return data, total
 
 
-def _endpoints(addr: np.ndarray, port: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(address, port) of each row as 18 bytes: the 16-byte address, then
-    the port big-endian, so the bytes compare as Python compares the tuples
-    (a packet's two addresses share one length and so one zero padding)."""
-    out = np.empty((len(rows), 18), dtype=np.uint8)
-    out[:, :16] = addr[rows]
-    out[:, 16] = port[rows] >> 8
-    out[:, 17] = port[rows] & 0xFF
-    return out
+def _key_rows(cols: FrameColumns, rows: np.ndarray) -> np.ndarray:
+    """The flow key of frames `rows`, one 40-byte row each: IP version, source
+    address and port, destination address and port, proto, then two zero
+    bytes, so a row is five whole uint64 words. An address is 16 bytes (an IPv4
+    one zero-padded; the version byte keeps it apart from an IPv6 one) and a
+    port two big-endian bytes, so an endpoint's 18 bytes compare as Python
+    compares its (address, port) tuple."""
+    key = np.zeros((len(rows), 40), dtype=np.uint8)
+    key[:, 0] = cols.ip_version[rows]
+    for at, addr, port in ((1, cols.src, cols.src_port), (19, cols.dst, cols.dst_port)):
+        key[:, at:at + 16] = addr[rows]
+        key[:, at + 16] = port[rows] >> 8
+        key[:, at + 17] = port[rows] & 0xFF
+    key[:, 37] = cols.proto[rows]
+    return key
 
 
-def _first_appearance(packed: np.ndarray, rows: np.ndarray,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct keys of a capture's frames in order of first
-    appearance. packed holds the key bytes of frames `rows`, one row each.
-    Returns each of the `count` frames' number (-1 for frames not in
-    rows) and the frame that first has each number."""
-    voids = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(voids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ids = np.full(count, -1, dtype=np.int64)
-    ids[rows] = rank[inverse.reshape(-1)]
-    return ids, rows[first[order]]
+def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a _key_rows matrix in order of first
+    appearance: each row's number, and the row that first has each number.
+    One stable lexsort over the rows' uint64 words puts equal rows together,
+    each group in row order, so a group's first row is its first appearance."""
+    words = key.view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[new]
+    by_appearance = np.argsort(first)
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(first))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, first[by_appearance]
 
 
 def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
     """flow_id, flow_first, session_id and session_first of Capture.read.
 
-    A flow is the bytes (IP version, source endpoint, destination
-    endpoint, proto) and a session the same with its two endpoints in
-    ascending order, so packets group as keys() groups them; the version
-    byte keeps an IPv4 address apart from a zero-padded IPv6 one. Units
-    are numbered by first appearance (see _first_appearance).
+    A flow is the key (IP version, source endpoint, destination endpoint,
+    proto) and a session the same with its two endpoints in ascending
+    order, so packets group as keys() groups them. The packets' key rows
+    are grouped once, for the flows (see _first_appearance). Sessions are
+    then numbered from the flow table, one key row per flow with its
+    endpoints swapped where the first is the greater: flows are numbered
+    by first appearance, so a session's first packet is its first flow's.
     """
     count = len(cols.ip_version)
     rows = np.flatnonzero(cols.ip_version)
-    version = cols.ip_version[rows, None].astype(np.uint8)
-    proto = cols.proto[rows, None].astype(np.uint8)
-    a = _endpoints(cols.src, cols.src_port, rows)
-    b = _endpoints(cols.dst, cols.dst_port, rows)
-    flow = np.hstack([version, a, b, proto])
-    flow_id, flow_first = _first_appearance(flow, rows, count)
+    key = _key_rows(cols, rows)
+    flow, flow_first = _first_appearance(key)
+    table = key[flow_first]
+    a, b = table[:, 1:19], table[:, 19:37]
     # a and b compare at their first differing byte; equal endpoints stay
-    at = (np.arange(len(rows)), (a != b).argmax(axis=1))
+    at = (np.arange(len(table)), (a != b).argmax(axis=1))
     swap = a[at] > b[at]
-    session = flow.copy()
-    session[swap, 1:19], session[swap, 19:37] = b[swap], a[swap]
-    session_id, session_first = _first_appearance(session, rows, count)
-    return flow_id, flow_first, session_id, session_first
+    a[swap], b[swap] = b[swap], a[swap]
+    session, session_flow = _first_appearance(table)
+    flow_id = np.full(count, -1, dtype=np.int64)
+    session_id = np.full(count, -1, dtype=np.int64)
+    flow_id[rows] = flow
+    session_id[rows] = session[flow]
+    return flow_id, rows[flow_first], session_id, rows[flow_first[session_flow]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,7 +405,9 @@ class Capture:
     ones without an IP header end). flow_id and session_id number each
     IP packet's unit in first-appearance order (-1 for non-IP packets) and
     index flow_first / session_first, the int64 record index of each
-    unit's first packet. A packet-view unit is its one packet.
+    unit's first packet; sessions are numbered from the flow table, so a
+    session's first packet is its first flow's. A packet-view unit is its
+    one packet. `units` keeps each view's grouping, read-only, once made.
     """
 
     source: str
@@ -405,6 +421,7 @@ class Capture:
     flow_first: np.ndarray
     session_id: np.ndarray
     session_first: np.ndarray
+    _units: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def read(cls, path) -> "Capture":
@@ -439,7 +456,19 @@ class Capture:
         Returns the kept packets' indices unit by unit (capture order
         within a unit), the unit row of each of those packets, and the
         record index of each unit's first packet, in first-appearance order.
+        Each view's grouping is computed at most once per capture and kept
+        as read-only arrays, so the four category cells of a view share it.
         """
+        key = (view, include_non_ip)
+        if key not in self._units:
+            arrays = tuple(a.view() for a in self._group(view, include_non_ip))
+            for a in arrays:
+                a.flags.writeable = False
+            self._units[key] = arrays
+        return self._units[key]
+
+    def _group(self, view: ViewKind, include_non_ip: bool):
+        """What `units` returns, computed afresh."""
         if view is ViewKind.PACKET:
             order = (np.arange(len(self)) if include_non_ip
                      else np.flatnonzero(~self.non_ip))
@@ -471,7 +500,10 @@ class Capture:
         """assemble_sample for every unit of one view at once.
 
         Returns a (units, n) uint8 matrix, each unit's stripped length
-        before truncation, and each unit's first record index.
+        before truncation, and each unit's first record index (read-only,
+        shared with `units`). Only units whose first piece is shorter than
+        the window matrix are masked; when every unit's first piece fills
+        its row, the window matrix is the output, with no zero-filled copy.
         """
         if n < 1:
             raise ValueError("sample length must be >= 1")
@@ -486,14 +518,19 @@ class Capture:
         lead = np.flatnonzero(np.diff(rows, prepend=-1))
         pos = before - before[lead][rows]
         take = np.clip(n - pos, 0, length)
-        out = np.zeros((len(first), n), dtype=np.uint8)
         piece = take > 0
         # A unit's first piece (its first packet with bytes to give) starts
         # its row, so one row assignment lays in every unit's first piece.
         at = np.flatnonzero(piece & (pos == 0))
-        piece_bytes, valid = self._pieces(at, start, head, tail, take)
-        piece_bytes *= valid
-        out[rows[at], :valid.shape[1]] = piece_bytes
+        piece_bytes = self._pieces(at, start, head, tail, take)
+        width = piece_bytes.shape[1]
+        short = np.flatnonzero(take[at] < width)
+        piece_bytes[short] *= _band_mask(np.zeros_like(short), take[at[short]], width)
+        if len(at) == len(first) and width == n:
+            out = piece_bytes  # every unit's first piece, one full row each
+        else:
+            out = np.zeros((len(first), n), dtype=np.uint8)
+            out[rows[at], :width] = piece_bytes
         # The later pieces fill a row on from where its first piece ended.
         # Their valid bytes run unit by unit in capture order, so a boolean
         # scatter over just those units' rows puts them in place.
@@ -503,26 +540,26 @@ class Capture:
             unit_first = np.flatnonzero(np.diff(unit, prepend=-1))
             begin, unit = pos[at[unit_first]], unit[unit_first]
             fill = _band_mask(begin, np.minimum(totals[unit], n), n)
-            piece_bytes, valid = self._pieces(at, start, head, tail, take)
+            piece_bytes = self._pieces(at, start, head, tail, take)
+            valid = _band_mask(np.zeros_like(at), take[at], piece_bytes.shape[1])
             block = out[unit]
             block[fill] = piece_bytes[valid]
             out[unit] = block
         return out, totals, first
 
-    def _pieces(self, at, start, head, tail, take) -> tuple[np.ndarray, np.ndarray]:
-        """The first take[i] stripped bytes of each packet i of `at`, one
-        window row each, and the mask of those valid bytes. A window may run
-        past its frame into the next record or the buffer's zero padding;
-        the mask leaves those bytes out."""
-        start, head, tail, take = start[at], head[at], tail[at], take[at]
-        width = int(take.max(initial=1))
-        zero = np.zeros_like(take)
+    def _pieces(self, at, start, head, tail, take) -> np.ndarray:
+        """The stripped bytes of each packet i of `at` from its first on, one
+        window row each, as wide as the longest take[i]. A window may run
+        past its frame into the next record or the buffer's zero padding, so
+        only a row's first take[i] bytes are its piece."""
+        start, head, tail = start[at], head[at], tail[at]
+        width = int(take[at].max(initial=1))
         piece_bytes = _windows(self.frames, start + tail - head, width)
         if head.any():  # the kept head bytes lead the row
             reach = min(int(head.max()), width)
             np.copyto(piece_bytes[:, :reach], _windows(self.frames, start, reach),
-                      where=_band_mask(zero, np.minimum(head, reach), reach))
-        return piece_bytes, _band_mask(zero, take, width)
+                      where=_band_mask(np.zeros_like(head), np.minimum(head, reach), reach))
+        return piece_bytes
 
 
 def _band_mask(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:

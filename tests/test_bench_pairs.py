@@ -14,9 +14,11 @@ _spec.loader.exec_module(bench_pairs)
 
 
 @pytest.fixture
-def runs(monkeypatch):
-    """The (side, seed, trace) of each run; the change's runs read faster."""
+def runs(monkeypatch, tmp_path):
+    """The (side, seed, trace) of each run; the change's runs read faster.
+    This checkout is taken to be tmp_path/"this", as long a path as main's base."""
     calls = []
+    monkeypatch.setattr(bench_pairs, "HERE", tmp_path / "this")
 
     def run(checkout, workload, seed, trace):
         side = "change" if checkout == bench_pairs.HERE else "base"
@@ -33,8 +35,8 @@ def runs(monkeypatch):
     return calls
 
 
-def main(tmp_path, *argv):
-    return bench_pairs.main(["--base", str(tmp_path / "base"), "--out",
+def main(tmp_path, *argv, base="base"):
+    return bench_pairs.main(["--base", str(tmp_path / base), "--out",
                              str(tmp_path / "BENCH.json"), "--workload", "train-infer",
                              *argv])
 
@@ -66,3 +68,22 @@ def test_pairs_below_one_refused_before_any_run(tmp_path, runs, capsys, pairs):
     assert f"--pairs must be >= 1, got {pairs}" in capsys.readouterr().err
     assert runs == []
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_base_path_of_another_length_refused_before_any_run(tmp_path, runs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(tmp_path, base="parent")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--base {tmp_path / 'parent'} and this checkout {tmp_path / 'this'}" in err
+    assert "different lengths" in err
+    assert runs == []
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_base_path_compared_after_resolving(tmp_path, runs):
+    (tmp_path / "base").mkdir()
+    (tmp_path / "ln").symlink_to(tmp_path / "base")
+    # "ln" is shorter than "this" but resolves to the same-length "base"
+    assert main(tmp_path, "--pairs", "1", base="ln") == 0
+    assert runs == [("base", 1, 0), ("change", 1, 0)]

@@ -1,6 +1,7 @@
 """Training loop, checkpoint selection, metrics and prediction."""
 
 import importlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -293,6 +294,23 @@ class TestPairRowCounts:
         rows = x.reshape(-1) if rank == 1 else x[..., None]
         with pytest.raises(ValueError, match=f"got a {rank}-dim array"):
             train(default_config("binary", epochs=1), (rows, y), (x, y))
+
+    @pytest.mark.parametrize("shape", [(6, 1), (6, 2), (1, 6)])
+    def test_train_refuses_labels_that_are_not_one_dim(self, shape):
+        x, y = toy_data(6)
+        labels = np.resize(y, shape)
+        cfg = default_config("binary", epochs=1)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            train(cfg, (x, labels), (x, y))
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            train(cfg, (x, y), (x, labels))
+
+    @pytest.mark.parametrize("shape", [(6, 1), (6, 2)])
+    def test_evaluate_refuses_labels_that_are_not_one_dim(self, shape):
+        x, y = toy_data(6)
+        ckpt, _ = train(default_config("binary", epochs=1), (x, y), (x, y))
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            evaluate(ckpt, (x, np.resize(y, shape)))
 
 
 @pytest.mark.parametrize("name, value, rule", [

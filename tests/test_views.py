@@ -356,6 +356,17 @@ def colliding_frames():
     return frames
 
 
+def unit_numbering(pairs, view: ViewKind) -> tuple[list[int], list[int]]:
+    """Each packet's unit number under split_view (-1 for a packet it leaves
+    out) and each unit's first record index, in split_view's order."""
+    units = split_view(filter_packets(pairs, view), view)
+    ids = [-1] * len(pairs)
+    for number, unit in enumerate(units.values()):
+        for rec, _ in unit:
+            ids[rec.index] = number
+    return ids, [unit[0][0].index for unit in units.values()]
+
+
 class TestCaptureKeys:
     @pytest.mark.parametrize("byte_order,resolution", [
         ("<", "micro"), (">", "micro"), ("<", "nano"), (">", "nano")])
@@ -369,20 +380,65 @@ class TestCaptureKeys:
                                  (ViewKind.SESSION, cap.session_id, cap.session_first)):
             units = split_view(filter_packets(pairs, view), view)
             assert first.dtype == np.int64, view
-            assert first.tolist() == [unit[0][0].index for unit in units.values()], view
+            assert (ids.tolist(), first.tolist()) == unit_numbering(pairs, view), view
             # a unit's key is the key of its first packet
             which = 1 if view is ViewKind.SESSION else 0
             assert [keys(pairs[i][1])[which] for i in first.tolist()] == list(units), view
-            expected = [-1] * len(pairs)
-            for number, unit in enumerate(units.values()):
-                for rec, _ in unit:
-                    expected[rec.index] = number
-            assert ids.tolist() == expected, view
         assert cap.eth_end.tolist() == [d.eth_end for _, d in pairs]
         assert cap.ip_end.tolist() == [-1 if d.ip_end is None else d.ip_end for _, d in pairs]
         # the fixture's collisions hold: 11 flows and 8 sessions among 34 IP packets
         assert int((cap.flow_id >= 0).sum()) == 34
         assert (len(cap.flow_first), len(cap.session_first)) == (11, 8)
+
+    def test_numbering_matches_split_view_on_drawn_captures(self, tmp_path):
+        """Flows are grouped once and sessions numbered from the flow table;
+        both equal the per-packet numbering on drawn mixes of shared
+        endpoints. Derandomized and bounded, like the other properties."""
+        path = tmp_path / "drawn.pcap"
+
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @given(keyed_captures())
+        def check(frames):
+            write_pcap(path, [(i, 0, f) for i, f in enumerate(frames)])
+            cap = Capture.read(path)
+            _, pairs = read_capture(path)
+            for view, ids, first in ((ViewKind.FLOW, cap.flow_id, cap.flow_first),
+                                     (ViewKind.SESSION, cap.session_id, cap.session_first)):
+                assert ids.dtype == first.dtype == np.int64, view
+                assert (ids.tolist(), first.tolist()) == unit_numbering(pairs, view), view
+            for view in ViewKind:
+                units = cap.units(view)
+                assert all(a is b for a, b in zip(cap.units(view), units)), view
+                assert not any(a.flags.writeable for a in units), view
+
+        check()
+
+
+@st.composite
+def keyed_captures(draw):
+    """0-24 frames between a few shared hosts and ports: IPv4 with 0-2 VLAN
+    tags, IPv6 holding the same four leading address bytes, and ARP. Any
+    two endpoints may meet, so endpoints recur across flows, a packet may
+    go from an endpoint to itself, and a session may open from its higher
+    endpoint."""
+    hosts = [(10, 0, 0, 1), (10, 0, 0, 2), (192, 168, 0, 1)]
+    ports = [0, 80, 5000, 65535]
+    frames = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["ipv4", "ipv6", "arp"]))
+        if kind == "arp":
+            frames.append(arp_frame())
+            continue
+        src, dst = draw(st.sampled_from(hosts)), draw(st.sampled_from(hosts))
+        sport, dport = draw(st.sampled_from(ports)), draw(st.sampled_from(ports))
+        proto = draw(st.sampled_from([6, 17]))
+        if kind == "ipv4":
+            frames.append(ipv4_frame(proto=proto, src=src, dst=dst, sport=sport, dport=dport,
+                                     vlan_tags=draw(st.integers(0, 2))))
+        else:
+            frames.append(ipv6_frame(next_header=proto, sport=sport, dport=dport,
+                                     src=bytes(src) + bytes(12), dst=bytes(dst) + bytes(12)))
+    return frames
 
 
 class TestCapture:
@@ -453,6 +509,22 @@ class TestCapture:
             from_paths = build_dataset(corpus_small, view, ONLY_ETH, 115, "binary")
             shared = build_dataset(captures, view, ONLY_ETH, 115, "binary")
             assert from_paths == shared
+
+    def test_read_memory_per_packet_is_bounded(self, corpus_bench):
+        """Capture.read's traced peak on the 17,840-packet benign capture of
+        the timing corpus: about 227 bytes a packet since flows are grouped
+        once and sessions numbered from the flow table (354 before). The
+        frame buffer is a mapping tracemalloc does not see."""
+        path = dict((name, p) for p, name in corpus_bench)["benign"]
+        Capture.read(path)  # imports and first-call caches out of the count
+        tracemalloc.start()
+        try:
+            cap = Capture.read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cap) == 17_840
+        assert peak / len(cap) < 290, f"{peak / len(cap):.0f} B/packet"
 
     def test_masks_grow_with_units_times_width(self, tmp_path):
         """A 40,000-byte frame makes 40,000-column masks; the cells stay
