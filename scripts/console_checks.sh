@@ -59,6 +59,21 @@ bytecap train "$work/session.ftld" --epochs 1 --out /dev/stdout | cmp - "$work/m
 test ! -e /dev/stdout.history.jsonl
 bytecap bench --labels "$work/corpus/labels.txt" --epochs 1 --views session --out "$work/bench.csv"
 test -s "$work/bench.csv"
+# the table profile at its own input length, warm-up included
+bytecap bench --labels "$work/corpus/labels.txt" --profile table --n 20 --epochs 1 --views session
+# train takes its task from the dataset's class table: a multi corpus
+# trains without --task, and train refuses the flag as one it does not read
+bytecap synth --task multi --sessions 2 --out "$work/multi"
+bytecap build --labels "$work/multi/labels.txt" --task multi --out "$work/multi.ftld"
+bytecap train "$work/multi.ftld" --epochs 1 --out "$work/multi.ftlw"
+bytecap eval "$work/multi.ftld" "$work/multi.ftlw"
+set +e
+bytecap train "$work/multi.ftld" --epochs 1 --task binary --out "$work/task.ftlw" 2> "$work/task.err"
+status=$?
+set -e
+test "$status" -eq 2
+grep -F "unrecognized arguments: --task binary" "$work/task.err"
+test ! -e "$work/task.ftlw"
 # a one-record capture of link type 101 (raw IP) is refused, naming the file
 python -c 'import struct, sys; open(sys.argv[1], "wb").write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101) + struct.pack("<IIII", 0, 0, 4, 4) + b"\x45\x00\x00\x04")' "$work/raw.pcap"
 echo "$work/raw.pcap,benign" > "$work/raw.txt"

@@ -51,8 +51,8 @@ from .views import (
 from .synth import (
     SynthClass,
     binary_synth_classes,
-    multi_synth_classes,
     read_labels_file,
+    synth_classes,
     synth_corpus,
     write_labels_file,
 )

@@ -220,11 +220,11 @@ def _collect_units(corpus, task):
     return units, np.asarray(labels, dtype=np.int64)
 
 
-def _warmup(n, task, pairing):
-    """One discarded training step keeps first-use costs out of the timed phases."""
-    cfg = default_config(task, "prose", pairing, input_len=n, epochs=1, seed=0)
+def _warmup(cfg: ModelConfig):
+    """One discarded training step of `cfg`'s model keeps first-use costs
+    out of the timed phases."""
     model = Model(cfg)
-    x = np.random.default_rng(0).random((4, n, 1), dtype=np.float32)
+    x = np.random.default_rng(0).random((4, cfg.input_len, 1), dtype=np.float32)
     train_step(model, adam_init([model.flat_params]), 1, x, np.zeros(4, dtype=np.int64))
 
 
@@ -237,11 +237,11 @@ def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADER
     validation, as in `bytecap train`), the epoch count and the batch
     size. Phases are disjoint and cover the whole run: build includes
     reading, dissection, unit grouping, sample or feature extraction and
-    the split.
+    the split. First, `_warmup` runs the views' CNN config once.
     """
-    _warmup(n, task, pairing)
     cnn_cfg = default_config(task, profile, pairing, input_len=n,
                              epochs=epochs, batch_size=batch, seed=seed)
+    _warmup(cnn_cfg)
     activation, loss = pairing_for(task, pairing)
     class_count = len(class_catalog(task))
     base_cfg = ModelConfig(input_len=FEATURE_COUNT,

@@ -18,12 +18,11 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .nn import default_config, load_weights, save_weights
+from .nn import PAIRINGS, PROFILES, default_config, load_weights, save_weights
 from .synth import (
-    binary_synth_classes,
-    multi_synth_classes,
     read_labels_file,
     read_utf8_text,
+    synth_classes,
     synth_corpus,
     write_labels_file,
 )
@@ -32,9 +31,9 @@ from .views import (
     Capture,
     DatasetFormatError,
     HeaderCategory,
+    TASKS,
     ViewKind,
     build_dataset,
-    class_catalog,
     label_index,
     read_dataset,
     read_dataset_header,
@@ -50,8 +49,7 @@ CATEGORY_FLAGS = {"all": HeaderCategory.ALL_HEADERS,
 CATEGORY_FLAGS.update({cat.value: cat for cat in HeaderCategory})
 # the values each choice setting accepts, as a flag and in a config file
 CHOICES = {"view": sorted(v.value for v in ViewKind), "category": sorted(CATEGORY_FLAGS),
-           "task": ["binary", "multi"], "profile": ["prose", "table"],
-           "pairing": ["paper", "standard"]}
+           "task": list(TASKS), "profile": list(PROFILES), "pairing": list(PAIRINGS)}
 
 
 @dataclass
@@ -85,7 +83,7 @@ SETTINGS = {
     "build": ("labels", "out", "view", "category", "n", "task", "include_non_ip",
               "drop_empty_samples"),
     "inspect": ("labels", "include_non_ip"),
-    "train": ("out", "task", "profile", "pairing", "epochs", "batch", "seed",
+    "train": ("out", "profile", "pairing", "epochs", "batch", "seed",
               "learning_rate", "beta1", "beta2", "epsilon", "early_stop"),
     "eval": ("out",),
     "bench": ("labels", "out", "n", "task", "category", "profile", "pairing",
@@ -187,12 +185,12 @@ def _echo_config(cfg: RunConfig, command: str):
 
 
 def _model_config(cfg: RunConfig, input_len: int, class_names: list[str]):
-    catalog = class_catalog(cfg.task)
-    if class_names != catalog:
-        raise ValueError(
-            f"dataset classes {class_names} do not match task {cfg.task!r} "
-            f"classes {catalog}")
-    return default_config(cfg.task, cfg.profile, cfg.pairing,
+    """The stock model of the task whose class table the dataset holds."""
+    task = next((t for t, names in TASKS.items() if names == class_names), None)
+    if task is None:
+        raise ValueError(f"dataset classes {class_names} are the classes of "
+                         f"no task ({', '.join(TASKS)})")
+    return default_config(task, cfg.profile, cfg.pairing,
                           input_len=input_len,
                           learning_rate=cfg.learning_rate, beta1=cfg.beta1,
                           beta2=cfg.beta2, epsilon=cfg.epsilon,
@@ -203,9 +201,7 @@ def _model_config(cfg: RunConfig, input_len: int, class_names: list[str]):
 def cmd_synth(cfg: RunConfig, args) -> int:
     if not cfg.out:
         raise ValueError("synth needs --out <directory>")
-    classes = (binary_synth_classes(cfg.sessions) if cfg.task == "binary"
-               else multi_synth_classes(cfg.sessions))
-    entries = synth_corpus(cfg.out, classes, cfg.seed)
+    entries = synth_corpus(cfg.out, synth_classes(cfg.task, cfg.sessions), cfg.seed)
     labels_path = Path(cfg.out) / "labels.txt"
     write_labels_file(labels_path, entries)
     for path, name in entries:

@@ -358,42 +358,43 @@ class ModelConfig:
         return plan
 
 
-def pairing_for(task: str, pairing: str) -> tuple[str, str]:
-    """(output activation, loss) for a task.
+# each stock profile's input length and two convolutions; every profile
+# walks 18x64, 3x64, 1x64, 64, classes
+PROFILES = {
+    "prose": (115, (Conv1dSpec(64, 64, 3), Conv1dSpec(64, 3, 1))),
+    "table": (20, (Conv1dSpec(64, 3, 1), Conv1dSpec(64, 3, 1))),
+}
+# each pairing's (output activation, loss): for two classes, then for more
+PAIRINGS = {
+    "paper": (("softmax", LOSS_BCE), ("sigmoid", LOSS_CCE)),
+    "standard": (("softmax", LOSS_CCE), ("softmax", LOSS_CCE)),
+}
 
-    "paper" keeps the reference pairing (softmax+BCE for binary,
-    sigmoid+CCE for multi); "standard" uses softmax+CCE for both.
-    """
-    binary = len(class_catalog(task)) == 2
-    if pairing == "paper":
-        return ("softmax", LOSS_BCE) if binary else ("sigmoid", LOSS_CCE)
-    if pairing == "standard":
-        return ("softmax", LOSS_CCE)
-    raise ValueError(f"unknown pairing {pairing!r}")
+
+def pairing_for(task: str, pairing: str) -> tuple[str, str]:
+    """(output activation, loss) for a task, from `PAIRINGS` by its class
+    count; an unknown task or pairing is refused with a ValueError."""
+    two = len(class_catalog(task)) == 2
+    if pairing not in PAIRINGS:
+        raise ValueError(f"unknown pairing {pairing!r}")
+    return PAIRINGS[pairing][0 if two else 1]
 
 
 def default_config(task: str = "binary", profile: str = "prose",
                    pairing: str = "paper", **overrides) -> ModelConfig:
-    """Build the stock model.
-
-    profile "prose": length-115 input, conv(K=64,S=3) -> pool(5,5) ->
-    conv(K=3,S=1). profile "table": length-20 input with both convs at
-    K=3,S=1. Both walks end at 18x64, 3x64, 1x64, 64, classes.
-    """
+    """The stock model: `PROFILES[profile]`'s input length and two convs
+    around a max pool (5, 5), then a global average pool and one dense unit
+    per class of `task`, activated and paired by `pairing_for`. `overrides`
+    replace ModelConfig fields before the config is validated."""
     class_count = len(class_catalog(task))
     activation, loss = pairing_for(task, pairing)
-    if profile == "prose":
-        input_len = 115
-        convs = [Conv1dSpec(64, 64, 3), Conv1dSpec(64, 3, 1)]
-    elif profile == "table":
-        input_len = 20
-        convs = [Conv1dSpec(64, 3, 1), Conv1dSpec(64, 3, 1)]
-    else:
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
+    input_len, (conv1, conv2) = PROFILES[profile]
     layers = (
-        convs[0],
+        conv1,
         MaxPool1dSpec(5, 5),
-        convs[1],
+        conv2,
         GlobalAvgPoolSpec(),
         DenseSpec(class_count, activation),
     )
@@ -724,8 +725,9 @@ _ACT_FROM_CODE = {v: k for k, v in _ACT_CODES.items()}
 
 
 def _v1_loss(class_count: int) -> str:
-    """The loss a version 1 file implies: BCE for two classes, else CCE."""
-    return LOSS_BCE if class_count == 2 else LOSS_CCE
+    """The loss a version 1 file implies: the paper pairing's (BCE for two
+    classes, else CCE)."""
+    return PAIRINGS["paper"][0 if class_count == 2 else 1][1]
 
 
 def save_weights(path, ckpt: Checkpoint):

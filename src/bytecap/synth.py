@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .pcap import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, SNAPLEN, write_pcap
-from .views import BOTNET_CLASSES
+from .views import class_catalog
 
 
 @dataclass
@@ -32,22 +32,19 @@ class SynthClass:
                              f"got {self.sessions}")
 
 
+def synth_classes(task: str, sessions: int) -> list[SynthClass]:
+    """One class per name of `class_catalog(task)`, in label order, of
+    `sessions` sessions each. Payload bands split 0..255 into equal widths
+    of 256 // classes, the last running on to 255: binary's are 0x00-0x7F
+    and 0x80-0xFF, multi's 21 values each and 25 in the last."""
+    names = class_catalog(task)
+    width = 256 // len(names)
+    return [SynthClass(name, i * width, 255 if i == len(names) - 1 else (i + 1) * width - 1,
+                       sessions) for i, name in enumerate(names)]
+
+
 def binary_synth_classes(sessions_per_class: int) -> list[SynthClass]:
-    return [
-        SynthClass("benign", 0x00, 0x7F, sessions_per_class),
-        SynthClass("malicious", 0x80, 0xFF, sessions_per_class),
-    ]
-
-
-def multi_synth_classes(sessions_per_class: int) -> list[SynthClass]:
-    """12 classes with disjoint payload byte bands across 0..255."""
-    out = []
-    width = 256 // len(BOTNET_CLASSES)
-    for i, name in enumerate(BOTNET_CLASSES):
-        lo = i * width
-        hi = lo + width - 1 if i < len(BOTNET_CLASSES) - 1 else 255
-        out.append(SynthClass(name, lo, hi, sessions_per_class))
-    return out
+    return synth_classes("binary", sessions_per_class)
 
 
 # One frame's Ethernet + IPv4 header, then its transport header; every

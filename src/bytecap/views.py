@@ -65,9 +65,6 @@ from .pcap import (
     read_pcap,
 )
 
-DEFAULT_SAMPLE_LEN = 115  # reproduces the reference model's shape column
-
-
 class ViewKind(Enum):
     PACKET = "packet"
     FLOW = "flow"
@@ -100,12 +97,15 @@ BOTNET_CLASSES = [
 ]
 
 
+TASKS = {"binary": BINARY_CLASSES, "multi": BOTNET_CLASSES}  # task -> class names
+
+
 def class_catalog(task: str) -> list[str]:
-    if task == "binary":
-        return list(BINARY_CLASSES)
-    if task == "multi":
-        return list(BOTNET_CLASSES)
-    raise ValueError(f"unknown task {task!r}, expected 'binary' or 'multi'")
+    """`TASKS[task]`'s class names in label order, as a fresh list; any
+    other task is refused with a ValueError naming it."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}, expected {' or '.join(map(repr, TASKS))}")
+    return list(TASKS[task])
 
 
 @dataclass(slots=True)

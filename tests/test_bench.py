@@ -13,6 +13,7 @@ from bytecap.bench import (
     time_pipelines,
     timed,
 )
+from bytecap.nn import default_config
 from bytecap.pcap import (
     PROTO_TCP,
     PROTO_UDP,
@@ -376,6 +377,35 @@ class TestTimePipelines:
         seen.clear()
         time_pipelines(twins, [], 115, "binary", epochs=1)
         assert np.array_equal(np.stack(seen), micro)
+
+    def test_table_profile_at_its_own_input_length(self, corpus_small):
+        # the warm-up once built the prose model whatever the profile, and
+        # at N=20 its first kernel (64) is longer than the input
+        report = time_pipelines(corpus_small, [ViewKind.SESSION], 20, "binary",
+                                profile="table", epochs=1)
+        assert [r.pipeline for r in report.rows] == ["session", "stat-baseline"]
+
+    @pytest.mark.parametrize("profile, n", [("prose", 115), ("table", 20)])
+    def test_warmup_runs_the_cnn_config_that_is_timed(self, corpus_small, monkeypatch,
+                                                      profile, n):
+        warmed, trained = [], []
+        warmup, train = bench._warmup, bench.train
+
+        def recording_warmup(cfg):
+            warmed.append(cfg)
+            return warmup(cfg)
+
+        def recording_train(cfg, *args, **kwargs):
+            trained.append(cfg)
+            return train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "_warmup", recording_warmup)
+        monkeypatch.setattr(bench, "train", recording_train)
+        time_pipelines(corpus_small, [ViewKind.SESSION], n, "binary", profile=profile,
+                       epochs=1, batch=7, seed=2)
+        cnn = default_config("binary", profile, input_len=n, epochs=1, batch_size=7, seed=2)
+        assert warmed == [cnn]
+        assert trained[0] == cnn
 
     def test_report_format_stable(self):
         report = TimingReport(rows=[])

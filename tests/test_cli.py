@@ -13,6 +13,7 @@ import pytest
 from bytecap import cli, views
 from bytecap.bench import TimingReport
 from bytecap.cli import (
+    CHOICES,
     SETTINGS,
     RunConfig,
     build_parser,
@@ -21,11 +22,11 @@ from bytecap.cli import (
     parse_config,
     render_config,
 )
-from bytecap.nn import Checkpoint, Model, default_config, save_weights
+from bytecap.nn import Checkpoint, Model, PAIRINGS, PROFILES, default_config, save_weights
 from bytecap.pcap import read_pcap_records
-from bytecap.synth import SynthClass, binary_synth_classes, multi_synth_classes, synth_corpus
+from bytecap.synth import SynthClass, binary_synth_classes, synth_classes, synth_corpus
 from bytecap.train import train
-from bytecap.views import read_dataset
+from bytecap.views import DatasetFile, TASKS, read_dataset, train_val_split, write_dataset
 from conftest import needs_dev_fd
 from test_nn import HOSTILE_SPECS, write_hostile_weights
 
@@ -110,12 +111,27 @@ class TestConfigFile:
         ["build", "--seed", "4"],
         ["eval", "d.ftld", "w.ftlw", "--epochs", "3"],
         ["bench", "--learning-rate", "5"],
-    ], ids=["build-seed", "eval-epochs", "bench-learning-rate"])
+        ["train", "d.ftld", "--task", "binary"],
+    ], ids=["build-seed", "eval-epochs", "bench-learning-rate", "train-task"])
     def test_flag_the_command_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    # the tables each choice setting's values come from
+    TABLES = {"task": TASKS, "profile": PROFILES, "pairing": PAIRINGS}
+
+    @pytest.mark.parametrize("key, value", [(k, v) for k, t in TABLES.items() for v in t])
+    def test_every_table_entry_is_a_choice(self, key, value):
+        assert CHOICES[key] == list(self.TABLES[key])
+        commands = [command for command, names in SETTINGS.items() if key in names]
+        assert commands
+        for command in commands:
+            positional = ["d.ftld"] if command == "train" else []
+            args = build_parser().parse_args([command, *positional, f"--{key}", value])
+            assert getattr(args, key) == value
+            assert parse_config(f"{key} = {value}\n", command) == {key: value}
 
     @pytest.mark.parametrize("command, positional, conf", [
         ("build", [], "view = flow\nseed = 4"),
@@ -236,10 +252,10 @@ class TestSynth:
 
     @pytest.mark.parametrize("make", [
         lambda out, n: binary_synth_classes(n),
-        lambda out, n: multi_synth_classes(n),
+        lambda out, n: synth_classes("multi", n),
         lambda out, n: synth_corpus(out, [SynthClass("a", 0, 127, n),
                                           SynthClass("b", 128, 255, n)])],
-        ids=["binary_synth_classes", "multi_synth_classes", "synth_corpus"])
+        ids=["binary_synth_classes", "synth_classes", "synth_corpus"])
     def test_session_count_below_one_is_refused(self, tmp_path, make):
         for n in (0, -2):
             with pytest.raises(ValueError, match="sessions must be >= 1"):
@@ -580,11 +596,30 @@ class TestTrainEval:
         assert "error: dataset has 2 classes, model expects 12" in err
         assert "Traceback" not in err
 
-    def test_task_mismatch_is_descriptive(self, dataset, tmp_path, capsys):
-        rc = run_cli("train", str(dataset), "--task", "multi", "--epochs", "1",
-                     "--out", str(tmp_path / "x.ftlw"))
-        assert rc == 1
-        assert "classes" in capsys.readouterr().err
+    def test_train_refuses_a_class_table_of_no_task(self, dataset, tmp_path, capsys):
+        ds = read_dataset(dataset)
+        other = tmp_path / "other.ftld"
+        write_dataset(other, DatasetFile(ds.view, ds.category, ds.sample_len,
+                                         ["cats", "dogs"], data=ds.data, labels=ds.labels))
+        w = tmp_path / "x.ftlw"
+        assert run_cli("train", str(other), "--epochs", "1", "--out", str(w)) == 1
+        [line] = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert "['cats', 'dogs']" in line and "binary, multi" in line
+        assert not w.exists()
+
+    def test_train_takes_the_task_from_the_dataset(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run_cli("synth", "--task", "multi", "--sessions", "5", "--out", str(corpus)) == 0
+        path = tmp_path / "multi.ftld"
+        assert run_cli("build", "--labels", str(corpus / "labels.txt"), "--task", "multi",
+                       "--out", str(path)) == 0
+        w = tmp_path / "cli.ftlw"
+        assert run_cli("train", str(path), "--epochs", "1", "--out", str(w)) == 0
+        ds = read_dataset(path)
+        ckpt, _ = train(default_config("multi", input_len=ds.sample_len, epochs=1),
+                        *train_val_split(ds, 0.2, 0))
+        save_weights(tmp_path / "direct.ftlw", ckpt)
+        assert w.read_bytes() == (tmp_path / "direct.ftlw").read_bytes()
 
 
 class TestInspect:
@@ -636,6 +671,14 @@ class TestBench:
         assert lines[0] == "pipeline,build_s,train_s,test_s,accuracy"
         assert len(lines) == 3  # session + stat-baseline
         assert "stat-baseline" in capsys.readouterr().out
+
+    def test_bench_table_profile_at_its_own_input_length(self, cli_corpus, tmp_path):
+        csv = tmp_path / "times.csv"
+        assert run_cli("bench", "--labels", str(cli_corpus / "labels.txt"), "--profile",
+                       "table", "--n", "20", "--epochs", "1", "--views", "session",
+                       "--out", str(csv)) == 0
+        assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == \
+            ["session", "stat-baseline"]
 
     @pytest.mark.parametrize("views", ["", ","])
     def test_bench_refuses_an_empty_view_list(self, cli_corpus, monkeypatch, capsys, views):

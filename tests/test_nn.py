@@ -17,6 +17,8 @@ from bytecap.nn import (
     MaxPool1dSpec,
     Model,
     ModelConfig,
+    PAIRINGS,
+    PROFILES,
     ShapeError,
     WeightsFormatError,
     adam_init,
@@ -33,6 +35,7 @@ from bytecap.nn import (
     save_weights,
 )
 from bytecap.train import predict
+from bytecap.views import TASKS
 from conftest import needs_dev_fd, read_through_pipe
 
 LOSS_BCE = "binary_cross_entropy"
@@ -133,6 +136,28 @@ class TestForwards:
                 pairing_for("bogus", pairing)
         assert default_config("multi").class_count == 12
         assert pairing_for("multi", "paper") == ("sigmoid", LOSS_CCE)
+
+    # the reference pairings, stated apart from the table that gives them
+    PAIRED = {("binary", "paper"): ("softmax", LOSS_BCE),
+              ("multi", "paper"): ("sigmoid", LOSS_CCE),
+              ("binary", "standard"): ("softmax", LOSS_CCE),
+              ("multi", "standard"): ("softmax", LOSS_CCE)}
+
+    @pytest.mark.parametrize("pairing", list(PAIRINGS))
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    @pytest.mark.parametrize("task", list(TASKS))
+    def test_every_table_entry_builds_a_stock_model(self, task, profile, pairing):
+        cfg = default_config(task, profile, pairing)
+        input_len, convs = PROFILES[profile]
+        classes = len(TASKS[task])
+        assert cfg.input_len == input_len
+        assert (cfg.layers[0], cfg.layers[2]) == convs
+        assert cfg.output_shapes() == [(18, 64), (3, 64), (1, 64), (64,), (classes,)]
+        assert cfg.class_count == classes
+        assert (cfg.layers[-1].activation, cfg.loss) == pairing_for(task, pairing) \
+            == self.PAIRED[task, pairing]
+        probs = Model(cfg).forward(np.zeros((2, input_len), dtype=np.uint8))
+        assert probs.shape == (2, classes)
 
     def test_forward_deterministic(self):
         cfg = default_config("binary")

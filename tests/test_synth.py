@@ -17,9 +17,10 @@ from bytecap.pcap import PROTO_TCP, PROTO_UDP, SNAPLEN, PacketRecord, read_pcap_
 from bytecap.synth import (
     SynthClass,
     binary_synth_classes,
-    multi_synth_classes,
+    synth_classes,
     synth_corpus,
 )
+from bytecap.views import TASKS, class_catalog
 
 
 def _checksum16(data: bytes) -> int:
@@ -149,7 +150,7 @@ PERFBENCH_RECIPES = {
 
 @pytest.mark.parametrize("classes, seed, recipe", [
     (binary_synth_classes(4), 0, {}),
-    (multi_synth_classes(2), 3, {}),
+    (synth_classes("multi", 2), 3, {}),
     (binary_synth_classes(3), 1, PERFBENCH_RECIPES["ingest-grid"]),
     (binary_synth_classes(15), 2, PERFBENCH_RECIPES["short-sessions"]),
     (binary_synth_classes(5), 4, dict(payload_len=(0, 3), packets_per_session=(1, 1))),
@@ -211,6 +212,18 @@ def test_bytes_are_pinned(tmp_path):
         ("malicious.pcap", "malicious",
          "16ba03bb94c6b596ef3317150546714f650ab4d1055aa4ba408f2d1c0c5baf02"),
     ]
+
+
+@pytest.mark.parametrize("task", list(TASKS))
+def test_synth_classes_band_every_byte_once(task):
+    classes = synth_classes(task, 1)
+    assert [c.name for c in classes] == class_catalog(task)
+    assert all(c.sessions == 1 for c in classes)
+    bands = [(c.byte_low, c.byte_high) for c in classes]
+    # in label order, each band starts where the one before it ends, from 0 to 255
+    assert bands[0][0] == 0 and bands[-1][1] == 255
+    assert all(lo <= hi for lo, hi in bands)
+    assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(bands, bands[1:]))
 
 
 class TestRefusals:
