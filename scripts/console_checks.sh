@@ -18,6 +18,14 @@ for cmd in synth build inspect train eval bench; do bytecap "$cmd" --help > /dev
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 bytecap synth --out "$work/corpus" --sessions 3
+# the installed package writes the corpus tests/test_synth.py pins byte
+# for byte (test_bytes_are_pinned)
+bytecap synth --out "$work/pinned" --sessions 3 --seed 9
+(cd "$work/pinned" && sha256sum -c - <<'SUMS'
+d133d32b5fd2cf630f52c4164f6afc5bdb509bd77eaa3ce01d8afd6c9203f2ff  benign.pcap
+16ba03bb94c6b596ef3317150546714f650ab4d1055aa4ba408f2d1c0c5baf02  malicious.pcap
+SUMS
+)
 bytecap build --labels "$work/corpus/labels.txt" --out "$work/session.ftld"
 # the full grid twice into one directory: the second build passes the
 # overwrite guard and must write the same 12 files byte for byte

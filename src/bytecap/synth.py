@@ -8,6 +8,7 @@ is a pure function of the seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,7 +106,10 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     sequential part (`_draw`): per session, the packet count, UDP flag,
     two addresses, source port, destination port, two MACs and two
     starting sequence numbers; then per packet of that session, the
-    payload length, payload bytes and timestamp step. Everything else is
+    payload length, payload bytes and timestamp step. The session draws
+    are Generator calls; each session's packet draws are read from raw
+    generator words at once, by the rules of `Generator.integers` that
+    `_draw` states and tests/test_synth.py pins. Everything else is
     derived from the draws as numpy columns over the class (`_frames`):
     directions, sequence and ack numbers, idents, lengths, timestamps,
     header bytes and checksums. The bytes are the same for every seed as
@@ -131,11 +135,26 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
 def _draw(rng, cls: SynthClass, packets_per_session, payload_len):
     """One class's draws, in the order that fixes every byte: a list of
     per-session tuples, then per packet its payload length, its payload
-    bytes (all payloads in one array) and its timestamp step."""
+    bytes (all payloads in one array) and its timestamp step.
+
+    Each session's packet draws are read from raw PCG64 output
+    (`random_raw`) by `_packet_draws`, under the rules `Generator.integers`
+    itself follows (tests/test_synth.py pins them against it):
+    - 32-bit words are each 64-bit output's low half, then its high half;
+      a half left over stays pending in the state's `has_uint32` and
+      `uinteger` as the next call's first word;
+    - a scalar draw over r values (Lemire's bounded draw) takes a word w,
+      takes the next one while (w * r) mod 2**32 < (2**32 - r) mod r, and
+      returns low + (w * r) >> 32;
+    - a sized uint8 draw reads its own buffer of word bytes, low byte first,
+      by the same rule at 8 bits (every byte is kept when r is 256), and
+      drops the bytes left in its last word;
+    - a draw over one value, or of size 0, takes no word.
+    """
     integers = rng.integers
-    plen_low, plen_high = payload_len[0], payload_len[1] + 1
-    byte_low, byte_high = cls.byte_low, cls.byte_high + 1
-    sessions, plens, payloads, steps = [], [], [], []
+    plen_range = payload_len[0], payload_len[1] + 1
+    byte_range = cls.byte_low, cls.byte_high + 1
+    sessions, packets = [], []
     for _ in range(cls.sessions):
         n_pkts = integers(packets_per_session[0], packets_per_session[1] + 1)
         sessions.append((
@@ -150,13 +169,85 @@ def _draw(rng, cls: SynthClass, packets_per_session, payload_len):
             integers(0, 2**31),  # forward starting sequence number
             integers(0, 2**31),  # reverse
         ))
+        packets.append(_packet_draws(rng, n_pkts, plen_range, byte_range))
+    return sessions, *(np.concatenate(column) for column in zip(*packets))
+
+
+def _packet_draws(rng, n_pkts, plen_range, byte_range):
+    """The payload lengths, payload bytes (one array) and timestamp steps
+
         for _ in range(n_pkts):
-            plen = integers(plen_low, plen_high)
-            plens.append(plen)
-            payloads.append(integers(byte_low, byte_high, size=plen, dtype=np.uint8))
-            steps.append(integers(200, 5000))
-    return (sessions, np.array(plens, dtype=np.int64), np.concatenate(payloads),
-            np.array(steps, dtype=np.int64))
+            plen = rng.integers(*plen_range)
+            payload = rng.integers(*byte_range, size=plen, dtype=np.uint8)
+            step = rng.integers(200, 5000)
+
+    draws, leaving `rng` as that loop does, by the rules of `_draw`: one
+    walk over the session's words, one index for the payloads, and the
+    generator rewound and advanced by the words used."""
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    pending = start["has_uint32"]
+    byte_low, byte_r = byte_range[0], byte_range[1] - byte_range[0]
+    byte_floor = (256 - byte_r) % byte_r
+    # words for every packet at the longest payload; twice as many if they run out
+    n_raw = n_pkts * (2 + (plen_range[1] - 1) * 256 // (256 - byte_floor) // 8) + 2
+    while True:
+        raw = bitgen.random_raw(n_raw)
+        words = np.empty(pending + 2 * n_raw, dtype=np.uint32)
+        words[:pending] = start["uinteger"]
+        words[pending::2] = raw & np.uint64(0xFFFFFFFF)
+        words[pending + 1::2] = raw >> np.uint64(32)
+        # the kept payload bytes, and how many are kept before each word
+        # (four 0/1 bytes sum in the top byte of their product with 0x01010101)
+        m = words.astype("<u4").view(np.uint8).astype(np.uint16) * byte_r
+        kept = (m & 0xFF) >= byte_floor
+        kept_bytes = (m[kept] >> 8).astype(np.uint8) + np.uint8(byte_low)
+        before = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum((kept.view("<u4") * np.uint32(0x01010101)) >> np.uint32(24),
+                  out=before[1:])
+        table, before = memoryview(words), memoryview(before)
+        draws, pos = [], 0
+        try:
+            for _ in range(n_pkts):
+                plen, pos = _scalar_draw(table, pos, *plen_range)
+                first = 0  # a one-value band reads kept_bytes from 0, all byte_low
+                if plen and byte_r > 1:  # on to the word after the last kept byte's
+                    first = before[pos]
+                    pos = bisect_right(before, first + plen - 1)
+                step, pos = _scalar_draw(table, pos, 200, 5000)
+                draws.append((plen, first, step))
+        except IndexError:  # the words ran out
+            pos = len(words) + 1
+        if pos <= len(words):
+            break
+        bitgen.state = start
+        n_raw *= 2
+
+    used = max(pos - pending, 0)  # raw halves taken
+    bitgen.state = start
+    bitgen.random_raw((used + 1) // 2)
+    state = bitgen.state
+    state["has_uint32"] = used & 1 if used else pending - pos
+    if used:
+        state["uinteger"] = int(raw[(used - 1) // 2] >> np.uint64(32))
+    bitgen.state = state
+
+    plens, firsts, steps = np.array(draws, dtype=np.int64).reshape(-1, 3).T
+    ranks = np.repeat(firsts - (np.cumsum(plens) - plens), plens)
+    return plens, kept_bytes[ranks + np.arange(len(ranks))], steps
+
+
+def _scalar_draw(words, pos: int, low: int, high: int) -> tuple[int, int]:
+    """`integers(low, high)` from the 32-bit words at `pos`: its value, and
+    the word after the last it takes."""
+    r = high - low
+    if r == 1:
+        return low, pos
+    m = words[pos] * r
+    while m & 0xFFFFFFFF < (2**32 - r) % r:
+        pos += 1
+        m = words[pos] * r
+    return low + (m >> 32), pos + 1
 
 
 def _prefixed(prefix, tails) -> np.ndarray:

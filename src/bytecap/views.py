@@ -365,22 +365,25 @@ def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
     """flow_id, flow_first, session_id and session_first of Capture.read.
 
-    The IP packets' flow key rows (`FrameColumns.key`) are grouped once,
-    for the flows (see _first_appearance), so packets group as keys()
-    groups them. Sessions are then numbered from the flow table, one key
-    row per flow with its endpoints in session order (`session_rows`):
-    flows are numbered by first appearance, so a session's first packet is
-    its first flow's.
+    The flow key rows (`FrameColumns.key`) are grouped once, in place, for
+    the flows (see _first_appearance), so packets group as keys() groups
+    them; the non-IP frames' rows are all zero, which no IP frame's row is,
+    and their one group is left out. Sessions are then numbered from the
+    flow table, one key row per flow with its endpoints in session order
+    (`session_rows`): flows are numbered by first appearance, so a
+    session's first packet is its first flow's.
     """
-    rows = np.flatnonzero(cols.ip_end >= 0)
-    key = cols.key[rows]
-    flow, flow_first = _first_appearance(key)
-    session, session_flow = _first_appearance(session_rows(key[flow_first]))
-    flow_id = np.full(len(cols.ip_end), -1, dtype=np.int64)
-    session_id = np.full(len(cols.ip_end), -1, dtype=np.int64)
-    flow_id[rows] = flow
-    session_id[rows] = session[flow]
-    return flow_id, rows[flow_first], session_id, rows[flow_first[session_flow]]
+    flow_id, flow_first = _first_appearance(cols.key)
+    non_ip = np.flatnonzero(cols.ip_end < 0)
+    if len(non_ip):
+        zero = flow_id[non_ip[0]]
+        flow_first = np.delete(flow_first, zero)
+        flow_id -= flow_id > zero
+        flow_id[non_ip] = -1
+    session, session_flow = _first_appearance(session_rows(cols.key[flow_first]))
+    # a non-IP packet's flow id, -1, picks the -1 appended
+    session_id = np.append(session, -1)[flow_id]
+    return flow_id, flow_first, session_id, flow_first[session_flow]
 
 
 @dataclass(frozen=True, eq=False)

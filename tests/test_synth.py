@@ -1,6 +1,8 @@
 """`synth_corpus` against the per-frame generator it replaced, kept here
 verbatim as the oracle: every recipe writes the same files and returns the
-same list. Also the refusals of recipes the generator cannot write."""
+same list. Also the raw-word rules of the packet draws against
+`Generator.integers` itself, and the refusals of recipes the generator
+cannot write."""
 
 import hashlib
 import re
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 from bytecap.pcap import PROTO_TCP, PROTO_UDP, SNAPLEN, PacketRecord, read_pcap_records, write_pcap
 from bytecap.synth import (
     SynthClass,
+    _packet_draws,
+    _scalar_draw,
     binary_synth_classes,
     synth_classes,
     synth_corpus,
@@ -156,8 +160,18 @@ PERFBENCH_RECIPES = {
     (binary_synth_classes(5), 4, dict(payload_len=(0, 3), packets_per_session=(1, 1))),
     ([SynthClass("one", 7, 7, 3), SynthClass("top", 255, 255, 3)], 5, {}),
     *[(binary_synth_classes(3), seed, {}) for seed in (6, 7, 2**32 - 1, 12345678901)],
+    # 21- and 25-value bands reject bytes in the 8-bit rule across many words
+    (synth_classes("multi", 2), 11, PERFBENCH_RECIPES["ingest-grid"]),
+    (binary_synth_classes(3), 12, dict(payload_len=(40, 40))),  # no length word
+    # a full 0..255 band keeps every raw byte
+    ([SynthClass("full", 0, 255, 3), SynthClass("top", 128, 255, 2)], 13,
+     dict(payload_len=(1000, 1500))),
+    # packet draws of one word a session leave a half pending before the
+    # next session's rng.random()
+    (binary_synth_classes(6), 14, dict(payload_len=(0, 0), packets_per_session=(1, 1))),
 ], ids=["binary", "multi", "ingest-grid", "short-sessions", "tiny", "one-value-band",
-        "seed6", "seed7", "seed2^32-1", "seed-big"])
+        "seed6", "seed7", "seed2^32-1", "seed-big", "multi-ingest-grid", "fixed-length",
+        "full-band-long", "empty-single-packet"])
 def test_matches_oracle(tmp_path, classes, seed, recipe):
     assert_matches_oracle(tmp_path, classes, seed, **recipe)
 
@@ -200,6 +214,55 @@ def test_matches_oracle_on_small_recipes(recipe):
     classes, seed, kwargs = recipe
     with tempfile.TemporaryDirectory() as out_dir:
         assert_matches_oracle(Path(out_dir), classes, seed, **kwargs)
+
+
+def loop_draws(rng, n_pkts, plen_range, byte_range):
+    """The Generator calls `_packet_draws` stands for, made one by one."""
+    plens, payloads, steps = [], [np.zeros(0, dtype=np.uint8)], []
+    for _ in range(n_pkts):
+        plens.append(rng.integers(*plen_range))
+        payloads.append(rng.integers(*byte_range, size=plens[-1], dtype=np.uint8))
+        steps.append(rng.integers(200, 5000))
+    return plens, np.concatenate(payloads), steps
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
+@pytest.mark.parametrize("byte_range", [(7, 8), (0, 128), (0, 256), (0, 21), (21, 46),
+                                        (3, 124), (0, 129)],
+                         ids=["one", "128", "256", "21", "25", "121", "129"])
+@pytest.mark.parametrize("plen_range", [(40, 41), (0, 1), (0, 3), (0, 64), (60, 181)],
+                         ids=["fixed", "size0", "0-2", "64", "121"])
+def test_packet_draws_follow_generator_integers(plen_range, byte_range, pending):
+    # seeds drawn once at random, and packet counts from 1 up
+    for seed, n_pkts in zip([3_871_264_509, 42, 901_177, 2**63 + 5, 17], [1, 2, 5, 9, 40]):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:  # a scalar draw takes a word's low half and leaves its high half
+            rng.integers(0, 2**31)
+            twin.integers(0, 2**31)
+        assert rng.bit_generator.state["has_uint32"] == pending
+        plens, payload, steps = _packet_draws(rng, n_pkts, plen_range, byte_range)
+        want_plens, want_payload, want_steps = loop_draws(twin, n_pkts, plen_range,
+                                                          byte_range)
+        assert plens.tolist() == want_plens and steps.tolist() == want_steps
+        assert payload.dtype == np.uint8 and payload.tobytes() == want_payload.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("low, high", [(0, 2**31 + 1), (5, 3 * 2**30 + 5), (0, 2**32 - 1),
+                                       (200, 5000), (9, 10)])
+def test_scalar_draw_follows_generator_integers(low, high):
+    # ranges past 2**31 reject up to about half of the words
+    rng = np.random.default_rng(2024)
+    words = rng.bit_generator.random_raw(200).astype("<u8").view("<u4").tolist()
+    twin = np.random.default_rng(2024)
+    pos, got = 0, []
+    for _ in range(150):
+        value, pos = _scalar_draw(words, pos, low, high)
+        got.append(value)
+    assert got == [twin.integers(low, high) for _ in got]
+    # the twin's next word is the one after those taken
+    assert twin.integers(0, 2**32, dtype=np.uint64) == words[pos]
 
 
 def test_bytes_are_pinned(tmp_path):

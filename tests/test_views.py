@@ -530,11 +530,12 @@ class TestCapture:
 
     def test_read_memory_per_packet_is_bounded(self, corpus_bench):
         """Capture.read's traced peak on the 17,840-packet benign capture of
-        the timing corpus: about 194 bytes a packet since dissect_frames
-        writes each frame's packed flow key row in place of six key columns
-        (227 before, 354 before flows were grouped once and sessions
-        numbered from the flow table). The frame buffer is a mapping
-        tracemalloc does not see."""
+        the timing corpus: about 178 bytes a packet, dissect_frames' own
+        peak, since flows are numbered over the key matrix in place (194
+        with a copy of its IP rows, 227 before dissect_frames wrote packed
+        key rows, 354 before flows were grouped once and sessions numbered
+        from the flow table). The frame buffer is a mapping tracemalloc
+        does not see."""
         path = dict((name, p) for p, name in corpus_bench)["benign"]
         Capture.read(path)  # imports and first-call caches out of the count
         tracemalloc.start()
@@ -544,7 +545,7 @@ class TestCapture:
         finally:
             tracemalloc.stop()
         assert len(cap) == 17_840
-        assert peak / len(cap) < 215, f"{peak / len(cap):.0f} B/packet"
+        assert peak / len(cap) < 195, f"{peak / len(cap):.0f} B/packet"
 
     def test_masks_grow_with_units_times_width(self, tmp_path):
         """A 40,000-byte frame makes 40,000-column masks; the cells stay
