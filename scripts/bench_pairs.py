@@ -12,9 +12,10 @@ is read, and its `environment`, `metrics`, `digests`, `rep_seconds` and
 `setup_seconds` are kept under the workload and seed. The two checkouts'
 resolved paths must have the same length, since perfbench's `peak_rss_mb`
 moves with the directory name alone; the script exits naming both paths
-before any run when they differ. `--traced` adds one
-`--trace 1` run of this checkout, whose per-layer metrics are kept under
-the same seed.
+before any run when they differ. `--traced` adds three more pairs run with
+`--trace 1`, alternating the same way, and keeps each run's per-layer
+metrics under the same seed as `traced: {"base": [...], "change": [...]}`,
+since one traced run of one side cannot place a saving.
 The output file is updated, not replaced: other workloads and seeds in it
 stay, so one command per workload and seed builds up the record. Each
 seed's `summary` gives, per metric, both medians, the base's quartiles and
@@ -34,6 +35,7 @@ from statistics import median, quantiles
 
 HERE = Path(__file__).resolve().parent.parent
 KEPT = ("environment", "metrics", "digests", "rep_seconds", "setup_seconds")
+TRACED_PAIRS = 3
 BENCHMARK = json.loads((HERE / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
@@ -51,6 +53,21 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
                          / f"report-{workload}-seed{seed}-trace{trace}.json").read_text())
     report["correct"] = result["correct"]
     return report
+
+
+def run_pairs(checkouts: dict, workload: str, seed: int, count: int, trace: int) -> list[dict]:
+    """`count` pairs of runs, each a {side: report}, alternating which of the
+    `checkouts` ("base", "change") runs first."""
+    pairs = []
+    for i in range(count):
+        pair = {}
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            pair[side] = run(checkouts[side], workload, seed, trace)
+            wall = pair[side]["metrics"]["wall_ref_s"]["value"]
+            print(f"{workload} seed {seed} trace {trace} pair {i + 1}/{count} "
+                  f"{side}: wall_ref_s {wall:.4f}", flush=True)
+        pairs.append(pair)
+    return pairs
 
 
 def summary(pairs: list[dict]) -> dict:
@@ -79,7 +96,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced", action="store_true",
-                        help="add one --trace 1 run of this checkout")
+                        help=f"add {TRACED_PAIRS} pairs of --trace 1 runs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -90,21 +107,16 @@ def main(argv=None) -> int:
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     entry = record.setdefault(args.workload, {})
-    pairs = []
-    for i in range(args.pairs):
-        sides = ("base", "change") if i % 2 == 0 else ("change", "base")
-        pair = {}
-        for side in sides:
-            report = run(base if side == "base" else HERE, args.workload, args.seed, 0)
-            pair[side] = {k: report[k] for k in KEPT + ("correct",)}
-            wall = report["metrics"]["wall_ref_s"]["value"]
-            print(f"{args.workload} seed {args.seed} pair {i + 1}/{args.pairs} "
-                  f"{side}: wall_ref_s {wall:.4f}", flush=True)
-        pairs.append(pair)
+    checkouts = {"base": base, "change": HERE}
+    pairs = [{side: {k: report[k] for k in KEPT + ("correct",)}
+              for side, report in pair.items()}
+             for pair in run_pairs(checkouts, args.workload, args.seed, args.pairs, 0)]
     seed_entry = entry[f"seed{args.seed}"] = {
         "seconds": BENCHMARK["run_seconds"], "pairs": pairs, "summary": summary(pairs)}
     if args.traced:
-        seed_entry["traced"] = run(HERE, args.workload, args.seed, 1)["per_layer"]
+        traced = run_pairs(checkouts, args.workload, args.seed, TRACED_PAIRS, 1)
+        seed_entry["traced"] = {side: [pair[side]["per_layer"] for pair in traced]
+                                for side in checkouts}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(json.dumps(seed_entry["summary"]["metrics"]["wall_ref_s"]))
     return 0

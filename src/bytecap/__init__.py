@@ -7,6 +7,13 @@ on them. A timing harness compares that path against a conventional
 feature-extraction baseline.
 """
 
+import os
+
+# one BLAS thread unless the caller set another before numpy loads: a second
+# buys this small model nothing, and after an idle spell it can stall a second
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .pcap import (
     CaptureMeta,
     Dissection,

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nn import DenseSpec, Model, ModelConfig, adam_init, default_config, pairing_for
+from .nn import Model, ModelConfig, adam_init, default_config
 from .pcap import PROTO_TCP, PROTO_UDP, L3Kind
 from .train import evaluate, train, train_step
 from .views import (
     HeaderCategory,
     ViewKind,
     build_dataset,
-    class_catalog,
     filter_packets,
     label_index,
     read_capture,
@@ -242,12 +241,7 @@ def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADER
     cnn_cfg = default_config(task, profile, pairing, input_len=n,
                              epochs=epochs, batch_size=batch, seed=seed)
     _warmup(cnn_cfg)
-    activation, loss = pairing_for(task, pairing)
-    class_count = len(class_catalog(task))
-    base_cfg = ModelConfig(input_len=FEATURE_COUNT,
-                           layers=(DenseSpec(class_count, activation),),
-                           loss=loss, class_count=class_count,
-                           batch_size=batch, epochs=epochs, seed=seed)
+    base_cfg = replace(cnn_cfg, input_len=FEATURE_COUNT, layers=(cnn_cfg.layers[-1],))
 
     def build_view(view):
         return lambda: train_val_split(build_dataset(corpus, view, category, n, task),

@@ -15,9 +15,13 @@ view of its contiguous input (window axis stepping by the stride, kernel
 axis by one position) and caches that window matrix and its output, whose
 sign is the ReLU mask; max_pool1d its input and output, from which
 backward routes each window's gradient to the first position equal to the
-max; global_avg_pool1d its input shape; dense its flattened input. Backward
-writes every parameter gradient into one fresh flat buffer laid out like
-`Model.flat_params` and returns per-layer views of it.
+max; global_avg_pool1d its input shape; dense its flattened input.
+
+A model's parameters have one stored form, the float32 vector
+`Model.flat_params` (layers in plan order, weight then bias, row-major):
+`Model.params` are views into it, `Checkpoint.weights` is a copy of it and
+FTLW's tensor block is its bytes. Backward writes every gradient into one
+fresh buffer of that layout and returns per-layer views of it.
 
 `Model.forward` first cuts each batch to the leading input positions the
 output depends on (`Model.read_length`), so every windowed layer computes
@@ -534,30 +538,25 @@ def _read_length(plan, input_len: int) -> int:
     return read
 
 
-def _fresh_params(plan, rng):
-    """Glorot-uniform weights, zero biases, in fixed layer order.
+def _fresh_params(params, rng):
+    """Glorot-uniform draws, in layer order, into each parameterized layer's
+    weight view of a zeroed buffer; biases stay zero.
 
     A weight of shape (out, *window, in) has fan_in = window * in and
     fan_out = out * window, for conv1d and dense alike.
     """
-    params = []
-    for layer in plan:
-        if not layer.param_shapes:
-            params.append([])
-            continue
-        w_shape, b_shape = layer.param_shapes
-        fan_in = math.prod(w_shape[1:])
-        fan_out = w_shape[0] * math.prod(w_shape[1:-1])
+    for w, _ in filter(None, params):
+        fan_in = math.prod(w.shape[1:])
+        fan_out = w.shape[0] * math.prod(w.shape[1:-1])
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params.append([rng.uniform(-limit, limit, w_shape), np.zeros(b_shape)])
-    return params
+        w[...] = rng.uniform(-limit, limit, w.shape)
 
 
 class Model:
     """Parameterized layer stack built from a ModelConfig, with fresh Glorot
     weights unless `weights` are given (see `set_weights`).
 
-    Parameters live in one flat buffer (`flat_params`); the per-layer
+    Parameters live in one flat vector (`flat_params`); the per-layer
     arrays in `params` are views into it, so optimizer updates through
     either alias are equivalent. Gradients come back the same way: one
     fresh flat buffer per backward pass, with per-layer views into it.
@@ -569,9 +568,13 @@ class Model:
         self.dtype = dtype
         self._plan = config.validate()
         self.read_length = _read_length(self._plan, config.input_len)
+        self.flat_params = np.zeros(sum(math.prod(shape) for layer in self._plan
+                                        for shape in layer.param_shapes), dtype=dtype)
+        self.params = self._carve(self.flat_params)
         if weights is None:
-            weights = _fresh_params(self._plan, np.random.default_rng(config.seed))
-        self.set_weights(weights)
+            _fresh_params(self.params, np.random.default_rng(config.seed))
+        else:
+            self.set_weights(weights)
 
     @property
     def final_activation(self) -> str:
@@ -616,9 +619,6 @@ class Model:
         views into one fresh `flat_backward` buffer, so calls never alias."""
         return self._carve(self.flat_backward(caches, dlogits))
 
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for layer in self.params for a in layer]
-
     def _carve(self, flat) -> list[list[np.ndarray]]:
         """Per-layer views, in plan order, into a flat parameter-sized buffer."""
         views, off = [], 0
@@ -630,26 +630,16 @@ class Model:
                 off += size
         return views
 
-    def set_weights(self, weights: list[list[np.ndarray]]):
-        """Copy per-layer tensors, each shape-checked against the plan, into
-        a new flat buffer and carve the per-layer views from it."""
-        if len(weights) != len(self._plan):
-            raise ShapeError("weight list does not match layer count")
-        flat = np.empty(sum(math.prod(shape) for layer in self._plan
-                            for shape in layer.param_shapes), dtype=self.dtype)
-        params = self._carve(flat)
-        for i, (layer, tensors, views) in enumerate(zip(self._plan, weights, params)):
-            _check_params(layer, tensors, f"layer {i}")
-            for view, a in zip(views, tensors):
-                view[...] = a
-        self.flat_params, self.params = flat, params
+    def set_weights(self, weights: np.ndarray):
+        """Copy a flat vector laid out like `flat_params` into it; a vector
+        of any other shape raises ShapeError and changes nothing."""
+        if np.shape(weights) != self.flat_params.shape:
+            raise ShapeError(f"weights of shape {np.shape(weights)} != the model's "
+                             f"{self.flat_params.size} parameters")
+        self.flat_params[...] = weights
 
-    def copy_weights(self) -> list[list[np.ndarray]]:
-        return [[a.copy() for a in layer] for layer in self.params]
-
-
-def grad_arrays(grads) -> list[np.ndarray]:
-    return [a for layer in grads for a in layer]
+    def copy_weights(self) -> np.ndarray:
+        return self.flat_params.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +684,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state, t: int,
 @dataclass
 class Checkpoint:
     config: ModelConfig
-    weights: list[list[np.ndarray]]
+    weights: np.ndarray  # flat, laid out like `Model.flat_params`
     best_epoch: int
     best_val_accuracy: float
     # (weights it was built from, float32 model) behind shared_model
@@ -732,8 +722,8 @@ def _v1_loss(class_count: int) -> str:
 
 def save_weights(path, ckpt: Checkpoint):
     """Little-endian layout: FTLW, version, input_len, layer count, in
-    version 2 a loss byte, then layer specs, then per parameterized layer
-    the weight and bias tensors as raw float32."""
+    version 2 a loss byte, then layer specs, then the flat weights vector
+    (per parameterized layer its weight and bias tensors) as raw float32."""
     cfg = ckpt.config
     plan = cfg.validate()
     v1 = cfg.loss == _v1_loss(cfg.class_count)
@@ -747,9 +737,7 @@ def save_weights(path, ckpt: Checkpoint):
             fp.write(struct.pack("<B", layer.kind.code))
             fp.write(struct.pack(layer.kind.fmt, *(
                 _ACT_CODES[v] if isinstance(v, str) else v for v in values)))
-        for layer in ckpt.weights:
-            for tensor in layer:
-                fp.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fp.write(np.ascontiguousarray(ckpt.weights, dtype="<f4").tobytes())
         fp.write(struct.pack("<If", ckpt.best_epoch, ckpt.best_val_accuracy))
 
 
@@ -809,14 +797,10 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
                                    or tuple(expect.layers) != tuple(layers)):
             raise WeightsFormatError(f"{path}: architecture does not match expected config")
 
-        weights = []
-        for i, layer in enumerate(plan):
-            tensors = []
-            for shape in layer.param_shapes:
-                raw = field(math.prod(shape) * 4,
-                            f"while reading layer {i} ({layer.kind.name}) tensor")
-                tensors.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
-            weights.append(tensors)
+        blocks = [field(sum(math.prod(shape) for shape in layer.param_shapes) * 4,
+                        f"while reading layer {i} ({layer.kind.name}) tensor")
+                  for i, layer in enumerate(plan) if layer.param_shapes]
+        weights = np.frombuffer(b"".join(blocks), dtype="<f4").astype(np.float32)
 
         best_epoch, best_acc = struct.unpack("<If", field(8, "while reading trailer"))
         if body.read(1):

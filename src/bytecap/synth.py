@@ -135,7 +135,9 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
 def _draw(rng, cls: SynthClass, packets_per_session, payload_len):
     """One class's draws, in the order that fixes every byte: a list of
     per-session tuples, then per packet its payload length, its payload
-    bytes (all payloads in one array) and its timestamp step.
+    bytes (all payloads in one array) and its timestamp step. Each
+    session-level draw is an `rng.integers` call (the destination port an
+    index into `_DPORTS`), but the UDP coin, which is `rng.random`.
 
     Each session's packet draws are read from raw PCG64 output
     (`random_raw`) by `_packet_draws`, under the rules `Generator.integers`
@@ -163,7 +165,7 @@ def _draw(rng, cls: SynthClass, packets_per_session, payload_len):
             integers(0, 256, 3, dtype=np.uint8),  # source 10.x.y.z
             integers(0, 256, 3, dtype=np.uint8),  # destination
             integers(1024, 65536),  # source port
-            rng.choice(_DPORTS),
+            _DPORTS[integers(0, len(_DPORTS))],  # destination port
             integers(0, 256, 4, dtype=np.uint8),  # source MAC 02:00:...
             integers(0, 256, 4, dtype=np.uint8),  # destination MAC 02:01:...
             integers(0, 2**31),  # forward starting sequence number

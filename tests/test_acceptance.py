@@ -96,8 +96,8 @@ def test_c02_gradient_correctness_f32_battery():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(draws):
             model = Model(cfg, dtype=np.float32)
-            for p in model.param_arrays():
-                p += rng.normal(scale=0.3, size=p.shape).astype(np.float32)
+            model.flat_params += rng.normal(scale=0.3,
+                                            size=model.flat_params.shape).astype(np.float32)
             x, y = smooth_draw(model, rng, h, batch=2)
             err = rel_err(analytic_param_grads(model, x, y),
                           fd_param_grads(f64_twin(model), x, y, h))

@@ -13,7 +13,7 @@ from bytecap.bench import (
     time_pipelines,
     timed,
 )
-from bytecap.nn import default_config
+from bytecap.nn import PAIRINGS, PROFILES, DenseSpec, ModelConfig, default_config, pairing_for
 from bytecap.pcap import (
     PROTO_TCP,
     PROTO_UDP,
@@ -22,7 +22,14 @@ from bytecap.pcap import (
     read_pcap_records,
     write_pcap,
 )
-from bytecap.views import ViewKind, filter_packets, read_capture, split_view
+from bytecap.views import (
+    TASKS,
+    ViewKind,
+    class_catalog,
+    filter_packets,
+    read_capture,
+    split_view,
+)
 from conftest import arp_frame, ipv4_frame, ipv6_frame
 
 _DECAYS = (0.01, 0.1, 0.5, 1.0, 5.0)
@@ -406,6 +413,31 @@ class TestTimePipelines:
         cnn = default_config("binary", profile, input_len=n, epochs=1, batch_size=7, seed=2)
         assert warmed == [cnn]
         assert trained[0] == cnn
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+    def test_baseline_config_is_the_cnn_output_layer_on_the_features(
+            self, monkeypatch, task, profile, pairing):
+        class Trained(Exception):
+            pass
+
+        def stop(cfg, *args, **kwargs):
+            raise Trained(cfg)
+
+        monkeypatch.setattr(bench, "_collect_units",
+                            lambda corpus, task: ([(None, 1e-6)] * 10, np.arange(10) % 2))
+        monkeypatch.setattr(bench, "extract_stat_features",
+                            lambda unit, scale: np.zeros(FEATURE_COUNT))
+        monkeypatch.setattr(bench, "train", stop)
+        with pytest.raises(Trained) as trained:
+            time_pipelines([], [], PROFILES[profile][0], task, profile=profile,
+                           pairing=pairing, epochs=3, batch=7, seed=2)
+        activation, loss = pairing_for(task, pairing)
+        classes = len(class_catalog(task))
+        assert trained.value.args[0] == ModelConfig(
+            FEATURE_COUNT, (DenseSpec(classes, activation),), loss, classes,
+            batch_size=7, epochs=3, seed=2)
 
     def test_report_format_stable(self):
         report = TimingReport(rows=[])

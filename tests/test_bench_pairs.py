@@ -29,7 +29,7 @@ def runs(monkeypatch, tmp_path):
                             "eval_samples_per_s": {"unit": "1/s", "value": 1 / wall}},
                 "digests": {"model.ftlw": "same"}, "rep_seconds": [wall],
                 "setup_seconds": 0.5, "correct": True,
-                "per_layer": {"trace.overhead_s": {"unit": "s", "value": float(seed)}}}
+                "per_layer": {"trace.overhead_s": {"unit": "s", "value": wall}}}
 
     monkeypatch.setattr(bench_pairs, "run", run)
     return calls
@@ -44,14 +44,21 @@ def main(tmp_path, *argv, base="base"):
 def test_each_seed_keeps_its_pairs_summary_and_traced_metrics(tmp_path, runs):
     assert main(tmp_path, "--seed", "1", "--pairs", "2", "--traced") == 0
     assert main(tmp_path, "--seed", "2", "--pairs", "3", "--traced") == 0
-    # pairs alternate which side runs first; the traced run is the change's
-    assert runs[:5] == [("base", 1, 0), ("change", 1, 0), ("change", 1, 0), ("base", 1, 0),
-                        ("change", 1, 1)]
+    # pairs alternate which side runs first, traced pairs too
+    assert runs[:10] == [("base", 1, 0), ("change", 1, 0), ("change", 1, 0), ("base", 1, 0),
+                         ("base", 1, 1), ("change", 1, 1), ("change", 1, 1), ("base", 1, 1),
+                         ("base", 1, 1), ("change", 1, 1)]
+    assert len(runs) == 10 + 12
     record = json.loads((tmp_path / "BENCH.json").read_text())["train-infer"]
     assert sorted(record) == ["seed1", "seed2"]
     for seed, pairs in ((1, 2), (2, 3)):
         entry = record[f"seed{seed}"]
-        assert entry["traced"] == {"trace.overhead_s": {"unit": "s", "value": float(seed)}}
+        # each traced run of each side is kept; the change's runs read faster
+        traced = entry["traced"]
+        assert sorted(traced) == ["base", "change"]
+        assert len(traced["base"]) == len(traced["change"]) == bench_pairs.TRACED_PAIRS
+        assert all(1 <= run["trace.overhead_s"]["value"] < 2 for run in traced["change"])
+        assert all(run["trace.overhead_s"]["value"] >= 2 for run in traced["base"])
         assert len(entry["pairs"]) == pairs
         summary = entry["summary"]
         assert summary["digests_equal"] and summary["all_correct"]

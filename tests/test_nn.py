@@ -1,9 +1,14 @@
 """Kernel math: layer forwards, finite-difference gradient oracles, Adam,
 and the weights file."""
 
+import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +32,13 @@ from bytecap.nn import (
     default_config,
     dense_forward,
     global_avg_pool_forward,
-    grad_arrays,
     load_weights,
     loss_and_grad,
     maxpool1d_forward,
     pairing_for,
     save_weights,
 )
-from bytecap.train import predict
+from bytecap.train import predict, train
 from bytecap.views import TASKS
 from conftest import needs_dev_fd, read_through_pipe
 
@@ -226,20 +230,18 @@ class TestForwards:
 
     def test_init_seeded(self):
         cfg = default_config("multi", seed=13)
-        a, b = Model(cfg), Model(cfg)
-        for pa, pb in zip(a.param_arrays(), b.param_arrays()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(Model(cfg).flat_params, Model(cfg).flat_params)
 
     def test_weights_shape_checked_against_plan(self):
         cfg = default_config("binary")
         model = Model(cfg)
         before = model.flat_params.copy()
-        bad = model.copy_weights()
-        bad[4][0] = bad[4][0].T  # dense weight (2, 64) given as (64, 2)
-        with pytest.raises(ShapeError, match=r"layer 4 \(dense\)"):
-            model.set_weights(bad)
-        with pytest.raises(ShapeError, match=r"layer 4 \(dense\)"):
-            Model(cfg, weights=bad)
+        for bad, shape in ((before[:-1], r"\(16641,\)"), (before[None], r"\(1, 16642\)")):
+            want = rf"weights of shape {shape} != the model's 16642 parameters"
+            with pytest.raises(ShapeError, match=want):
+                model.set_weights(bad)
+            with pytest.raises(ShapeError, match=want):
+                Model(cfg, weights=bad)
         assert np.array_equal(model.flat_params, before)
 
 
@@ -467,20 +469,16 @@ def fd_param_grads(model, x, y, h):
         return loss_and_grad(probs, y, model.config.loss,
                              model.final_activation)[0]
 
-    grads = []
-    for p in model.param_arrays():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_of()
-            flat[i] = orig - h
-            lm = loss_of()
-            flat[i] = orig
-            gf[i] = (lp - lm) / (2 * h)
-        grads.append(g)
+    flat = model.flat_params
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss_of()
+        flat[i] = orig - h
+        lm = loss_of()
+        flat[i] = orig
+        grads[i] = (lp - lm) / (2 * h)
     return grads
 
 
@@ -488,20 +486,18 @@ def analytic_param_grads(model, x, y):
     probs, caches = model.forward(x, want_cache=True)
     _, dlogits = loss_and_grad(probs, y, model.config.loss,
                                model.final_activation)
-    return grad_arrays(model.backward(caches, dlogits))
+    return model.flat_backward(caches, dlogits)
 
 
 def f64_twin(model):
     """Same weights at float64, for evaluating the FD oracle accurately."""
-    return Model(model.config, dtype=np.float64, weights=model.params)
+    return Model(model.config, dtype=np.float64, weights=model.flat_params)
 
 
 def rel_err(a, b):
-    """Norm-based relative error over all parameters concatenated."""
-    av = np.concatenate([g.ravel() for g in a])
-    bv = np.concatenate([g.ravel() for g in b])
-    denom = max(np.linalg.norm(av), np.linalg.norm(bv), 1e-12)
-    return float(np.linalg.norm(av - bv) / denom)
+    """Norm-based relative error between two flat parameter gradients."""
+    denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
+    return float(np.linalg.norm(a - b) / denom)
 
 
 def smooth_draw(model, rng, h, batch=3):
@@ -585,8 +581,8 @@ class TestGradients:
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for draw in range(5):
             model = Model(cfg, dtype=np.float64)
-            for p in model.param_arrays():  # non-degenerate random weights
-                p += rng.normal(scale=0.3, size=p.shape)
+            # non-degenerate random weights
+            model.flat_params += rng.normal(scale=0.3, size=model.flat_params.shape)
             x, y = smooth_draw(model, rng, h)
             fd = fd_param_grads(model, x, y, h)
             an = analytic_param_grads(model, x, y)
@@ -600,8 +596,8 @@ class TestGradients:
         rng = np.random.default_rng(zlib.crc32((name + "32").encode()))
         for draw in range(3):
             model = Model(cfg, dtype=np.float32)
-            for p in model.param_arrays():
-                p += rng.normal(scale=0.3, size=p.shape).astype(np.float32)
+            model.flat_params += rng.normal(scale=0.3,
+                                            size=model.flat_params.shape).astype(np.float32)
             x, y = smooth_draw(model, rng, h)
             fd = fd_param_grads(f64_twin(model), x, y, h)
             an = analytic_param_grads(model, x, y)
@@ -618,8 +614,7 @@ class TestGradients:
         model = Model(cfg)
         x = np.random.default_rng(3).random((2, 115, 1), dtype=np.float32)
         _, caches = model.forward(x, want_cache=True)
-        grads = model.backward(caches, np.zeros((2, 2), dtype=np.float32))
-        assert all(np.all(g == 0) for g in grad_arrays(grads))
+        assert not model.flat_backward(caches, np.zeros((2, 2), dtype=np.float32)).any()
 
     def test_backward_calls_do_not_alias(self):
         cfg = default_config("binary")
@@ -628,21 +623,20 @@ class TestGradients:
         x = rng.random((5, 115, 1), dtype=np.float32)
         _, caches = model.forward(x, want_cache=True)
         d1, d2 = (rng.normal(size=(5, 2)).astype(np.float32) for _ in range(2))
-        first = model.backward(caches, d1)
-        kept = [a.copy() for a in grad_arrays(first)]
-        second = model.backward(caches, d2)
-        for a, b, k in zip(grad_arrays(first), grad_arrays(second), kept):
-            assert not np.shares_memory(a, b)
-            assert np.array_equal(a, k)
-        # the flat buffer train_step hands to Adam is laid out like flat_params
+        first = model.flat_backward(caches, d1)
+        kept = first.copy()
+        second = [a for layer in model.backward(caches, d2) for a in layer]
+        assert not any(np.shares_memory(a, first) for a in second)
+        assert np.array_equal(first, kept)
+        # the per-layer views lie in the flat buffer train_step hands to Adam
         flat = model.flat_backward(caches, d2)
-        assert np.array_equal(flat, np.concatenate([a.ravel() for a in grad_arrays(second)]))
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in second]))
 
     def test_hand_chain_rule_single_parameter(self):
         # one input, one sigmoid unit, BCE: dL/dw = (p - y) * x
         cfg = tiny_config([DenseSpec(1, "sigmoid")], LOSS_BCE, 1, 1)
         model = Model(cfg, dtype=np.float64)
-        model.set_weights([[np.array([[0.7]]), np.array([0.2])]])
+        model.set_weights(np.array([0.7, 0.2]))
         x = np.array([[[0.9]]])
         probs, caches = model.forward(x, want_cache=True)
         p = 1 / (1 + np.exp(-(0.7 * 0.9 + 0.2)))
@@ -714,7 +708,7 @@ class TestAdam:
         rng = np.random.default_rng(6)
         x = rng.random((8, 115, 1), dtype=np.float32)
         y = np.array([0, 1] * 4)
-        state = adam_init(model.param_arrays())
+        state = adam_init([model.flat_params])
         first = None
         for t in range(1, 101):
             probs, caches = model.forward(x, want_cache=True)
@@ -722,8 +716,7 @@ class TestAdam:
                                           model.final_activation)
             if first is None:
                 first = loss
-            grads = model.backward(caches, dlogits)
-            adam_step(model.param_arrays(), grad_arrays(grads), state, t)
+            adam_step([model.flat_params], [model.flat_backward(caches, dlogits)], state, t)
         final = loss_and_grad(model.forward(x), y, cfg.loss,
                               model.final_activation)[0]
         assert final < first / 10
@@ -780,6 +773,37 @@ class TestWeightsFile:
                               back.to_model().forward(x))
         # resaving the loaded checkpoint is byte-identical
         p2 = tmp_path / "w2.ftlw"
+        save_weights(p2, back)
+        assert p2.read_bytes() == p.read_bytes()
+
+    # sha256 of seeded fresh checkpoints' files (versions 1 and 2, both
+    # profiles, both tasks); fresh weights are Glorot draws cast to float32,
+    # the same on every BLAS build, where trained weights may not be
+    FRESH_DIGESTS = {
+        ("binary", "prose", "paper"):
+            "c9e9434aa64607f9d0dd9b7ccd1ad4462fc88c48134d7337f9ac661f95d34dde",
+        ("binary", "prose", "standard"):
+            "03dc253879260773744e4b584d8463812be88b933996ccfe201ea0c76040ddf9",
+        ("multi", "table", "paper"):
+            "e26f417f2cd722f35044722e12e7cf0cbd75b83d4d849dc9a17ba35af0bbe34e",
+    }
+
+    @pytest.mark.parametrize("case", sorted(FRESH_DIGESTS), ids="-".join)
+    def test_fresh_checkpoint_bytes_pinned(self, tmp_path, case):
+        cfg = default_config(*case, seed=7)
+        p = tmp_path / "f.ftlw"
+        save_weights(p, Checkpoint(cfg, Model(cfg).copy_weights(), 3, 0.875))
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.FRESH_DIGESTS[case]
+
+    def test_trained_checkpoint_bytes_round_trip(self, tmp_path):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 256, (40, 115), dtype=np.uint8)
+        y = np.arange(40) % 2
+        ckpt, _ = train(default_config("binary", epochs=2, seed=5), (x, y), (x, y))
+        p, p2 = tmp_path / "t.ftlw", tmp_path / "t2.ftlw"
+        save_weights(p, ckpt)
+        back = load_weights(p)
+        assert np.array_equal(back.to_model().flat_params, ckpt.to_model().flat_params)
         save_weights(p2, back)
         assert p2.read_bytes() == p.read_bytes()
 
@@ -941,8 +965,7 @@ class TestWeightsFile:
         spec_bytes = {Conv1dSpec: 14, MaxPool1dSpec: 9, GlobalAvgPoolSpec: 1,
                       DenseSpec: 6}
         header = 4 + 8 + sum(spec_bytes[type(s)] for s in ckpt.config.layers)
-        params = sum(a.size for layer in ckpt.weights for a in layer)
-        assert p.stat().st_size == header + params * 4 + 8
+        assert p.stat().st_size == header + ckpt.weights.size * 4 + 8
 
     def refusal(self, tmp_path, blob, through_pipe):
         """load_weights' error for `blob`, from a file or from a pipe,
@@ -990,3 +1013,17 @@ class TestWeightsFile:
                 + struct.pack("<BIB", 3, 2, 2) + b"\x00" * 64)
         assert self.refusal(tmp_path, blob, through_pipe) == \
             "truncated while reading layer 0 (conv1d) tensor"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}], ids=["unset", "set"])
+def test_import_pins_one_blas_thread_unless_set(preset):
+    # a fresh interpreter, so that numpy is not loaded before bytecap
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(nn.__file__).resolve().parent.parent))
+    code = f"import os, bytecap; print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.split()
+    assert out == [preset.get(v, "1") for v in BLAS_THREAD_VARS]

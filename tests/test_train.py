@@ -256,11 +256,12 @@ class TestOneWayIn:
 
         def voting_for(cls):
             # a zero last dense layer whose bias picks `cls` for every row
-            weights = nn.Model(cfg).copy_weights()
-            weights[-1][0][...] = 0.0
-            weights[-1][1][...] = 0.0
-            weights[-1][1][cls] = 10.0
-            return weights
+            model = nn.Model(cfg)
+            w, b = model.params[-1]
+            w[...] = 0.0
+            b[...] = 0.0
+            b[cls] = 10.0
+            return model.copy_weights()
 
         ckpt = Checkpoint(config=cfg, weights=voting_for(0), best_epoch=0,
                           best_val_accuracy=0.0)
