@@ -63,7 +63,7 @@ def run_pairs(checkouts: dict, workload: str, seed: int, count: int, trace: int)
         pair = {}
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
             pair[side] = run(checkouts[side], workload, seed, trace)
-            wall = pair[side]["metrics"]["wall_ref_s"]["value"]
+            wall = median(ref for ref, _ in pair[side]["rep_seconds"])
             print(f"{workload} seed {seed} trace {trace} pair {i + 1}/{count} "
                   f"{side}: wall_ref_s {wall:.4f}", flush=True)
         pairs.append(pair)

@@ -556,10 +556,9 @@ class Model:
     """Parameterized layer stack built from a ModelConfig, with fresh Glorot
     weights unless `weights` are given (see `set_weights`).
 
-    Parameters live in one flat vector (`flat_params`); the per-layer
-    arrays in `params` are views into it, so optimizer updates through
-    either alias are equivalent. Gradients come back the same way: one
-    fresh flat buffer per backward pass, with per-layer views into it.
+    Parameters live in one flat vector (`flat_params`, laid out as the
+    module docstring states); the per-layer arrays in `params` are views
+    into it, so optimizer updates through either alias are equivalent.
     `read_length` is how many leading input positions the output depends on.
     """
 
@@ -631,8 +630,7 @@ class Model:
         return views
 
     def set_weights(self, weights: np.ndarray):
-        """Copy a flat vector laid out like `flat_params` into it; a vector
-        of any other shape raises ShapeError and changes nothing."""
+        """Copy `weights`, a vector shaped like `flat_params`, into it."""
         if np.shape(weights) != self.flat_params.shape:
             raise ShapeError(f"weights of shape {np.shape(weights)} != the model's "
                              f"{self.flat_params.size} parameters")

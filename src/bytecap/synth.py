@@ -135,9 +135,9 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
 def _draw(rng, cls: SynthClass, packets_per_session, payload_len):
     """One class's draws, in the order that fixes every byte: a list of
     per-session tuples, then per packet its payload length, its payload
-    bytes (all payloads in one array) and its timestamp step. Each
-    session-level draw is an `rng.integers` call (the destination port an
-    index into `_DPORTS`), but the UDP coin, which is `rng.random`.
+    bytes (all payloads in one array) and its timestamp step. Every
+    session-level draw but the UDP coin (`rng.random`) is an `rng.integers`
+    call; the destination port's is an index into `_DPORTS`.
 
     Each session's packet draws are read from raw PCG64 output
     (`random_raw`) by `_packet_draws`, under the rules `Generator.integers`

@@ -177,7 +177,9 @@ def train(config: ModelConfig, train_data, val_data, *,
     state = adam_init([model.flat_params])  # per-layer arrays are views into it
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
-    best_acc = -1.0  # below every accuracy: epoch 0 (config.epochs >= 1) sets the best
+    best_acc = -1.0
+    best_weights = model.copy_weights()
+    best_epoch = 0
     step = 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

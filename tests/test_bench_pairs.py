@@ -16,6 +16,8 @@ _spec.loader.exec_module(bench_pairs)
 @pytest.fixture
 def runs(monkeypatch, tmp_path):
     """The (side, seed, trace) of each run; the change's runs read faster.
+    As in perfbench's reports, a traced run has per-layer metrics and no
+    end-to-end ones, an untraced run the reverse.
     This checkout is taken to be tmp_path/"this", as long a path as main's base."""
     calls = []
     monkeypatch.setattr(bench_pairs, "HERE", tmp_path / "this")
@@ -24,12 +26,15 @@ def runs(monkeypatch, tmp_path):
         side = "change" if checkout == bench_pairs.HERE else "base"
         calls.append((side, seed, trace))
         wall = (1.0 if side == "change" else 2.0) + len(calls) / 100
-        return {"environment": {"python": "3"},
-                "metrics": {"wall_ref_s": {"unit": "s", "value": wall},
-                            "eval_samples_per_s": {"unit": "1/s", "value": 1 / wall}},
-                "digests": {"model.ftlw": "same"}, "rep_seconds": [wall],
-                "setup_seconds": 0.5, "correct": True,
-                "per_layer": {"trace.overhead_s": {"unit": "s", "value": wall}}}
+        report = {"environment": {"python": "3"}, "digests": {"model.ftlw": "same"},
+                  "rep_seconds": [[wall, wall]], "setup_seconds": [[0.5, 0.5]],
+                  "correct": True}
+        if trace:
+            report["per_layer"] = {"trace.overhead_s": {"unit": "s", "value": wall}}
+        else:
+            report["metrics"] = {"wall_ref_s": {"unit": "s", "value": wall},
+                                 "eval_samples_per_s": {"unit": "1/s", "value": 1 / wall}}
+        return report
 
     monkeypatch.setattr(bench_pairs, "run", run)
     return calls
