@@ -17,7 +17,7 @@ sign is the ReLU mask; max_pool1d its input and output, from which
 backward routes each window's gradient to the first position equal to the
 max; global_avg_pool1d its input shape; dense its flattened input.
 
-A model's parameters have one stored form, the float32 vector
+A model's parameters have one stored form, the flat vector
 `Model.flat_params` (layers in plan order, weight then bias, row-major):
 `Model.params` are views into it, `Checkpoint.weights` is a copy of it and
 FTLW's tensor block is its bytes. Backward writes every gradient into one
