@@ -21,7 +21,11 @@ stay, so one command per workload and seed builds up the record. Each
 seed's `summary` gives, per metric, both medians, the base's quartiles and
 how many pairs the change won: lower wins for the end-to-end metrics whose
 `better` is "lower" in `BENCHMARK.json`, and for every other metric but a
-rate (unit `1/s`).
+rate (unit `1/s`). Each end-to-end metric also gets two flags: `gain`, the
+change won at least 9 in 10 of the pairs and its median beats the base's
+by more than the base's q3 - q1; and `within_bound`, the change's median
+is no worse than the base's by more than the metric's `bound` times the
+base's median.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ KEPT = ("environment", "metrics", "digests", "rep_seconds", "setup_seconds")
 TRACED_PAIRS = 3
 BENCHMARK = json.loads((HERE / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -79,10 +84,14 @@ def summary(pairs: list[dict]) -> dict:
         lower = BETTER.get(name, "higher" if unit == "1/s" else "lower") == "lower"
         sign = 1 if lower else -1
         q1, _, q3 = quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
+        wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         out[name] = {"base_median": median(base), "change_median": median(change),
-                     "base_q1": q1, "base_q3": q3,
-                     "change_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
-                     "pairs": len(pairs)}
+                     "base_q1": q1, "base_q3": q3, "change_wins": wins, "pairs": len(pairs)}
+        if name in BOUND:
+            # how much worse the change's median is than the base's (< 0: better)
+            worse = sign * (median(change) - median(base))
+            out[name]["gain"] = 10 * wins >= 9 * len(pairs) and -worse > q3 - q1
+            out[name]["within_bound"] = worse <= BOUND[name] * median(base)
     digests_equal = all(p["base"]["digests"] == p["change"]["digests"] for p in pairs)
     return {"metrics": out, "digests_equal": digests_equal,
             "all_correct": all(p[side]["correct"] for p in pairs for side in ("base", "change"))}

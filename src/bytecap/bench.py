@@ -227,6 +227,21 @@ def _warmup(cfg: ModelConfig):
     train_step(model, adam_init([model.flat_params]), 1, x, np.zeros(4, dtype=np.int64))
 
 
+def build_baseline(corpus, task, seed: int = 0):
+    """The stat-baseline's build phase: its session units' features,
+    standardized by the training side's mean and deviation, as the
+    (train, val) pair of (features, labels) `split_indices` makes."""
+    units, labels = _collect_units(corpus, task)
+    feats = np.stack([extract_stat_features(u, scale) for u, scale in units])
+    train_idx, val_idx = split_indices(labels, seed=seed)
+    mu = feats[train_idx].mean(axis=0)
+    sd = feats[train_idx].std(axis=0)
+    sd[sd == 0] = 1.0
+    feats = (feats - mu) / sd
+    return ((feats[train_idx], labels[train_idx]),
+            (feats[val_idx], labels[val_idx]))
+
+
 def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADERS,
                    epochs: int = 10, batch: int = 20, seed: int = 0,
                    pairing: str = "paper", profile: str = "prose") -> TimingReport:
@@ -247,19 +262,8 @@ def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADER
         return lambda: train_val_split(build_dataset(corpus, view, category, n, task),
                                        seed=seed)
 
-    def build_baseline():
-        units, labels = _collect_units(corpus, task)
-        feats = np.stack([extract_stat_features(u, scale) for u, scale in units])
-        train_idx, val_idx = split_indices(labels, seed=seed)
-        mu = feats[train_idx].mean(axis=0)
-        sd = feats[train_idx].std(axis=0)
-        sd[sd == 0] = 1.0
-        feats = (feats - mu) / sd
-        return ((feats[train_idx], labels[train_idx]),
-                (feats[val_idx], labels[val_idx]))
-
     pipelines = [(view.value, cnn_cfg, build_view(view)) for view in views]
-    pipelines.append(("stat-baseline", base_cfg, build_baseline))
+    pipelines.append(("stat-baseline", base_cfg, lambda: build_baseline(corpus, task, seed)))
     report = TimingReport()
     for name, cfg, build in pipelines:
         (train_set, val_set), build_s = timed(build)

@@ -339,11 +339,12 @@ class ModelConfig:
     def validate(self) -> list[LayerPlan]:
         """The layer plan of a well-formed model; raises ShapeError otherwise,
         or ValueError naming a training setting that cannot train: a
-        learning rate that is not finite (0 is allowed), an epsilon that is
-        not finite and > 0, a moment decay outside [0, 1), or fewer than one
-        epoch or sample per batch."""
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        learning rate that is not finite and >= 0 (0 is allowed), an epsilon
+        that is not finite and > 0, a moment decay outside [0, 1), or fewer
+        than one epoch or sample per batch."""
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         for name in ("beta1", "beta2"):
@@ -721,9 +722,16 @@ def _v1_loss(class_count: int) -> str:
 def save_weights(path, ckpt: Checkpoint):
     """Little-endian layout: FTLW, version, input_len, layer count, in
     version 2 a loss byte, then layer specs, then the flat weights vector
-    (per parameterized layer its weight and bias tensors) as raw float32."""
+    (per parameterized layer its weight and bias tensors) as raw float32.
+    A weight count other than the config's parameter count raises
+    ShapeError before the file is opened, since load_weights would refuse
+    the file."""
     cfg = ckpt.config
     plan = cfg.validate()
+    count = sum(math.prod(shape) for layer in plan for shape in layer.param_shapes)
+    if np.size(ckpt.weights) != count:
+        raise ShapeError(f"checkpoint holds {np.size(ckpt.weights)} weights, "
+                         f"its config {count} parameters")
     v1 = cfg.loss == _v1_loss(cfg.class_count)
     with open(path, "wb") as fp:
         fp.write(_WEIGHTS_MAGIC)

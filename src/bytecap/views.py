@@ -8,16 +8,16 @@ small binary format (magic "FTLD") that round-trips byte-exactly.
 `Capture.read` parses a capture once into flat arrays: the frame buffer
 as read (`pcap.PcapReader.read_frames`, whose record walk only follows
 each incl_len and checks the record rules on the collected header
-columns after the loop), per-packet layer offsets and flow/session unit
-ids. It dissects every frame at once as numpy columns
+columns after the loop), per-packet layer offsets and the flow and
+session groupings. It dissects every frame at once as numpy columns
 (`pcap.dissect_frames`), one packed flow key row per frame (layout in
 `pcap.FrameColumns`), and groups the packets once: one stable lexsort over
 those rows numbers the flows, and sessions are numbered from the flow
 table in session order (`pcap.session_rows`). `build_dataset` assembles every
 view x category cell from a `Capture` by reading windows of that buffer
 at those offsets, without copying it, so a grid of cells needs one parse
-per capture. Each view's unit order is computed at most once per capture
-and shared by its four category cells. Only a unit whose first piece is
+per capture, and the four category cells of a flow or session view share
+the grouping `read` made. Only a unit whose first piece is
 shorter than its window is masked and zero-filled; the masks that pick
 each window's bytes are run-length rows (`_band_mask`), never a
 broadcast int64 compare or a width-squared table. The
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -362,8 +362,25 @@ def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, first[by_appearance]
 
 
-def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
-    """flow_id, flow_first, session_id and session_first of Capture.read.
+Grouping = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _read_only(*arrays: np.ndarray) -> Grouping:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _grouping(ids: np.ndarray, first: np.ndarray) -> Grouping:
+    """`Capture.units`' triple of a view whose packets have unit ids `ids`
+    (-1 for a packet it leaves out) and whose units start at records `first`."""
+    # left-out packets (id -1) sort first
+    order = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
+    return _read_only(order, ids[order], first)
+
+
+def _number_units(cols: FrameColumns) -> tuple[Grouping, Grouping]:
+    """The flow and the session grouping of Capture.read (see Capture.units).
 
     The flow key rows (`FrameColumns.key`) are grouped once, in place, for
     the flows (see _first_appearance), so packets group as keys() groups
@@ -383,7 +400,7 @@ def _number_units(cols: FrameColumns) -> tuple[np.ndarray, ...]:
     session, session_flow = _first_appearance(session_rows(cols.key[flow_first]))
     # a non-IP packet's flow id, -1, picks the -1 appended
     session_id = np.append(session, -1)[flow_id]
-    return flow_id, flow_first, session_id, flow_first[session_flow]
+    return _grouping(flow_id, flow_first), _grouping(session_id, flow_first[session_flow])
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,12 +412,11 @@ class Capture:
     in zero padding at least as long as the longest frame, which assemble
     relies on to read a full-width window from any piece. eth_end and ip_end
     are offsets into that frame, ip_end is -1 for non-IP packets (the only
-    ones without an IP header end). flow_id and session_id number each
-    IP packet's unit in first-appearance order (-1 for non-IP packets) and
-    index flow_first / session_first, the int64 record index of each
-    unit's first packet; sessions are numbered from the flow table, so a
-    session's first packet is its first flow's. A packet-view unit is its
-    one packet. `units` keeps each view's grouping, read-only, once made.
+    ones without an IP header end). flows and sessions are the flow and
+    session views' groupings, as `units` returns them: units are numbered
+    in first-appearance order, non-IP packets are in none, and sessions are
+    numbered from the flow table, so a session's first packet is its first
+    flow's. A packet-view unit is its one packet.
     """
 
     source: str
@@ -410,11 +426,8 @@ class Capture:
     cap_len: np.ndarray
     eth_end: np.ndarray
     ip_end: np.ndarray
-    flow_id: np.ndarray
-    flow_first: np.ndarray
-    session_id: np.ndarray
-    session_first: np.ndarray
-    _units: dict = field(default_factory=dict, init=False, repr=False)
+    flows: Grouping
+    sessions: Grouping
 
     @classmethod
     def read(cls, path) -> "Capture":
@@ -423,7 +436,7 @@ class Capture:
         PcapReader.read_frames gives the frame buffer and its offset
         columns from one read and one record walk, pcap.dissect_frames
         every packet's layer offsets and flow key row (pcap.FrameColumns),
-        and flows and sessions are numbered over those rows (_number_units).
+        and flows and sessions are grouped over those rows (_number_units).
         dissect and keys state the same rules one packet at a time and are
         the reference this path is tested against. No per-packet or
         per-unit objects are made.
@@ -442,35 +455,21 @@ class Capture:
     def non_ip(self) -> np.ndarray:
         return self.ip_end < 0
 
-    def units(self, view: ViewKind,
-              include_non_ip: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def units(self, view: ViewKind, include_non_ip: bool = False) -> Grouping:
         """Group one view like filter_packets + split_view.
 
         Returns the kept packets' indices unit by unit (capture order
         within a unit), the unit row of each of those packets, and the
-        record index of each unit's first packet, in first-appearance order.
-        Each view's grouping is computed at most once per capture and kept
-        as read-only arrays, so the four category cells of a view share it.
+        record index of each unit's first packet, in first-appearance order,
+        all read-only. A flow or session view gives the grouping `read`
+        made, the same arrays on every call; the packet view's is built
+        on each call.
         """
-        key = (view, include_non_ip)
-        if key not in self._units:
-            arrays = tuple(a.view() for a in self._group(view, include_non_ip))
-            for a in arrays:
-                a.flags.writeable = False
-            self._units[key] = arrays
-        return self._units[key]
-
-    def _group(self, view: ViewKind, include_non_ip: bool):
-        """What `units` returns, computed afresh."""
         if view is ViewKind.PACKET:
             order = (np.arange(len(self)) if include_non_ip
                      else np.flatnonzero(~self.non_ip))
-            return order, np.arange(len(order)), order
-        ids, first = ((self.flow_id, self.flow_first) if view is ViewKind.FLOW
-                      else (self.session_id, self.session_first))
-        # non-IP packets (id -1) sort first and are left out
-        order = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
-        return order, ids[order], first
+            return _read_only(order, np.arange(len(order)), order)
+        return self.flows if view is ViewKind.FLOW else self.sessions
 
     def _cuts(self, cat: HeaderCategory) -> tuple[np.ndarray, np.ndarray]:
         """strip_headers as two cuts per packet: frame[:head] + frame[tail:]."""

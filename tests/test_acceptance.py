@@ -6,11 +6,12 @@ while running). Every tolerance is asserted exactly as stated.
 
 import random
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
 
-from bytecap.bench import time_pipelines
+from bytecap.bench import build_baseline, time_pipelines
 from bytecap.cli import main as cli_main
 from bytecap.nn import (
     Conv1dSpec,
@@ -26,6 +27,7 @@ from bytecap.nn import (
 from bytecap.pcap import dissect, read_pcap_records, write_pcap
 from bytecap.train import evaluate, metrics_from_confusion, train
 from bytecap.views import (
+    Capture,
     DatasetFile,
     HeaderCategory,
     ViewKind,
@@ -304,6 +306,37 @@ def test_c09_timing_direction(corpus_bench):
               f"and flow {rows['flow'].build_s + rows['flow'].train_s:.2f}s "
               f"beat baseline {baseline_total:.2f}s; four columns emitted "
               f"({elapsed:.1f}s)")
+
+
+def test_c09_memory_direction(corpus_bench):
+    """The low-memory half of the paper's claim, on C9's corpus but in a
+    pass of its own: for the session and flow views, the tracemalloc peak
+    over build then one epoch of train is below the stat-baseline's build
+    peak. Each side reads a capture's frames into a mapping tracemalloc
+    does not see; the largest is reported beside the peaks."""
+    cfg = default_config("binary", epochs=1, seed=0)
+
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def build_then_train(view):
+        sets = train_val_split(build_dataset(corpus_bench, view, HeaderCategory.ALL_HEADERS,
+                                             cfg.input_len, "binary"), seed=0)
+        train(cfg, *sets)
+
+    peaks = {view.value: traced_peak(lambda: build_then_train(view)) for view in ViewKind}
+    peaks["stat-baseline build"] = traced_peak(lambda: build_baseline(corpus_bench, "binary"))
+    frames = max(Capture.read(path).frames.nbytes for path, _ in corpus_bench)
+    for view in ("session", "flow"):
+        assert peaks[view] < peaks["stat-baseline build"], (view, peaks)
+    report(9, "memory: " + ", ".join(f"{name} {peak / 1e6:.2f} MB"
+                                     for name, peak in peaks.items())
+           + f" traced; frame mapping up to {frames / 1e6:.2f} MB a capture, untraced")
 
 
 def test_c10_command_determinism(corpus_small, tmp_path):

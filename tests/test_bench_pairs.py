@@ -99,3 +99,43 @@ def test_base_path_compared_after_resolving(tmp_path, runs):
     # "ln" is shorter than "this" but resolves to the same-length "base"
     assert main(tmp_path, "--pairs", "1", base="ln") == 0
     assert runs == [("base", 1, 0), ("change", 1, 0)]
+
+
+def fake_pairs(base, change, name="wall_ref_s", unit="s"):
+    """Pairs of canned reports whose only metric `name` reads base[i] and change[i]."""
+    def report(value):
+        return {"metrics": {name: {"unit": unit, "value": value}},
+                "digests": {}, "correct": True}
+    return [{"base": report(b), "change": report(c)} for b, c in zip(base, change)]
+
+
+BASE = [4.0, 4.1, 3.9, 4.0, 4.2, 3.8, 4.0, 4.1, 3.9, 4.0]  # median 4.0, q3 - q1 0.2
+
+
+@pytest.mark.parametrize("change, gain", [
+    ([b - 0.5 for b in BASE], True),  # 10 of 10 won, medians 0.5 apart
+    ([b - 0.5 for b in BASE[:9]] + [9.0], True),  # 9 of 10 is enough
+    ([b - 0.5 for b in BASE[:8]] + [9.0, 9.0], False),  # 8 of 10 is not
+    ([b - 0.1 for b in BASE], False),  # 10 of 10, but inside the base's spread
+    ([b + 0.5 for b in BASE], False)])  # worse on every pair
+def test_gain_needs_nine_in_ten_wins_and_medians_apart_by_the_base_spread(change, gain):
+    metric = bench_pairs.summary(fake_pairs(BASE, change))["metrics"]["wall_ref_s"]
+    assert metric["gain"] is gain
+
+
+@pytest.mark.parametrize("name, change, within", [
+    ("wall_ref_s", [5.0] * 10, True),  # 25% worse: the bound itself
+    ("wall_ref_s", [5.01] * 10, False),
+    ("wall_ref_s", [1.0] * 10, True),  # better is always within
+    ("peak_rss_mb", [4.6] * 10, True),  # 15% worse
+    ("peak_rss_mb", [4.61] * 10, False)])
+def test_within_bound_reads_each_metric_bound_from_the_benchmark(name, change, within):
+    unit = "MB" if name == "peak_rss_mb" else "s"
+    metric = bench_pairs.summary(fake_pairs([4.0] * 10, change, name, unit))["metrics"][name]
+    assert metric["within_bound"] is within
+
+
+def test_flags_only_on_end_to_end_metrics():
+    metric = bench_pairs.summary(fake_pairs(BASE, BASE, "eval_samples_per_s", "1/s"))
+    assert "gain" not in metric["metrics"]["eval_samples_per_s"]
+    assert "within_bound" not in metric["metrics"]["eval_samples_per_s"]

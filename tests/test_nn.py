@@ -807,6 +807,19 @@ class TestWeightsFile:
         save_weights(p2, back)
         assert p2.read_bytes() == p.read_bytes()
 
+    @pytest.mark.parametrize("cut", [5, -1], ids=["short", "long"])
+    def test_weights_of_another_count_refused_before_the_file_opens(self, tmp_path, cut):
+        # a short vector once wrote a file that load_weights refuses
+        ckpt = self.trained_checkpoint()
+        count = ckpt.weights.size
+        weights = (ckpt.weights[:-cut] if cut > 0
+                   else np.append(ckpt.weights, np.float32(0)))
+        p = tmp_path / "w.ftlw"
+        with pytest.raises(ShapeError, match=f"checkpoint holds {weights.size} weights, "
+                                             f"its config {count} parameters"):
+            save_weights(p, Checkpoint(ckpt.config, weights, 3, 0.875))
+        assert not p.exists()
+
     def test_predict_reuses_one_model_per_checkpoint(self, tmp_path):
         ckpt = self.trained_checkpoint(seed=2)
         p = tmp_path / "w.ftlw"
@@ -1027,3 +1040,31 @@ def test_import_pins_one_blas_thread_unless_set(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout.split()
     assert out == [preset.get(v, "1") for v in BLAS_THREAD_VARS]
+
+
+# argv: task, profile, out; trains a model on a small synth corpus, saves it to out
+TRAIN_AND_SAVE = """\
+import sys
+from bytecap import nn, synth, views
+from bytecap.train import train
+task, profile, out = sys.argv[1:]
+inputs = synth.synth_corpus(out + ".d", synth.synth_classes(task, 3), seed=9)
+cfg = nn.default_config(task, profile, epochs=2, seed=1)
+ds = views.build_dataset(inputs, views.ViewKind.PACKET, views.HeaderCategory.ALL_HEADERS,
+                         cfg.input_len, task)
+nn.save_weights(out, train(cfg, ds, ds)[0])
+"""
+
+
+@pytest.mark.parametrize("task, profile", [("binary", "prose"), ("multi", "table")])
+def test_trained_weights_equal_under_one_and_two_blas_threads(tmp_path, task, profile):
+    # each run in a fresh interpreter, so the thread setting acts before numpy loads
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, threads),
+                   PYTHONPATH=str(Path(nn.__file__).resolve().parent.parent))
+        out = tmp_path / f"{threads}.ftlw"
+        subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, task, profile, str(out)],
+                       env=env, check=True)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

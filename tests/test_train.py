@@ -315,8 +315,9 @@ class TestPairRowCounts:
 
 
 @pytest.mark.parametrize("name, value, rule", [
-    ("learning_rate", float("nan"), "must be finite"),
-    ("learning_rate", float("inf"), "must be finite"),
+    ("learning_rate", float("nan"), "must be finite and >= 0"),
+    ("learning_rate", float("inf"), "must be finite and >= 0"),
+    ("learning_rate", -0.01, "must be finite and >= 0"),
     ("epsilon", float("nan"), "must be finite and > 0"),
     ("epsilon", 0.0, "must be finite and > 0"),
     ("epsilon", -1e-7, "must be finite and > 0"),

@@ -385,6 +385,14 @@ def unit_numbering(pairs, view: ViewKind) -> tuple[list[int], list[int]]:
     return ids, [unit[0][0].index for unit in units.values()]
 
 
+def unit_ids(cap: Capture, view: ViewKind) -> np.ndarray:
+    """Each packet's unit row in cap.units(view), -1 for a packet it leaves out."""
+    order, rows, _ = cap.units(view)
+    ids = np.full(len(cap), -1, dtype=np.int64)
+    ids[order] = rows
+    return ids
+
+
 class TestCaptureKeys:
     @pytest.mark.parametrize("byte_order,resolution", [
         ("<", "micro"), (">", "micro"), ("<", "nano"), (">", "nano")])
@@ -394,9 +402,9 @@ class TestCaptureKeys:
                    byte_order=byte_order, ts_resolution=resolution)
         cap = Capture.read(path)
         _, pairs = read_capture(path)
-        for view, ids, first in ((ViewKind.FLOW, cap.flow_id, cap.flow_first),
-                                 (ViewKind.SESSION, cap.session_id, cap.session_first)):
+        for view in (ViewKind.FLOW, ViewKind.SESSION):
             units = split_view(filter_packets(pairs, view), view)
+            ids, first = unit_ids(cap, view), cap.units(view)[2]
             assert first.dtype == np.int64, view
             assert (ids.tolist(), first.tolist()) == unit_numbering(pairs, view), view
             # a unit's key is the key of its first packet
@@ -405,8 +413,8 @@ class TestCaptureKeys:
         assert cap.eth_end.tolist() == [d.eth_end for _, d in pairs]
         assert cap.ip_end.tolist() == [-1 if d.ip_end is None else d.ip_end for _, d in pairs]
         # the fixture's collisions hold: 11 flows and 8 sessions among 34 IP packets
-        assert int((cap.flow_id >= 0).sum()) == 34
-        assert (len(cap.flow_first), len(cap.session_first)) == (11, 8)
+        assert len(cap.units(ViewKind.FLOW)[0]) == 34
+        assert (len(cap.units(ViewKind.FLOW)[2]), len(cap.units(ViewKind.SESSION)[2])) == (11, 8)
 
     def test_numbering_matches_split_view_on_drawn_captures(self, tmp_path):
         """Flows are grouped once and sessions numbered from the flow table;
@@ -420,14 +428,15 @@ class TestCaptureKeys:
             write_pcap(path, [(i, 0, f) for i, f in enumerate(frames)])
             cap = Capture.read(path)
             _, pairs = read_capture(path)
-            for view, ids, first in ((ViewKind.FLOW, cap.flow_id, cap.flow_first),
-                                     (ViewKind.SESSION, cap.session_id, cap.session_first)):
-                assert ids.dtype == first.dtype == np.int64, view
-                assert (ids.tolist(), first.tolist()) == unit_numbering(pairs, view), view
-            for view in ViewKind:
+            for view in (ViewKind.FLOW, ViewKind.SESSION):
                 units = cap.units(view)
+                assert all(a.dtype == np.int64 for a in units), view
+                assert ((unit_ids(cap, view).tolist(), units[2].tolist())
+                        == unit_numbering(pairs, view)), view
+                # read's grouping, the same arrays on every call
                 assert all(a is b for a, b in zip(cap.units(view), units)), view
-                assert not any(a.flags.writeable for a in units), view
+            for view in ViewKind:
+                assert not any(a.flags.writeable for a in cap.units(view)), view
 
         check()
 
@@ -518,6 +527,9 @@ class TestCapture:
             want, got = getattr(from_file, field.name), getattr(piped, field.name)
             if isinstance(want, np.ndarray):
                 assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            elif isinstance(want, tuple):  # a grouping's three arrays
+                assert all(g.dtype == w.dtype and np.array_equal(g, w)
+                           for w, g in zip(want, got, strict=True)), field.name
             elif field.name != "source":
                 assert got == want, field.name
 
@@ -581,7 +593,8 @@ class TestCapture:
         path = tmp_path / "no-ip.pcap"
         write_pcap(path, [(i, 0, f) for i, f in enumerate(frames)])
         cap = Capture.read(path)
-        for first in (cap.flow_first, cap.session_first):
+        for view in (ViewKind.FLOW, ViewKind.SESSION):
+            first = cap.units(view)[2]
             assert first.dtype == np.int64 and first.size == 0
         for view in ViewKind:
             for cat in HeaderCategory:
