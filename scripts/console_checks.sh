@@ -67,6 +67,11 @@ bytecap train "$work/session.ftld" --epochs 1 --out /dev/stdout | cmp - "$work/m
 test ! -e /dev/stdout.history.jsonl
 bytecap bench --labels "$work/corpus/labels.txt" --epochs 1 --views session --out "$work/bench.csv"
 test -s "$work/bench.csv"
+# so may bench's: stdout, a pipe here, holds only the CSV, its header and
+# one row per pipeline, and the table goes to stderr
+csv="$(bytecap bench --labels "$work/corpus/labels.txt" --epochs 1 --views session --out /dev/stdout)"
+test "$(printf '%s\n' "$csv" | wc -l)" -eq 3
+test "$(printf '%s\n' "$csv" | head -n 1)" = "pipeline,build_s,train_s,test_s,accuracy"
 # the table profile at its own input length, warm-up included
 bytecap bench --labels "$work/corpus/labels.txt" --profile table --n 20 --epochs 1 --views session
 # train takes its task from the dataset's class table: a multi corpus

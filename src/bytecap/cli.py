@@ -300,23 +300,30 @@ def _is_stream(path: Path) -> bool:
         return False
 
 
+def _table_stream(out: str):
+    """Where a command prints its table: stderr when its records `out`
+    go to stdout, a pipe or a device, whose whole stream they then are
+    (opening /dev/stdout on a file truncates what stdout wrote before),
+    and stdout otherwise."""
+    return sys.stderr if out and _is_stream(Path(out)) else sys.stdout
+
+
 def cmd_train(cfg: RunConfig, args) -> int:
     if not cfg.out:
         raise ValueError("train needs --out <weights path>")
     # weights written to stdout, a pipe or a device are the whole stream:
     # the table goes to stderr and no history file is made beside them
-    stream = _is_stream(Path(cfg.out))
+    table = _table_stream(cfg.out)
     ds = read_dataset(args.dataset)
     model_cfg = _model_config(cfg, ds.sample_len, ds.class_names)
     train_ds, val_ds = train_val_split(ds, 0.2, cfg.seed)
     ckpt, history = train(model_cfg, train_ds, val_ds, early_stop=cfg.early_stop)
     save_weights(cfg.out, ckpt)
-    if stream:
+    if table is sys.stderr:
         history_path = "not written (--out names stdout, a pipe or a device)"
     else:
         history_path = Path(str(cfg.out) + ".history.jsonl")
         history_path.write_text("\n".join(history.to_records()) + "\n", encoding="utf-8")
-    table = sys.stderr if stream else sys.stdout
     print(history.to_text_table(), file=table)
     print(f"best epoch {ckpt.best_epoch} val_acc {ckpt.best_val_accuracy:.4f}", file=table)
     print(f"# weights: {cfg.out}", file=sys.stderr)
@@ -325,8 +332,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    # records written to stdout, a pipe or a device are the whole stream
-    table = sys.stderr if cfg.out and _is_stream(Path(cfg.out)) else sys.stdout
+    table = _table_stream(cfg.out)
     ds = read_dataset(args.dataset)
     report = evaluate(load_weights(args.weights), ds)
     print(report.to_text_table(), file=table)
@@ -352,7 +358,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         corpus, views, cfg.n, cfg.task,
         category=CATEGORY_FLAGS[cfg.category], epochs=cfg.epochs, batch=cfg.batch,
         seed=cfg.seed, pairing=cfg.pairing, profile=cfg.profile)
-    print(report.to_text_table())
+    print(report.to_text_table(), file=_table_stream(cfg.out))
     if cfg.out:
         Path(cfg.out).write_text(report.to_csv() + "\n", encoding="utf-8")
         print(f"# csv: {cfg.out}", file=sys.stderr)

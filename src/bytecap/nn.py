@@ -747,13 +747,12 @@ def save_weights(path, ckpt: Checkpoint):
         fp.write(struct.pack("<If", ckpt.best_epoch, ckpt.best_val_accuracy))
 
 
-def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
+def load_weights(path) -> Checkpoint:
     """Read a weights file back into a Checkpoint.
 
     Training hyperparameters are not stored; the restored ModelConfig keeps
-    defaults for them. Passing `expect` additionally enforces that the file
-    matches that architecture. A file whose layer specs do not form a valid
-    model, that ends early or that goes on past its trailer raises
+    defaults for them. A file whose layer specs do not form a valid model,
+    that ends early or that goes on past its trailer raises
     WeightsFormatError.
     """
     with open(path, "rb") as fp:
@@ -799,9 +798,6 @@ def load_weights(path, expect: Optional[ModelConfig] = None) -> Checkpoint:
             plan = config.validate()
         except ShapeError as e:
             raise WeightsFormatError(f"{path}: {e}") from None
-        if expect is not None and (expect.input_len != input_len
-                                   or tuple(expect.layers) != tuple(layers)):
-            raise WeightsFormatError(f"{path}: architecture does not match expected config")
 
         blocks = [field(sum(math.prod(shape) for shape in layer.param_shapes) * 4,
                         f"while reading layer {i} ({layer.kind.name}) tensor")

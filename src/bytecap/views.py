@@ -17,14 +17,14 @@ table in session order (`pcap.session_rows`). `build_dataset` assembles every
 view x category cell from a `Capture` by reading windows of that buffer
 at those offsets, without copying it, so a grid of cells needs one parse
 per capture, and the four category cells of a flow or session view share
-the grouping `read` made. Only a unit whose first piece is
-shorter than its window is masked and zero-filled; the masks that pick
-each window's bytes are run-length rows (`_band_mask`), never a
-broadcast int64 compare or a width-squared table. The
-per-packet path (`read_capture` with `pcap.dissect`, `filter_packets`,
-`split_view` with `pcap.keys`, `strip_headers`, `assemble_sample`)
-states the same rules one packet at a time and is the reference the
-tests hold the array path to.
+the grouping `read` made. A cell whose units give at most one piece
+each lays them in by one row assignment; any other cell places every
+piece by one boolean scatter. The masks that pick each window's bytes
+are run-length rows (`_prefix_mask`), never a broadcast int64 compare
+or a width-squared table. The per-packet path (`read_capture` with
+`pcap.dissect`, `filter_packets`, `split_view` with `pcap.keys`,
+`strip_headers`, `assemble_sample`) states the same rules one packet at
+a time and is the reference the tests hold the array path to.
 
 A `DatasetFile` holds its samples as arrays: an (N, sample_len) uint8
 `data` matrix and an (N,) int64 `labels` vector, plus, when built from
@@ -493,9 +493,11 @@ class Capture:
 
         Returns a (units, n) uint8 matrix, each unit's stripped length
         before truncation, and each unit's first record index (read-only,
-        shared with `units`). Only units whose first piece is shorter than
-        the window matrix are masked; when every unit's first piece fills
-        its row, the window matrix is the output, with no zero-filled copy.
+        shared with `units`). When every unit gives at most one piece (one
+        packet's stripped bytes that fit), one row assignment lays them in,
+        masking only a piece shorter than the window matrix, and when every
+        piece fills its row, the window matrix is the output. Any other
+        cell places every piece by one boolean scatter.
         """
         if n < 1:
             raise ValueError("sample length must be >= 1")
@@ -510,33 +512,23 @@ class Capture:
         lead = np.flatnonzero(np.diff(rows, prepend=-1))
         pos = before - before[lead][rows]
         take = np.clip(n - pos, 0, length)
-        piece = take > 0
-        # A unit's first piece (its first packet with bytes to give) starts
-        # its row, so one row assignment lays in every unit's first piece.
-        at = np.flatnonzero(piece & (pos == 0))
+        at = np.flatnonzero(take > 0)
         piece_bytes = self._pieces(at, start, head, tail, take)
         width = piece_bytes.shape[1]
-        short = np.flatnonzero(take[at] < width)
-        piece_bytes[short] *= _band_mask(np.zeros_like(short), take[at[short]], width)
-        if len(at) == len(first) and width == n:
-            out = piece_bytes  # every unit's first piece, one full row each
-        else:
+        if pos[at].any():
+            # Pieces run unit by unit in capture order, so their valid bytes,
+            # read in order, are the first min(total, n) bytes of each row.
             out = np.zeros((len(first), n), dtype=np.uint8)
-            out[rows[at], :width] = piece_bytes
-        # The later pieces fill a row on from where its first piece ended.
-        # Their valid bytes run unit by unit in capture order, so a boolean
-        # scatter over just those units' rows puts them in place.
-        at = np.flatnonzero(piece & (pos > 0))
-        if at.size:
-            unit = rows[at]
-            unit_first = np.flatnonzero(np.diff(unit, prepend=-1))
-            begin, unit = pos[at[unit_first]], unit[unit_first]
-            fill = _band_mask(begin, np.minimum(totals[unit], n), n)
-            piece_bytes = self._pieces(at, start, head, tail, take)
-            valid = _band_mask(np.zeros_like(at), take[at], piece_bytes.shape[1])
-            block = out[unit]
-            block[fill] = piece_bytes[valid]
-            out[unit] = block
+            out[_prefix_mask(np.minimum(totals, n), n)] = piece_bytes[
+                _prefix_mask(take[at], width)]
+            return out, totals, first
+        # no piece starts past column 0: each unit has at most one piece
+        short = np.flatnonzero(take[at] < width)
+        piece_bytes[short] *= _prefix_mask(take[at[short]], width)
+        if len(at) == len(first) and width == n:
+            return piece_bytes, totals, first  # one full row a unit
+        out = np.zeros((len(first), n), dtype=np.uint8)
+        out[rows[at], :width] = piece_bytes
         return out, totals, first
 
     def _pieces(self, at, start, head, tail, take) -> np.ndarray:
@@ -550,20 +542,18 @@ class Capture:
         if head.any():  # the kept head bytes lead the row
             reach = min(int(head.max()), width)
             np.copyto(piece_bytes[:, :reach], _windows(self.frames, start, reach),
-                      where=_band_mask(np.zeros_like(head), np.minimum(head, reach), reach))
+                      where=_prefix_mask(np.minimum(head, reach), reach))
         return piece_bytes
 
 
-def _band_mask(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
-    """Rows of `width` booleans, row i True in columns lo[i] <= c < hi[i]
-    (0 <= lo <= hi <= width), laid out as three runs a row by np.repeat:
-    no broadcast compare against an int64 column index, and no table
-    whose size grows with width (width follows the longest frame)."""
-    runs = np.empty((len(lo), 3), dtype=np.int64)
-    runs[:, 0], runs[:, 1], runs[:, 2] = lo, hi - lo, width - hi
-    values = np.zeros(runs.shape, dtype=bool)
-    values[:, 1] = True
-    return np.repeat(values.reshape(-1), runs.reshape(-1)).reshape(len(lo), width)
+def _prefix_mask(length: np.ndarray, width: int) -> np.ndarray:
+    """Rows of `width` booleans, row i True in its first length[i] columns
+    (0 <= length <= width), laid out as two runs a row by np.repeat: no
+    broadcast compare against an int64 column index, and no table whose
+    size grows with width (width follows the longest frame)."""
+    runs = np.stack((length, width - length), axis=1)
+    values = np.tile([True, False], len(length))
+    return np.repeat(values, runs.reshape(-1)).reshape(len(length), width)
 
 
 def label_index(name: str, task: str) -> Optional[int]:
@@ -653,11 +643,21 @@ class DatasetFormatError(ValueError):
 
 def write_dataset(path, ds: DatasetFile):
     """Serialize (little-endian): FTLD, version, view, category, sample_len,
-    class table, then sample_count records of label u16 + raw bytes."""
+    class table, then sample_count records of label u16 + raw bytes. What
+    FTLD cannot hold or `read_dataset` would refuse is a ValueError before
+    the file is created."""
     count = len(ds.labels)
     if ds.data.shape != (count, ds.sample_len):
         raise ValueError("sample length does not match dataset sample_len")
-    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= len(ds.class_names)))
+    if ds.sample_len > 0xFFFFFFFF:
+        raise ValueError(f"sample length {ds.sample_len} exceeds FTLD's u32 sample_len")
+    if not 1 <= len(ds.class_names) <= 0xFFFF:
+        raise ValueError(f"{len(ds.class_names)} class names, FTLD holds 1 to 65535")
+    names = [name.encode("utf-8") for name in ds.class_names]
+    for i, raw in enumerate(names):
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"class name {i} is {len(raw)} UTF-8 bytes, FTLD holds at most 65535")
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= len(names)))
     if bad.size:
         raise ValueError(f"label {ds.labels[bad[0]]} out of range")
     # one row per record: label u16 (little-endian), then the sample bytes
@@ -668,9 +668,8 @@ def write_dataset(path, ds: DatasetFile):
         fp.write(_DATASET_MAGIC)
         fp.write(struct.pack("<HBBIH", _DATASET_VERSION, _VIEW_CODES[ds.view],
                              _CATEGORY_CODES[ds.category], ds.sample_len,
-                             len(ds.class_names)))
-        for name in ds.class_names:
-            raw = name.encode("utf-8")
+                             len(names)))
+        for raw in names:
             fp.write(struct.pack("<H", len(raw)))
             fp.write(raw)
         fp.write(struct.pack("<Q", count))

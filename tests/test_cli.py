@@ -672,6 +672,26 @@ class TestBench:
         assert len(lines) == 3  # session + stat-baseline
         assert "stat-baseline" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    def test_bench_out_may_name_stdout(self, cli_corpus, tmp_path, stdout):
+        """With --out /dev/stdout the CSV is the whole of stdout, through a
+        pipe or redirected to a file, and the table goes to stderr."""
+        with open(tmp_path / "stdout", "w+b") as fp:
+            proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "bench", "--labels",
+                                   str(cli_corpus / "labels.txt"), "--views", "session",
+                                   "--epochs", "1", "--out", "/dev/stdout"],
+                                  stdout=subprocess.PIPE if stdout == "pipe" else fp,
+                                  stderr=subprocess.PIPE, timeout=120)
+            fp.seek(0)
+            out = proc.stdout if stdout == "pipe" else fp.read()
+        assert proc.returncode == 0, proc.stderr
+        lines = out.decode().splitlines()
+        assert lines[0] == TimingReport.CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["session", "stat-baseline"]
+        table = [line for line in proc.stderr.decode().splitlines()
+                 if line.startswith(("pipeline ", "session ", "stat-baseline "))]
+        assert [line.split()[0] for line in table] == ["pipeline", "session", "stat-baseline"]
+
     def test_bench_table_profile_at_its_own_input_length(self, cli_corpus, tmp_path):
         csv = tmp_path / "times.csv"
         assert run_cli("bench", "--labels", str(cli_corpus / "labels.txt"), "--profile",

@@ -900,14 +900,6 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match="truncated while reading loss"):
             load_weights(p)
 
-    def test_architecture_mismatch_detected(self, tmp_path):
-        ckpt = self.trained_checkpoint()
-        p = tmp_path / "a.ftlw"
-        save_weights(p, ckpt)
-        other = default_config("multi")
-        with pytest.raises(WeightsFormatError, match="architecture"):
-            load_weights(p, expect=other)
-
     @pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
     def test_malformed_layer_spec_rejected(self, tmp_path, case):
         p = tmp_path / "h.ftlw"

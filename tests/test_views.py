@@ -1029,6 +1029,24 @@ class TestDatasetArrays:
             write_dataset(tmp_path / "bad.ftld", ds)
         assert not (tmp_path / "bad.ftld").exists()
 
+    @pytest.mark.parametrize("class_names, sample_len, message", [
+        ([], 2, "0 class names, FTLD holds 1 to 65535"),
+        ([str(i) for i in range(65_536)], 2, "65536 class names, FTLD holds 1 to 65535"),
+        (["benign", "\u00e9" * 32_768], 2,
+         "class name 1 is 65536 UTF-8 bytes, FTLD holds at most 65535"),
+        (["benign"], 2 ** 32, "sample length 4294967296 exceeds FTLD's u32 sample_len"),
+    ], ids=["no-class", "too-many-classes", "long-class-name", "sample-len-past-u32"])
+    def test_write_refuses_headers_ftld_cannot_hold(self, tmp_path, class_names, sample_len,
+                                                     message):
+        """What read_dataset would refuse, or FTLD's u16 and u32 fields
+        cannot hold, is a ValueError before the file is created."""
+        ds = DatasetFile(ViewKind.PACKET, ALL, sample_len, class_names,
+                         data=np.zeros((0, sample_len), dtype=np.uint8),
+                         labels=np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            write_dataset(tmp_path / "bad.ftld", ds)
+        assert not (tmp_path / "bad.ftld").exists()
+
 
 class TestSplitAndSynth:
     def test_stratified_split(self, corpus_small):
