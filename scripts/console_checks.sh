@@ -26,6 +26,12 @@ d133d32b5fd2cf630f52c4164f6afc5bdb509bd77eaa3ce01d8afd6c9203f2ff  benign.pcap
 16ba03bb94c6b596ef3317150546714f650ab4d1055aa4ba408f2d1c0c5baf02  malicious.pcap
 SUMS
 )
+# and the multi corpus, whose 21- and 25-value byte bands reject raw bytes:
+# one sha256 over its 12 pcaps in label order
+bytecap synth --out "$work/multi" --task multi --sessions 2 --seed 9
+test "$(while IFS=, read -r path _; do cat "$path"; done < "$work/multi/labels.txt" \
+        | sha256sum | cut -d' ' -f1)" \
+    = 8d3ad0eb28a710431445444bf8d0151f09d0eb2848defaff728718abf67ce7b1
 bytecap build --labels "$work/corpus/labels.txt" --out "$work/session.ftld"
 # the full grid twice into one directory: the second build passes the
 # overwrite guard and must write the same 12 files byte for byte

@@ -66,6 +66,10 @@ MAX_PAYLOAD = SNAPLEN - _TCP_FRAME.itemsize  # the longest payload a frame can c
 
 _DPORTS = [80, 443, 8080, 1883, 23]
 _BASE_TS = 1_600_000_000
+# raw generator outputs a class's draws read at a time (`_walk`); a block's
+# arrays (32 to 64 KiB) stay below glibc's 128 KiB mmap threshold, since
+# larger transients that come and go raise the process's peak RSS
+_BLOCK = 1 << 12
 
 
 def _slug(name: str) -> str:
@@ -77,7 +81,19 @@ def _check_recipe(classes, packets_per_session, payload_len):
     write as asked."""
     if len(classes) < 2:
         raise ValueError("a corpus needs at least 2 classes")
+    named = {}  # file name -> class name
     for cls in classes:
+        # a labels line is "pcap-path,class-name", its name read back stripped
+        if any(c in cls.name for c in ",\n\r") or cls.name != cls.name.strip():
+            raise ValueError(f"class {cls.name!r}: a class name cannot hold ',', a line "
+                             "feed or a carriage return, nor start or end with white space")
+        if not cls.name:
+            raise ValueError("class '': a class needs a name")
+        slug = _slug(cls.name)
+        if slug in named:
+            raise ValueError(f"classes {named[slug]!r} and {cls.name!r} would both "
+                             f"be written to {slug}.pcap")
+        named[slug] = cls.name
         if not 0 <= cls.byte_low <= cls.byte_high <= 255:
             raise ValueError(f"class {cls.name!r}: payload bytes must satisfy "
                              f"0 <= byte_low <= byte_high <= 255, "
@@ -103,13 +119,15 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     every output byte.
 
     One generator serves the classes in order, and its draws are the only
-    sequential part (`_draw`): per session, the packet count, UDP flag,
+    sequential part (`_walk`): per session, the packet count, UDP flag,
     two addresses, source port, destination port, two MACs and two
     starting sequence numbers; then per packet of that session, the
-    payload length, payload bytes and timestamp step. The session draws
-    are Generator calls; each session's packet draws are read from raw
-    generator words at once, by the rules of `Generator.integers` that
-    `_draw` states and tests/test_synth.py pins. Everything else is
+    payload length, payload bytes and timestamp step. Every draw is read
+    from raw generator words, one class at a time in one walk, by the
+    rules of the `Generator` calls it stands for (`integers`, and
+    `random() < 0.25` for the UDP flag: the next whole 64-bit output is
+    below 2**62) that `_walk` states and tests/test_synth.py pins; the
+    generator's state is read and set once per class. Everything else is
     derived from the draws as numpy columns over the class (`_frames`):
     directions, sequence and ack numbers, idents, lengths, timestamps,
     header bytes and checksums. The bytes are the same for every seed as
@@ -118,7 +136,10 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     A class byte band outside 0 <= byte_low <= byte_high <= 255, a
     `packets_per_session` outside 1 <= lo <= hi, or a `payload_len`
     outside 0 <= lo <= hi <= MAX_PAYLOAD is refused with a ValueError
-    before `out_dir` is created.
+    before `out_dir` is created, as are an empty class name, one holding
+    ',', a line feed or a carriage return or starting or ending with white
+    space (which a labels line cannot keep), and two classes whose names
+    give one file name.
     """
     _check_recipe(classes, packets_per_session, payload_len)
     out_dir = Path(out_dir)
@@ -127,116 +148,131 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     results = []
     for cls in classes:
         path = out_dir / f"{_slug(cls.name)}.pcap"
-        write_pcap(path, _frames(*_draw(rng, cls, packets_per_session, payload_len)))
+        write_pcap(path, _frames(*_walk(rng, cls, packets_per_session, payload_len)))
         results.append((path, cls.name))
     return results
 
 
-def _draw(rng, cls: SynthClass, packets_per_session, payload_len):
-    """One class's draws, in the order that fixes every byte: a list of
-    per-session tuples, then per packet its payload length, its payload
-    bytes (all payloads in one array) and its timestamp step. Every
-    session-level draw but the UDP coin (`rng.random`) is an `rng.integers`
-    call; the destination port's is an index into `_DPORTS`.
+def _walk(rng, cls: SynthClass, packets_per_session, payload_len):
+    """One class's draws, in the order that fixes every byte: its session
+    columns (packet count, UDP flag, source and destination address bytes,
+    source port, destination port, source and destination MAC bytes, and
+    the two starting sequence numbers), then per packet its payload length,
+    its payload bytes (all payloads in one array) and its timestamp step.
+    They are the draws of these Generator calls, made in order:
 
-    Each session's packet draws are read from raw PCG64 output
-    (`random_raw`) by `_packet_draws`, under the rules `Generator.integers`
-    itself follows (tests/test_synth.py pins them against it):
+        for _ in range(cls.sessions):
+            n_pkts = rng.integers(packets_per_session[0], packets_per_session[1] + 1)
+            rng.random() < 0.25                                # over UDP
+            rng.integers(0, 256, 3, dtype=np.uint8)            # source 10.x.y.z
+            rng.integers(0, 256, 3, dtype=np.uint8)            # destination
+            rng.integers(1024, 65536)                          # source port
+            _DPORTS[rng.integers(0, len(_DPORTS))]             # destination port
+            rng.integers(0, 256, 4, dtype=np.uint8)            # source MAC 02:00:...
+            rng.integers(0, 256, 4, dtype=np.uint8)            # destination MAC 02:01:...
+            rng.integers(0, 2**31), rng.integers(0, 2**31)     # starting sequence numbers
+            for _ in range(n_pkts):
+                plen = rng.integers(payload_len[0], payload_len[1] + 1)
+                rng.integers(cls.byte_low, cls.byte_high + 1, size=plen, dtype=np.uint8)
+                rng.integers(200, 5000)                        # timestamp step
+
+    They are read in one walk over raw PCG64 output (`random_raw`), by the
+    rules those calls follow (tests/test_synth.py pins them against numpy):
     - 32-bit words are each 64-bit output's low half, then its high half;
       a half left over stays pending in the state's `has_uint32` and
       `uinteger` as the next call's first word;
     - a scalar draw over r values (Lemire's bounded draw) takes a word w,
       takes the next one while (w * r) mod 2**32 < (2**32 - r) mod r, and
       returns low + (w * r) >> 32;
-    - a sized uint8 draw reads its own buffer of word bytes, low byte first,
-      by the same rule at 8 bits (every byte is kept when r is 256), and
-      drops the bytes left in its last word;
-    - a draw over one value, or of size 0, takes no word.
+    - a sized uint8 draw starts a word of its own and reads its bytes, low
+      byte first, by the same rule at 8 bits (every byte is kept when r is
+      256), dropping the bytes left in its last word;
+    - a draw over one value, or of size 0, takes no word;
+    - `random()` takes the next whole 64-bit output x and leaves a pending
+      half pending; it is below 0.25 exactly when x < 2**62.
+
+    The words come in blocks of `_BLOCK` outputs; a session cut by a
+    block's end is drawn again once the next block is appended (one as long
+    as the session's words so far, when that is longer). At the end
+    the generator is rewound, advanced by the outputs the calls take, and
+    left the pending half they leave: `uinteger` is the high half of the
+    last output a 32-bit draw split, even when that half was taken since.
     """
-    integers = rng.integers
-    plen_range = payload_len[0], payload_len[1] + 1
-    byte_range = cls.byte_low, cls.byte_high + 1
-    sessions, packets = [], []
-    for _ in range(cls.sessions):
-        n_pkts = integers(packets_per_session[0], packets_per_session[1] + 1)
-        sessions.append((
-            n_pkts,
-            rng.random() < 0.25,  # over UDP
-            integers(0, 256, 3, dtype=np.uint8),  # source 10.x.y.z
-            integers(0, 256, 3, dtype=np.uint8),  # destination
-            integers(1024, 65536),  # source port
-            _DPORTS[integers(0, len(_DPORTS))],  # destination port
-            integers(0, 256, 4, dtype=np.uint8),  # source MAC 02:00:...
-            integers(0, 256, 4, dtype=np.uint8),  # destination MAC 02:01:...
-            integers(0, 2**31),  # forward starting sequence number
-            integers(0, 2**31),  # reverse
-        ))
-        packets.append(_packet_draws(rng, n_pkts, plen_range, byte_range))
-    return sessions, *(np.concatenate(column) for column in zip(*packets))
-
-
-def _packet_draws(rng, n_pkts, plen_range, byte_range):
-    """The payload lengths, payload bytes (one array) and timestamp steps
-
-        for _ in range(n_pkts):
-            plen = rng.integers(*plen_range)
-            payload = rng.integers(*byte_range, size=plen, dtype=np.uint8)
-            step = rng.integers(200, 5000)
-
-    draws, leaving `rng` as that loop does, by the rules of `_draw`: one
-    walk over the session's words, one index for the payloads, and the
-    generator rewound and advanced by the words used."""
     bitgen = rng.bit_generator
     start = bitgen.state
-    pending = start["has_uint32"]
-    byte_low, byte_r = byte_range[0], byte_range[1] - byte_range[0]
+    count_range = packets_per_session[0], packets_per_session[1] + 1
+    plen_range = payload_len[0], payload_len[1] + 1
+    byte_low, byte_r = cls.byte_low, cls.byte_high + 1 - cls.byte_low
     byte_floor = (256 - byte_r) % byte_r
-    # words for every packet at the longest payload; twice as many if they run out
-    n_raw = n_pkts * (2 + (plen_range[1] - 1) * 256 // (256 - byte_floor) // 8) + 2
-    while True:
-        raw = bitgen.random_raw(n_raw)
-        words = np.empty(pending + 2 * n_raw, dtype=np.uint32)
-        words[:pending] = start["uinteger"]
-        words[pending::2] = raw & np.uint64(0xFFFFFFFF)
-        words[pending + 1::2] = raw >> np.uint64(32)
+    draw = _scalar_draw
+    # the words not yet taken; the first is word `origin` of the class's
+    # outputs, word -1 being the half pending at its start
+    words = np.array([start["uinteger"]] * start["has_uint32"], dtype="<u4")
+    origin, pos = -len(words), 0
+    sessions, packets, payloads = [], [], []
+    while len(sessions) < cls.sessions:
+        # a block, or the cut session's length when that is more, so that a
+        # long session is drawn again only as often as its words double
+        more = bitgen.random_raw(max(_BLOCK, (len(words) - pos) // 2))
+        words = np.concatenate([words[pos:], more.astype("<u8").view("<u4")])
+        origin, pos, gathered = origin + pos, 0, len(packets)
         # the kept payload bytes, and how many are kept before each word
         # (four 0/1 bytes sum in the top byte of their product with 0x01010101)
-        m = words.astype("<u4").view(np.uint8).astype(np.uint16) * byte_r
+        m = words.view(np.uint8).astype(np.uint16) * byte_r
         kept = (m & 0xFF) >= byte_floor
         kept_bytes = (m[kept] >> 8).astype(np.uint8) + np.uint8(byte_low)
         before = np.zeros(len(words) + 1, dtype=np.int64)
         np.cumsum((kept.view("<u4") * np.uint32(0x01010101)) >> np.uint32(24),
                   out=before[1:])
         table, before = memoryview(words), memoryview(before)
-        draws, pos = [], 0
         try:
-            for _ in range(n_pkts):
-                plen, pos = _scalar_draw(table, pos, *plen_range)
-                first = 0  # a one-value band reads kept_bytes from 0, all byte_low
-                if plen and byte_r > 1:  # on to the word after the last kept byte's
-                    first = before[pos]
-                    pos = bisect_right(before, first + plen - 1)
-                step, pos = _scalar_draw(table, pos, 200, 5000)
-                draws.append((plen, first, step))
-        except IndexError:  # the words ran out
-            pos = len(words) + 1
-        if pos <= len(words):
-            break
-        bitgen.state = start
-        n_raw *= 2
+            while len(sessions) < cls.sessions:
+                cut, mark = pos, len(packets)
+                n_pkts, pos = draw(table, pos, *count_range)
+                # random() takes the next whole output, after a pending half
+                # (which the source address then takes); the output is below
+                # 2**62 when its high half is below 2**30
+                half = (origin + pos) & 1
+                udp = table[pos + 1 + half] < 2**30
+                src_ip, dst_ip = table[pos + 2 - 2 * half], table[pos + 3]
+                sport, pos = draw(table, pos + 4, 1024, 65536)
+                dport, pos = draw(table, pos, 0, len(_DPORTS))
+                src_mac, dst_mac = table[pos], table[pos + 1]
+                seq_fwd, pos = draw(table, pos + 2, 0, 2**31)
+                seq_rev, pos = draw(table, pos, 0, 2**31)
+                for _ in range(n_pkts):
+                    plen, pos = draw(table, pos, *plen_range)
+                    first = 0
+                    if plen and byte_r > 1:  # on to the word after the last kept byte's
+                        first = before[pos]
+                        pos = bisect_right(before, first + plen - 1, pos)
+                    step, pos = draw(table, pos, 200, 5000)
+                    packets.append((plen, first, step))
+                sessions.append((n_pkts, udp, src_ip, dst_ip, sport, dport, src_mac,
+                                 dst_mac, seq_fwd, seq_rev))
+        except IndexError:  # the words ran out inside this session
+            pos = cut
+            del packets[mark:]
+        plens, firsts, _ = np.array(packets[gathered:], dtype=np.int64).reshape(-1, 3).T
+        ranks = np.repeat(firsts - (np.cumsum(plens) - plens), plens) + np.arange(plens.sum())
+        payloads.append(kept_bytes[ranks] if byte_r > 1  # a one-value band takes no word
+                        else np.full(len(ranks), byte_low, dtype=np.uint8))
 
-    used = max(pos - pending, 0)  # raw halves taken
+    end = origin + pos  # the next 32-bit word
     bitgen.state = start
-    bitgen.random_raw((used + 1) // 2)
+    bitgen.advance((end + 1) // 2)
     state = bitgen.state
-    state["has_uint32"] = used & 1 if used else pending - pos
-    if used:
-        state["uinteger"] = int(raw[(used - 1) // 2] >> np.uint64(32))
+    state["has_uint32"] = end & 1
+    state["uinteger"] = table[(end - 1 | 1) - origin]
     bitgen.state = state
 
-    plens, firsts, steps = np.array(draws, dtype=np.int64).reshape(-1, 3).T
-    ranks = np.repeat(firsts - (np.cumsum(plens) - plens), plens)
-    return plens, kept_bytes[ranks + np.arange(len(ranks))], steps
+    columns = np.array(sessions, dtype=np.int64).reshape(-1, 10).T
+    ip_mac = columns[[2, 3, 6, 7]].astype("<u4").view(np.uint8).reshape(4, -1, 4)
+    plens, _, steps = np.array(packets, dtype=np.int64).reshape(-1, 3).T
+    return ((columns[0], columns[1].astype(bool), ip_mac[0, :, :3], ip_mac[1, :, :3],
+             columns[4], np.array(_DPORTS)[columns[5]], ip_mac[2], ip_mac[3],
+             columns[8], columns[9]),
+            plens, np.concatenate(payloads), steps)
 
 
 def _scalar_draw(words, pos: int, low: int, high: int) -> tuple[int, int]:
@@ -287,14 +323,13 @@ def _frames(sessions, plen, payload, steps) -> list[tuple[int, int, memoryview]]
     over the frames as laid out, each frame padded to an even length.
     """
     (n_pkts, udp, src_ip, dst_ip, sport, dport, src_mac, dst_mac,
-     seq_fwd, seq_rev) = zip(*sessions)
-    n_pkts = np.array(n_pkts, dtype=np.int64)
+     seq_fwd, seq_rev) = sessions
     first = np.cumsum(n_pkts) - n_pkts
     sess = np.repeat(np.arange(len(n_pkts)), n_pkts)
     rows = np.arange(len(sess))
     index = rows - first[sess]  # the packet's place in its session
     side = index & 1  # 0: the initiator sends; strict alternation keeps both flows populated
-    udp = np.array(udp)[sess]
+    udp = udp[sess]
 
     # each packet's source is its sender's end of the session, its
     # destination the other end

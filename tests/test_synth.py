@@ -1,7 +1,7 @@
 """`synth_corpus` against the per-frame generator it replaced, kept here
 verbatim as the oracle: every recipe writes the same files and returns the
-same list. Also the raw-word rules of the packet draws against
-`Generator.integers` itself, and the refusals of recipes the generator
+same list. Also the raw-word rules of a class's draws against the
+`Generator` calls themselves, and the refusals of recipes the generator
 cannot write."""
 
 import hashlib
@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bytecap import synth
 from bytecap.pcap import PROTO_TCP, PROTO_UDP, SNAPLEN, PacketRecord, read_pcap_records, write_pcap
 from bytecap.synth import (
     SynthClass,
-    _packet_draws,
     _scalar_draw,
+    _walk,
     binary_synth_classes,
     synth_classes,
     synth_corpus,
@@ -151,8 +152,7 @@ PERFBENCH_RECIPES = {
     "short-sessions": dict(packets_per_session=(4, 10), payload_len=(20, 60)),
 }
 
-
-@pytest.mark.parametrize("classes, seed, recipe", [
+ORACLE_CASES = [
     (binary_synth_classes(4), 0, {}),
     (synth_classes("multi", 2), 3, {}),
     (binary_synth_classes(3), 1, PERFBENCH_RECIPES["ingest-grid"]),
@@ -169,10 +169,23 @@ PERFBENCH_RECIPES = {
     # packet draws of one word a session leave a half pending before the
     # next session's rng.random()
     (binary_synth_classes(6), 14, dict(payload_len=(0, 0), packets_per_session=(1, 1))),
-], ids=["binary", "multi", "ingest-grid", "short-sessions", "tiny", "one-value-band",
-        "seed6", "seed7", "seed2^32-1", "seed-big", "multi-ingest-grid", "fixed-length",
-        "full-band-long", "empty-single-packet"])
-def test_matches_oracle(tmp_path, classes, seed, recipe):
+]
+ORACLE_IDS = ["binary", "multi", "ingest-grid", "short-sessions", "tiny", "one-value-band",
+              "seed6", "seed7", "seed2^32-1", "seed-big", "multi-ingest-grid", "fixed-length",
+              "full-band-long", "empty-single-packet"]
+# cases again with blocks of 1 to 3 raw outputs, which cut nearly every
+# session, so that it is drawn again once the next block is appended
+TINY_BLOCKS = {"short-sessions": 1, "multi-ingest-grid": 3, "empty-single-packet": 2}
+
+
+@pytest.mark.parametrize(
+    "classes, seed, recipe, block",
+    [(*case, None) for case in ORACLE_CASES]
+    + [(*ORACLE_CASES[ORACLE_IDS.index(name)], block) for name, block in TINY_BLOCKS.items()],
+    ids=ORACLE_IDS + [f"{name}-block{block}" for name, block in TINY_BLOCKS.items()])
+def test_matches_oracle(tmp_path, monkeypatch, classes, seed, recipe, block):
+    if block:
+        monkeypatch.setattr(synth, "_BLOCK", block)
     assert_matches_oracle(tmp_path, classes, seed, **recipe)
 
 
@@ -216,35 +229,54 @@ def test_matches_oracle_on_small_recipes(recipe):
         assert_matches_oracle(Path(out_dir), classes, seed, **kwargs)
 
 
-def loop_draws(rng, n_pkts, plen_range, byte_range):
-    """The Generator calls `_packet_draws` stands for, made one by one."""
-    plens, payloads, steps = [], [np.zeros(0, dtype=np.uint8)], []
-    for _ in range(n_pkts):
-        plens.append(rng.integers(*plen_range))
-        payloads.append(rng.integers(*byte_range, size=plens[-1], dtype=np.uint8))
-        steps.append(rng.integers(200, 5000))
-    return plens, np.concatenate(payloads), steps
+def twin_draws(rng, cls, packets_per_session, payload_len):
+    """The Generator calls `_walk` stands for, made one by one as
+    oracle_synth_corpus makes them."""
+    sessions, plens, payloads, steps = [], [], [np.zeros(0, dtype=np.uint8)], []
+    for _ in range(cls.sessions):
+        n_pkts = int(rng.integers(packets_per_session[0], packets_per_session[1] + 1))
+        sessions.append((
+            n_pkts, rng.random() < 0.25,
+            rng.integers(0, 256, 3, dtype=np.uint8).tolist(),
+            rng.integers(0, 256, 3, dtype=np.uint8).tolist(),
+            int(rng.integers(1024, 65536)), int(rng.choice([80, 443, 8080, 1883, 23])),
+            rng.integers(0, 256, 4, dtype=np.uint8).tolist(),
+            rng.integers(0, 256, 4, dtype=np.uint8).tolist(),
+            int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31))))
+        for _ in range(n_pkts):
+            plens.append(int(rng.integers(payload_len[0], payload_len[1] + 1)))
+            payloads.append(rng.integers(cls.byte_low, cls.byte_high + 1, size=plens[-1],
+                                         dtype=np.uint8))
+            steps.append(int(rng.integers(200, 5000)))
+    return sessions, plens, np.concatenate(payloads), steps
 
 
+@pytest.mark.parametrize("block", [None, 1, 2, 3], ids=["block", "block1", "block2", "block3"])
 @pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
-@pytest.mark.parametrize("byte_range", [(7, 8), (0, 128), (0, 256), (0, 21), (21, 46),
-                                        (3, 124), (0, 129)],
+@pytest.mark.parametrize("band", [(7, 7), (0, 127), (0, 255), (0, 20), (21, 45), (3, 123),
+                                  (0, 128)],
                          ids=["one", "128", "256", "21", "25", "121", "129"])
-@pytest.mark.parametrize("plen_range", [(40, 41), (0, 1), (0, 3), (0, 64), (60, 181)],
-                         ids=["fixed", "size0", "0-2", "64", "121"])
-def test_packet_draws_follow_generator_integers(plen_range, byte_range, pending):
-    # seeds drawn once at random, and packet counts from 1 up
-    for seed, n_pkts in zip([3_871_264_509, 42, 901_177, 2**63 + 5, 17], [1, 2, 5, 9, 40]):
+@pytest.mark.parametrize("packets, payload", [((1, 1), (0, 0)), ((1, 1), (40, 40)),
+                                              ((1, 4), (0, 64)), ((2, 5), (60, 180))],
+                         ids=["1-packet-size0", "1-packet-fixed", "0-64", "60-180"])
+def test_walk_follows_generator_calls(monkeypatch, block, pending, band, packets, payload):
+    # blocks of 1 to 3 outputs make sessions straddle refills
+    if block:
+        monkeypatch.setattr(synth, "_BLOCK", block)
+    cls = SynthClass("c", *band, 5)
+    for seed in [3_871_264_509, 42, 2**63 + 5]:
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         if pending:  # a scalar draw takes a word's low half and leaves its high half
             rng.integers(0, 2**31)
             twin.integers(0, 2**31)
         assert rng.bit_generator.state["has_uint32"] == pending
-        plens, payload, steps = _packet_draws(rng, n_pkts, plen_range, byte_range)
-        want_plens, want_payload, want_steps = loop_draws(twin, n_pkts, plen_range,
-                                                          byte_range)
+        sessions, plens, payload_bytes, steps = _walk(rng, cls, packets, payload)
+        want_sessions, want_plens, want_payload, want_steps = twin_draws(twin, cls, packets,
+                                                                         payload)
+        assert list(zip(*(column.tolist() for column in sessions))) == want_sessions
         assert plens.tolist() == want_plens and steps.tolist() == want_steps
-        assert payload.dtype == np.uint8 and payload.tobytes() == want_payload.tobytes()
+        assert payload_bytes.dtype == np.uint8
+        assert payload_bytes.tobytes() == want_payload.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random() == twin.random()
 
@@ -305,6 +337,22 @@ class TestRefusals:
         self.refused(tmp_path, "class 'bad': payload bytes must satisfy "
                                f"0 <= byte_low <= byte_high <= 255, got {low} and {high}",
                      classes)
+
+    @pytest.mark.parametrize("names, match", [
+        (["a b", "a_b"], "classes 'a b' and 'a_b' would both be written to a_b.pcap"),
+        (["x", "Mirai", "mirai"], "classes 'Mirai' and 'mirai' would both be written to "
+                                  "mirai.pcap"),
+        (["web,cam", "b"], "class 'web,cam': a class name cannot hold ','"),
+        (["a", "line\nfeed"], "class 'line\\nfeed': a class name cannot hold ','"),
+        (["a", "carriage\rreturn"], "class 'carriage\\rreturn': a class name cannot hold ','"),
+        (["a", " web"], "class ' web': a class name cannot hold ','"),
+        (["cam\t", "b"], "class 'cam\\t': a class name cannot hold ','"),
+        (["", "b"], "class '': a class needs a name"),
+    ], ids=["one-slug", "case", "comma", "line-feed", "carriage-return", "leading-space",
+            "trailing-tab", "empty"])
+    def test_class_names_a_corpus_cannot_keep_apart(self, tmp_path, names, match):
+        classes = [SynthClass(name, 0, 255, 2) for name in names]
+        self.refused(tmp_path, re.escape(match), classes)
 
     @pytest.mark.parametrize("packets", [(0, 0), (0, 3), (5, 4)])
     def test_packets_per_session(self, tmp_path, packets):
