@@ -5,7 +5,7 @@
 # refused inputs (hostile captures, bad settings, a corrupt record).
 #
 #     scripts/console_checks.sh                                   # installed script
-#     PYTHONPATH=src scripts/console_checks.sh python -m bytecap.cli
+#     PYTHONPATH="$PWD/src" scripts/console_checks.sh python -m bytecap.cli
 #
 # The arguments are the command to check, `bytecap` when none are given.
 # Outputs go to a temporary directory, removed on exit.
@@ -33,6 +33,13 @@ test "$(while IFS=, read -r path _; do cat "$path"; done < "$work/multi/labels.t
         | sha256sum | cut -d' ' -f1)" \
     = 8d3ad0eb28a710431445444bf8d0151f09d0eb2848defaff728718abf67ce7b1
 bytecap build --labels "$work/corpus/labels.txt" --out "$work/session.ftld"
+# a corpus under a relative directory whose name starts with white space
+# builds and inspects from its own labels file
+(cd "$work" && bytecap synth --out ' sp' --sessions 3 > /dev/null \
+  && bytecap build --labels ' sp/labels.txt' --out sp.ftld 2> sp-build.err \
+  && bytecap inspect --labels ' sp/labels.txt' > sp-inspect.out)
+grep -F "sp.ftld: 6 samples (benign=3, malicious=3)" "$work/sp-build.err"
+grep -qxF "files          2" "$work/sp-inspect.out"
 # the full grid twice into one directory: the second build passes the
 # overwrite guard and must write the same 12 files byte for byte
 bytecap build --labels "$work/corpus/labels.txt" --out "$work/grid" --all-views --all-categories

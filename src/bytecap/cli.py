@@ -267,10 +267,7 @@ def cmd_inspect(cfg: RunConfig, args) -> int:
     total_packets = 0
     non_ip = 0
     for path, name in inputs:
-        try:
-            cap = Capture.read(path)
-        except OSError as e:
-            raise ValueError(f"cannot read {path}: {e}") from e
+        cap = Capture.read(path)
         total_packets += len(cap)
         per_class_packets[name] = per_class_packets.get(name, 0) + len(cap)
         per_class_bytes[name] = per_class_bytes.get(name, 0) + int(cap.cap_len.sum())

@@ -66,9 +66,10 @@ MAX_PAYLOAD = SNAPLEN - _TCP_FRAME.itemsize  # the longest payload a frame can c
 
 _DPORTS = [80, 443, 8080, 1883, 23]
 _BASE_TS = 1_600_000_000
-# raw generator outputs a class's draws read at a time (`_walk`); a block's
-# arrays (32 to 64 KiB) stay below glibc's 128 KiB mmap threshold, since
-# larger transients that come and go raise the process's peak RSS
+# raw generator outputs a pass of `_walk` works on, carried words included;
+# a block's arrays (32 to 64 KiB) stay below glibc's 128 KiB mmap
+# threshold, since larger transients that come and go raise the process's
+# peak RSS
 _BLOCK = 1 << 12
 
 
@@ -83,8 +84,7 @@ def _check_recipe(classes, packets_per_session, payload_len):
         raise ValueError("a corpus needs at least 2 classes")
     named = {}  # file name -> class name
     for cls in classes:
-        # a labels line is "pcap-path,class-name", its name read back stripped
-        if any(c in cls.name for c in ",\n\r") or cls.name != cls.name.strip():
+        if not _keeps_name(cls.name):
             raise ValueError(f"class {cls.name!r}: a class name cannot hold ',', a line "
                              "feed or a carriage return, nor start or end with white space")
         if not cls.name:
@@ -118,48 +118,43 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     session, run over UDP and the rest over TCP. Fixing the seed fixes
     every output byte.
 
-    One generator serves the classes in order, and its draws are the only
-    sequential part (`_walk`): per session, the packet count, UDP flag,
-    two addresses, source port, destination port, two MACs and two
-    starting sequence numbers; then per packet of that session, the
-    payload length, payload bytes and timestamp step. Every draw is read
-    from raw generator words, one class at a time in one walk, by the
-    rules of the `Generator` calls it stands for (`integers`, and
-    `random() < 0.25` for the UDP flag: the next whole 64-bit output is
-    below 2**62) that `_walk` states and tests/test_synth.py pins; the
-    generator's state is read and set once per class. Everything else is
-    derived from the draws as numpy columns over the class (`_frames`):
-    directions, sequence and ack numbers, idents, lengths, timestamps,
-    header bytes and checksums. The bytes are the same for every seed as
-    when each frame was packed on its own.
+    One raw word stream serves the classes in order: the 32-bit words of
+    `default_rng(seed)`'s PCG64 outputs, read only through `random_raw`.
+    Each class's draws (`_walk`) start at the word after the last the class
+    before it took, by the rules of the `Generator` calls they stand for,
+    which `_walk` states and tests/test_synth.py pins; they are the only
+    sequential part. Everything else is derived from the draws as numpy
+    columns over the class (`_frames`). The bytes are the same for every
+    seed as when each frame was packed on its own.
 
-    A class byte band outside 0 <= byte_low <= byte_high <= 255, a
-    `packets_per_session` outside 1 <= lo <= hi, or a `payload_len`
-    outside 0 <= lo <= hi <= MAX_PAYLOAD is refused with a ValueError
-    before `out_dir` is created, as are an empty class name, one holding
-    ',', a line feed or a carriage return or starting or ending with white
-    space (which a labels line cannot keep), and two classes whose names
-    give one file name.
+    Before `out_dir` is created, a ValueError naming the class or argument
+    refuses a class byte band outside 0 <= byte_low <= byte_high <= 255, a
+    `packets_per_session` outside 1 <= lo <= hi, a `payload_len` outside
+    0 <= lo <= hi <= MAX_PAYLOAD, a class name a labels line cannot keep
+    (`_keeps_name`) or that is empty, and two names that give one file name.
     """
     _check_recipe(classes, packets_per_session, payload_len)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
+    bitgen = np.random.default_rng(seed).bit_generator
+    left = np.zeros(0, dtype="<u4"), 0
     results = []
     for cls in classes:
         path = out_dir / f"{_slug(cls.name)}.pcap"
-        write_pcap(path, _frames(*_walk(rng, cls, packets_per_session, payload_len)))
+        draws, left = _walk(bitgen, left, cls, packets_per_session, payload_len)
+        write_pcap(path, _frames(*draws))
         results.append((path, cls.name))
     return results
 
 
-def _walk(rng, cls: SynthClass, packets_per_session, payload_len):
-    """One class's draws, in the order that fixes every byte: its session
-    columns (packet count, UDP flag, source and destination address bytes,
-    source port, destination port, source and destination MAC bytes, and
-    the two starting sequence numbers), then per packet its payload length,
-    its payload bytes (all payloads in one array) and its timestamp step.
-    They are the draws of these Generator calls, made in order:
+def _walk(bitgen, left, cls: SynthClass, packets_per_session, payload_len):
+    """One class's draws and the words it left. The draws, in the order that
+    fixes every byte, are a (10, sessions) array of session columns (packet
+    count, UDP flag, the words the source and destination address bytes
+    are read from, source port, destination port's index in `_DPORTS`, the
+    two MACs' words, and the two starting sequence numbers), then per
+    packet its payload length, its payload bytes (all payloads in one
+    array) and its timestamp step. They are those of these Generator calls:
 
         for _ in range(cls.sessions):
             n_pkts = rng.integers(packets_per_session[0], packets_per_session[1] + 1)
@@ -176,11 +171,9 @@ def _walk(rng, cls: SynthClass, packets_per_session, payload_len):
                 rng.integers(cls.byte_low, cls.byte_high + 1, size=plen, dtype=np.uint8)
                 rng.integers(200, 5000)                        # timestamp step
 
-    They are read in one walk over raw PCG64 output (`random_raw`), by the
-    rules those calls follow (tests/test_synth.py pins them against numpy):
-    - 32-bit words are each 64-bit output's low half, then its high half;
-      a half left over stays pending in the state's `has_uint32` and
-      `uinteger` as the next call's first word;
+    They are read from one stream of 32-bit words, by the rules those
+    calls follow (tests/test_synth.py pins them against numpy):
+    - the words are each raw PCG64 output's low half, then its high half;
     - a scalar draw over r values (Lemire's bounded draw) takes a word w,
       takes the next one while (w * r) mod 2**32 < (2**32 - r) mod r, and
       returns low + (w * r) >> 32;
@@ -188,34 +181,31 @@ def _walk(rng, cls: SynthClass, packets_per_session, payload_len):
       byte first, by the same rule at 8 bits (every byte is kept when r is
       256), dropping the bytes left in its last word;
     - a draw over one value, or of size 0, takes no word;
-    - `random()` takes the next whole 64-bit output x and leaves a pending
-      half pending; it is below 0.25 exactly when x < 2**62.
+    - `random()` takes the next whole output x, and a high half it passes
+      over is the next word drawn; it is below 0.25 exactly when x < 2**62.
 
-    The words come in blocks of `_BLOCK` outputs; a session cut by a
-    block's end is drawn again once the next block is appended (one as long
-    as the session's words so far, when that is longer). At the end
-    the generator is rewound, advanced by the outputs the calls take, and
-    left the pending half they leave: `uinteger` is the high half of the
-    last output a 32-bit draw split, even when that half was taken since.
+    `left` is (words, pos): the words from an even word of the stream on,
+    the low half of an output, and the index of the next word to draw, so
+    `pos & 1` tells whether `random()` passes over a high half. The class
+    starts there and returns the next class's `left`, a copy that frees
+    its last pass. More words are read from `bitgen` (`random_raw`) a pass
+    at a time, about `_BLOCK` outputs with the words carried over; a
+    session cut by a pass's end is drawn again in the next, which doubles
+    the carried words when they outgrow a block.
     """
-    bitgen = rng.bit_generator
-    start = bitgen.state
+    words, pos = left
     count_range = packets_per_session[0], packets_per_session[1] + 1
     plen_range = payload_len[0], payload_len[1] + 1
     byte_low, byte_r = cls.byte_low, cls.byte_high + 1 - cls.byte_low
     byte_floor = (256 - byte_r) % byte_r
     draw = _scalar_draw
-    # the words not yet taken; the first is word `origin` of the class's
-    # outputs, word -1 being the half pending at its start
-    words = np.array([start["uinteger"]] * start["has_uint32"], dtype="<u4")
-    origin, pos = -len(words), 0
     sessions, packets, payloads = [], [], []
     while len(sessions) < cls.sessions:
-        # a block, or the cut session's length when that is more, so that a
-        # long session is drawn again only as often as its words double
-        more = bitgen.random_raw(max(_BLOCK, (len(words) - pos) // 2))
-        words = np.concatenate([words[pos:], more.astype("<u8").view("<u4")])
-        origin, pos, gathered = origin + pos, 0, len(packets)
+        words, pos = words[pos & ~1:], pos & 1
+        carried = len(words) // 2  # whole outputs
+        more = bitgen.random_raw(_BLOCK - carried if carried < _BLOCK else carried)
+        words = np.concatenate([words, more.astype("<u8").view("<u4")])
+        gathered = len(packets)
         # the kept payload bytes, and how many are kept before each word
         # (four 0/1 bytes sum in the top byte of their product with 0x01010101)
         m = words.view(np.uint8).astype(np.uint16) * byte_r
@@ -229,10 +219,10 @@ def _walk(rng, cls: SynthClass, packets_per_session, payload_len):
             while len(sessions) < cls.sessions:
                 cut, mark = pos, len(packets)
                 n_pkts, pos = draw(table, pos, *count_range)
-                # random() takes the next whole output, after a pending half
-                # (which the source address then takes); the output is below
-                # 2**62 when its high half is below 2**30
-                half = (origin + pos) & 1
+                # random() takes the next whole output, passing over a high
+                # half (which the source address then takes); the output is
+                # below 2**62 when its high half is below 2**30
+                half = pos & 1
                 udp = table[pos + 1 + half] < 2**30
                 src_ip, dst_ip = table[pos + 2 - 2 * half], table[pos + 3]
                 sport, pos = draw(table, pos + 4, 1024, 65536)
@@ -258,21 +248,10 @@ def _walk(rng, cls: SynthClass, packets_per_session, payload_len):
         payloads.append(kept_bytes[ranks] if byte_r > 1  # a one-value band takes no word
                         else np.full(len(ranks), byte_low, dtype=np.uint8))
 
-    end = origin + pos  # the next 32-bit word
-    bitgen.state = start
-    bitgen.advance((end + 1) // 2)
-    state = bitgen.state
-    state["has_uint32"] = end & 1
-    state["uinteger"] = table[(end - 1 | 1) - origin]
-    bitgen.state = state
-
     columns = np.array(sessions, dtype=np.int64).reshape(-1, 10).T
-    ip_mac = columns[[2, 3, 6, 7]].astype("<u4").view(np.uint8).reshape(4, -1, 4)
     plens, _, steps = np.array(packets, dtype=np.int64).reshape(-1, 3).T
-    return ((columns[0], columns[1].astype(bool), ip_mac[0, :, :3], ip_mac[1, :, :3],
-             columns[4], np.array(_DPORTS)[columns[5]], ip_mac[2], ip_mac[3],
-             columns[8], columns[9]),
-            plens, np.concatenate(payloads), steps)
+    return ((columns, plens, np.concatenate(payloads), steps),
+            (words[pos & ~1:].copy(), pos & 1))
 
 
 def _scalar_draw(words, pos: int, low: int, high: int) -> tuple[int, int]:
@@ -286,12 +265,6 @@ def _scalar_draw(words, pos: int, low: int, high: int) -> tuple[int, int]:
         pos += 1
         m = words[pos] * r
     return low + (m >> 32), pos + 1
-
-
-def _prefixed(prefix, tails) -> np.ndarray:
-    """(S, len(prefix) + k) uint8 rows: `prefix` followed by each drawn tail."""
-    tails = np.asarray(tails, dtype=np.uint8)
-    return np.hstack([np.tile(np.array(prefix, dtype=np.uint8), (len(tails), 1)), tails])
 
 
 def _word(field, dtype=_TCP_FRAME) -> int:
@@ -319,8 +292,8 @@ def _frames(sessions, plen, payload, steps) -> list[tuple[int, int, memoryview]]
     TCP sequence and ack numbers run on per direction from the drawn
     starts; the IPv4 ident is session * 251 + packet index; the clock runs
     on across the class's sessions, one drawn step of microseconds per
-    packet. Checksums are summed
-    over the frames as laid out, each frame padded to an even length.
+    packet. Checksums are summed over the frames as laid out, each frame
+    padded to an even length.
     """
     (n_pkts, udp, src_ip, dst_ip, sport, dport, src_mac, dst_mac,
      seq_fwd, seq_rev) = sessions
@@ -329,13 +302,15 @@ def _frames(sessions, plen, payload, steps) -> list[tuple[int, int, memoryview]]
     rows = np.arange(len(sess))
     index = rows - first[sess]  # the packet's place in its session
     side = index & 1  # 0: the initiator sends; strict alternation keeps both flows populated
-    udp = udp[sess]
+    udp = udp.astype(bool)[sess]
 
     # each packet's source is its sender's end of the session, its
-    # destination the other end
-    ips = np.stack([_prefixed([10], src_ip), _prefixed([10], dst_ip)])
-    macs = np.stack([_prefixed([2, 0], src_mac), _prefixed([2, 1], dst_mac)])
-    ports = np.array([sport, dport], dtype=np.int64)
+    # destination the other end: 10 and a drawn word's low three bytes,
+    # 02:00 or 02:01 and its four bytes, low byte first
+    ips = (np.stack([src_ip, dst_ip]) << 8 | 10).astype("<u4").view(np.uint8).reshape(2, -1, 4)
+    macs = (np.stack([src_mac << 16 | 0x0002, dst_mac << 16 | 0x0102])
+            .astype("<u8").view(np.uint8).reshape(2, -1, 8)[:, :, :6])
+    ports = np.stack([sport, np.array(_DPORTS)[dport]])
     src, dst = (side, sess), (1 - side, sess)
 
     # bytes each end sent earlier in the session move its sequence number
@@ -396,11 +371,26 @@ def _frames(sessions, plen, payload, steps) -> list[tuple[int, int, memoryview]]
             zip(ts_sec.tolist(), ts_usec.tolist(), start.tolist(), frame_len.tolist())]
 
 
+def _keeps_name(name: str) -> bool:
+    # a labels line is "pcap-path,class-name", split at its last comma and stripped
+    return not any(c in name for c in ",\n\r") and name == name.strip()
+
+
 def write_labels_file(path, entries: list[tuple[Path, str]]):
-    """Label map consumed by dataset building: one "pcap-path,class" line each."""
-    with open(path, "w", encoding="utf-8") as fp:
-        for p, name in entries:
-            fp.write(f"{p},{name}\n")
+    """Label map consumed by dataset building: one "pcap-path,class" line
+    each, which `read_labels_file` reads back as the same class name and a
+    path to the same file; a relative path that starts with white space or
+    '#' is written after "./". Before the file is created, an entry the
+    reader could not return is refused with a ValueError naming it."""
+    lines = []
+    for p, name in entries:
+        p = str(p)
+        if any(c in p for c in "\n\r") or p != p.rstrip() or not _keeps_name(name):
+            raise ValueError(f"labels entry ({p!r}, {name!r}) would not read back: neither "
+                             "part can hold a line feed or a carriage return or end with "
+                             "white space, nor the class name hold ',' or start with one")
+        lines.append(f"{'./' if p[:1].isspace() or p[:1] == '#' else ''}{p},{name}\n")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
 def read_utf8_text(path) -> str:

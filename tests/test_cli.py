@@ -242,6 +242,16 @@ class TestSynth:
         assert run_cli("synth") == 1
         assert "error" in capsys.readouterr().err
 
+    def test_corpus_builds_from_its_labels_under_a_leading_space(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # a relative directory whose name starts with white space
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--out", " sp", "--sessions", "3") == 0
+        assert run_cli("build", "--labels", " sp/labels.txt", "--out", "sp.ftld") == 0
+        assert "sp.ftld: 6 samples (benign=3, malicious=3)" in capsys.readouterr().err
+        assert run_cli("inspect", "--labels", " sp/labels.txt") == 0
+        assert "files          2" in capsys.readouterr().out
+
     @pytest.mark.parametrize("sessions", ["0", "-2"])
     def test_synth_refuses_fewer_than_one_session(self, tmp_path, capsys, sessions):
         out = tmp_path / "corpus"
@@ -648,7 +658,14 @@ class TestInspect:
         labels = tmp_path / "bad.txt"
         labels.write_text("/nonexistent/ghost.pcap,benign\n")
         assert run_cli("inspect", "--labels", str(labels)) == 1
-        assert "ghost.pcap" in capsys.readouterr().err
+        [inspect_line] = [l for l in capsys.readouterr().err.splitlines()
+                          if l.startswith("error:")]
+        assert "ghost.pcap" in inspect_line
+        # build reads the capture as inspect does and prints the same line
+        assert run_cli("build", "--labels", str(labels), "--out", str(tmp_path / "x.ftld")) == 1
+        [build_line] = [l for l in capsys.readouterr().err.splitlines()
+                        if l.startswith("error:")]
+        assert inspect_line == build_line
 
     def test_non_ethernet_capture_names_file(self, tmp_path, capsys):
         raw = tmp_path / "raw101.pcap"

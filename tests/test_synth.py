@@ -22,8 +22,10 @@ from bytecap.synth import (
     _scalar_draw,
     _walk,
     binary_synth_classes,
+    read_labels_file,
     synth_classes,
     synth_corpus,
+    write_labels_file,
 )
 from bytecap.views import TASKS, class_catalog
 
@@ -251,6 +253,17 @@ def twin_draws(rng, cls, packets_per_session, payload_len):
     return sessions, plens, np.concatenate(payloads), steps
 
 
+def as_twin_draws(columns):
+    """`_walk`'s session columns as twin_draws gives them: the address and
+    MAC bytes read from their words, low byte first, and the port itself."""
+    return [(n_pkts, udp == 1, list(src_ip.to_bytes(4, "little")[:3]),
+             list(dst_ip.to_bytes(4, "little")[:3]), sport, synth._DPORTS[dport],
+             list(src_mac.to_bytes(4, "little")), list(dst_mac.to_bytes(4, "little")),
+             seq_fwd, seq_rev)
+            for n_pkts, udp, src_ip, dst_ip, sport, dport, src_mac, dst_mac, seq_fwd, seq_rev
+            in columns.T.tolist()]
+
+
 @pytest.mark.parametrize("block", [None, 1, 2, 3], ids=["block", "block1", "block2", "block3"])
 @pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
 @pytest.mark.parametrize("band", [(7, 7), (0, 127), (0, 255), (0, 20), (21, 45), (3, 123),
@@ -263,22 +276,33 @@ def test_walk_follows_generator_calls(monkeypatch, block, pending, band, packets
     # blocks of 1 to 3 outputs make sessions straddle refills
     if block:
         monkeypatch.setattr(synth, "_BLOCK", block)
-    cls = SynthClass("c", *band, 5)
+    # one stream through three classes: a lead class whose one-packet
+    # sessions each take 11 words (when no draw is rejected), so that the
+    # parametrized band starts on an output's high half after one session
+    # and on a low half after two; then a class of another band
+    walks = [(SynthClass("lead", 7, 7, 1 if pending else 2), (1, 1), (0, 0)),
+             (SynthClass("band", *band, 5), packets, payload),
+             (SynthClass("next", 200, 222, 3), packets, payload)]
     for seed in [3_871_264_509, 42, 2**63 + 5]:
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        if pending:  # a scalar draw takes a word's low half and leaves its high half
-            rng.integers(0, 2**31)
-            twin.integers(0, 2**31)
-        assert rng.bit_generator.state["has_uint32"] == pending
-        sessions, plens, payload_bytes, steps = _walk(rng, cls, packets, payload)
-        want_sessions, want_plens, want_payload, want_steps = twin_draws(twin, cls, packets,
-                                                                         payload)
-        assert list(zip(*(column.tolist() for column in sessions))) == want_sessions
-        assert plens.tolist() == want_plens and steps.tolist() == want_steps
-        assert payload_bytes.dtype == np.uint8
-        assert payload_bytes.tobytes() == want_payload.tobytes()
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert rng.random() == twin.random()
+        bitgen, twin = np.random.default_rng(seed).bit_generator, np.random.default_rng(seed)
+        left = np.zeros(0, dtype="<u4"), 0
+        for cls, packets_per_session, payload_len in walks:
+            (columns, plens, payload_bytes, steps), left = _walk(
+                bitgen, left, cls, packets_per_session, payload_len)
+            want_sessions, want_plens, want_payload, want_steps = twin_draws(
+                twin, cls, packets_per_session, payload_len)
+            assert as_twin_draws(columns) == want_sessions
+            assert plens.tolist() == want_plens and steps.tolist() == want_steps
+            assert payload_bytes.dtype == np.uint8
+            assert payload_bytes.tobytes() == want_payload.tobytes()
+            words, pos = left
+            assert pos in (0, 1) and len(words) % 2 == 0
+            if cls.name == "lead":
+                assert pos == pending
+        # the words left, then the stream's next outputs, are the twin's
+        # next 32-bit draws
+        stream = np.concatenate([words[pos:], bitgen.random_raw(3).astype("<u8").view("<u4")])
+        assert stream.tolist() == [twin.integers(0, 2**32, dtype=np.uint64) for _ in stream]
 
 
 @pytest.mark.parametrize("low, high", [(0, 2**31 + 1), (5, 3 * 2**30 + 5), (0, 2**32 - 1),
@@ -371,3 +395,41 @@ class TestRefusals:
         _, [record] = read_pcap_records(path)
         assert record.cap_len in (SNAPLEN, SNAPLEN - 12)  # TCP or UDP
 
+
+
+class TestLabelsFile:
+    """Every entry `write_labels_file` writes reads back from
+    `read_labels_file` as a path to the same file and the same class name;
+    an entry that could not is refused before the file is created."""
+
+    def test_corpus_under_a_directory_starting_with_white_space(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        entries = synth_corpus(" sp", binary_synth_classes(2), 0)
+        write_labels_file("labels.txt", entries)
+        got = read_labels_file("labels.txt")
+        assert got == [("./ sp/benign.pcap", "benign"), ("./ sp/malicious.pcap", "malicious")]
+        assert [Path(p).read_bytes() for p, _ in got] == [p.read_bytes() for p, _ in entries]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(
+        st.text(st.sampled_from(" \t\n\r\x0c\x85 #,./aé"), max_size=6)
+        | st.text(max_size=6).map(lambda t: "/" + t),
+        st.text(st.sampled_from(" \t\n\r\x0b,#bé"), max_size=5)), max_size=4))
+    def test_every_written_entry_reads_back(self, entries):
+        def reads_back(p, name):
+            return ("\n" not in p and "\r" not in p and p == p.rstrip()
+                    and not any(c in name for c in ",\n\r") and name == name.strip())
+
+        with tempfile.TemporaryDirectory() as d:
+            labels = Path(d) / "labels.txt"
+            bad = [(p, name) for p, name in entries if not reads_back(p, name)]
+            if bad:
+                with pytest.raises(ValueError) as exc:
+                    write_labels_file(labels, entries)
+                assert str(exc.value).startswith(f"labels entry {bad[0]!r} would not read back")
+                assert not labels.exists()
+                return
+            write_labels_file(labels, entries)
+            got = read_labels_file(labels)
+        assert [name for _, name in got] == [name for _, name in entries]
+        assert [Path(p) for p, _ in got] == [Path(p) for p, _ in entries]
