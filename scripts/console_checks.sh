@@ -129,6 +129,25 @@ if bytecap synth --seed -1 --out "$work/neg" 2> "$work/neg.err"; then
 fi
 grep "^error:" "$work/neg.err" | grep -F -- "--seed"
 test ! -e "$work/neg"
+# a training setting out of range is refused with the rule
+# ModelConfig.validate states, after the flag's name
+set +e
+bytecap train "$work/session.ftld" --learning-rate 0 --out "$work/lr0.ftlw" 2> "$work/lr0.err"
+status=$?
+set -e
+test "$status" -eq 1
+rule="$(python -c 'from dataclasses import replace
+from bytecap.nn import default_config
+try:
+    replace(default_config(), learning_rate=0.0).validate()
+except ValueError as e:
+    print(e)')"
+test "$(cat "$work/lr0.err")" = "error: --learning-rate: $rule"
+test ! -e "$work/lr0.ftlw"
+# a config file saved with a leading byte-order mark reads as one without
+printf '\357\273\277epochs = 1\n' > "$work/bom.conf"
+bytecap train "$work/session.ftld" --config "$work/bom.conf" --out "$work/bom.ftlw"
+cmp "$work/bom.ftlw" "$work/model.ftlw"
 # a config value of the wrong type is an error naming its line
 echo "epochs = 1e3" > "$work/bad.conf"
 if bytecap train "$work/session.ftld" --config "$work/bad.conf" --out "$work/bad.ftlw" 2> "$work/bad.err"; then

@@ -243,7 +243,7 @@ def build_baseline(corpus, task, seed: int = 0):
 
 
 def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADERS,
-                   epochs: int = 10, batch: int = 20, seed: int = 0,
+                   epochs: int, batch: int = ModelConfig.batch_size, seed: int = 0,
                    pairing: str = "paper", profile: str = "prose") -> TimingReport:
     """Time build/train/test per view plus the stat-baseline, serially.
 

@@ -10,7 +10,6 @@ only data.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import stat
 import sys
@@ -18,7 +17,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .nn import PAIRINGS, PROFILES, default_config, load_weights, save_weights
+from .nn import (PAIRINGS, PROFILES, SETTING_RULES, ModelConfig, default_config,
+                 load_weights, save_weights)
 from .synth import (
     read_labels_file,
     read_utf8_text,
@@ -31,6 +31,7 @@ from .views import (
     Capture,
     DatasetFormatError,
     HeaderCategory,
+    SAMPLE_LEN_RULE,
     TASKS,
     ViewKind,
     build_dataset,
@@ -60,15 +61,15 @@ class RunConfig:
     category: str = "all"
     n: int = 115
     task: str = "binary"
-    epochs: int = 50
-    batch: int = 20
+    epochs: int = ModelConfig.epochs
+    batch: int = ModelConfig.batch_size
     seed: int = 0
     profile: str = "prose"
     pairing: str = "paper"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
+    learning_rate: float = ModelConfig.learning_rate
+    beta1: float = ModelConfig.beta1
+    beta2: float = ModelConfig.beta2
+    epsilon: float = ModelConfig.epsilon
     sessions: int = 60
     labels: str = ""
     out: str = ""
@@ -92,6 +93,9 @@ SETTINGS = {
 # defaults a command keeps in place of RunConfig's: bench runs short
 COMMAND_DEFAULTS = {"bench": {"epochs": 10}}
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+# the ModelConfig field each training setting sets, and each setting's range
+_FIELDS = {("batch" if f == "batch_size" else f): f for f in SETTING_RULES}
+_RULES = {"n": SAMPLE_LEN_RULE} | {key: SETTING_RULES[f] for key, f in _FIELDS.items()}
 
 
 def _choice(key: str, value: str, where: str) -> str:
@@ -102,21 +106,12 @@ def _choice(key: str, value: str, where: str) -> str:
 
 
 def _in_range(key: str, value, where: str):
-    """value, if it lies in the range its setting takes: n fits FTLD's u32
-    sample length, epochs and batch are >= 1, seed is >= 0, the Adam step
-    size and epsilon are finite and > 0, the moment decays lie in [0, 1).
-    Every setting passes here before a command reads or writes a file."""
-    if key == "n" and not 1 <= value <= 0xFFFFFFFF:
-        raise ValueError(f"{where}: n must lie in [1, 2^32 - 1] (FTLD's u32 "
-                         f"sample length), got {value!r}")
-    if key in ("epochs", "batch") and value < 1:
-        raise ValueError(f"{where}: {key} must be >= 1, got {value!r}")
-    if key == "seed" and value < 0:
-        raise ValueError(f"{where}: seed must be >= 0, got {value!r}")
-    if key in ("learning_rate", "epsilon") and not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{where}: {key} must be finite and > 0, got {value!r}")
-    if key in ("beta1", "beta2") and not 0 <= value < 1:
-        raise ValueError(f"{where}: {key} must lie in [0, 1), got {value!r}")
+    """value, if it lies in the range its setting takes (`_RULES`); the
+    refusal names `where` the value came from. Every setting passes here
+    before a command reads or writes a file."""
+    ok, rule = _RULES.get(key, (None, None))
+    if ok and not ok(value):
+        raise ValueError(f"{where}: {key} {rule}, got {value!r}")
     return value
 
 
@@ -190,12 +185,8 @@ def _model_config(cfg: RunConfig, input_len: int, class_names: list[str]):
     if task is None:
         raise ValueError(f"dataset classes {class_names} are the classes of "
                          f"no task ({', '.join(TASKS)})")
-    return default_config(task, cfg.profile, cfg.pairing,
-                          input_len=input_len,
-                          learning_rate=cfg.learning_rate, beta1=cfg.beta1,
-                          beta2=cfg.beta2, epsilon=cfg.epsilon,
-                          batch_size=cfg.batch, epochs=cfg.epochs,
-                          seed=cfg.seed)
+    return default_config(task, cfg.profile, cfg.pairing, input_len=input_len,
+                          **{f: getattr(cfg, key) for key, f in _FIELDS.items()})
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
@@ -313,7 +304,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     table = _table_stream(cfg.out)
     ds = read_dataset(args.dataset)
     model_cfg = _model_config(cfg, ds.sample_len, ds.class_names)
-    train_ds, val_ds = train_val_split(ds, 0.2, cfg.seed)
+    train_ds, val_ds = train_val_split(ds, seed=cfg.seed)
     ckpt, history = train(model_cfg, train_ds, val_ds, early_stop=cfg.early_stop)
     save_weights(cfg.out, ckpt)
     if table is sys.stderr:

@@ -307,6 +307,17 @@ def _check_params(layer: LayerPlan, tensors, where: str):
 
 LOSS_BCE = "binary_cross_entropy"
 LOSS_CCE = "categorical_cross_entropy"
+# the range each training setting takes: its test, and the rule a refusal
+# states as "<setting> <rule>, got <value>"
+SETTING_RULES = {
+    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+    "epsilon": (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+    "beta1": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "beta2": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "epochs": (lambda v: v >= 1, "must be >= 1"),
+    "batch_size": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -315,6 +326,7 @@ class ModelConfig:
     layers: tuple[LayerSpec, ...]
     loss: str
     class_count: int
+    # the training settings: each default is stated here, each range in SETTING_RULES
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -338,21 +350,11 @@ class ModelConfig:
 
     def validate(self) -> list[LayerPlan]:
         """The layer plan of a well-formed model; raises ShapeError otherwise,
-        or ValueError naming a training setting that cannot train: a
-        learning rate that is not finite and >= 0 (0 is allowed), an epsilon
-        that is not finite and > 0, a moment decay outside [0, 1), or fewer
-        than one epoch or sample per batch."""
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, "
-                             f"got {self.learning_rate!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        or ValueError naming the first training setting outside its range
+        (`SETTING_RULES`)."""
+        for name, (ok, rule) in SETTING_RULES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
         plan = self.plan()
         if not self.layers or not isinstance(self.layers[-1], DenseSpec):
             raise ShapeError("model must end with a dense layer")
@@ -649,8 +651,8 @@ def adam_init(params: list[np.ndarray]):
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state, t: int,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-7):
+              lr: float = ModelConfig.learning_rate, beta1: float = ModelConfig.beta1,
+              beta2: float = ModelConfig.beta2, eps: float = ModelConfig.epsilon):
     """One bias-corrected Adam update, in place; t is 1-based.
 
     Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then

@@ -134,9 +134,9 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     (`_keeps_name`) or that is empty, and two names that give one file name.
     """
     _check_recipe(classes, packets_per_session, payload_len)
+    bitgen = np.random.default_rng(seed).bit_generator
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bitgen = np.random.default_rng(seed).bit_generator
     left = np.zeros(0, dtype="<u4"), 0
     results = []
     for cls in classes:
@@ -394,11 +394,11 @@ def write_labels_file(path, entries: list[tuple[Path, str]]):
 
 
 def read_utf8_text(path) -> str:
-    """A text file's contents, every line ending read as a line feed, or a
-    ValueError naming the file and the first line that is not UTF-8."""
+    """A text file's contents less a leading BOM, every line ending read as a
+    line feed, or a ValueError naming the file and the first line not UTF-8."""
     # bytes that are not UTF-8 decode to lone surrogates, which do not
     # encode back, so the line that holds them can be named
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fp:
         text = fp.read()
     try:
         text.encode("utf-8")

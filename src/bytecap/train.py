@@ -93,8 +93,9 @@ class MetricsReport:
 
 
 def _rows_and_labels(data, input_len: int, class_count: int):
-    """Model input rows, (N, L) or (N, L, 1), and int64 labels: a DatasetFile's
-    uint8 bytes as held, or an (X, y) pair's X as given, uncast."""
+    """Model input rows, (N, L) or (N, L, 1), and int64 labels, each in
+    [0, class_count): a DatasetFile's uint8 bytes as held, or an (X, y)
+    pair's X as given, uncast."""
     if isinstance(data, DatasetFile):
         if data.sample_len != input_len:
             raise ValueError(f"dataset sample length {data.sample_len} != "
@@ -102,8 +103,7 @@ def _rows_and_labels(data, input_len: int, class_count: int):
         if len(data.class_names) != class_count:
             raise ValueError(f"dataset has {len(data.class_names)} classes, "
                              f"model expects {class_count}")
-        labels = np.asarray(data.labels, dtype=np.int64)
-        return data.data.reshape(len(labels), input_len), labels
+        data = data.data.reshape(-1, input_len), data.labels
     x, y = data
     x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
     if x.ndim not in (2, 3):
@@ -177,9 +177,7 @@ def train(config: ModelConfig, train_data, val_data, *,
     state = adam_init([model.flat_params])  # per-layer arrays are views into it
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
-    best_acc = -1.0
-    best_weights = model.copy_weights()
-    best_epoch = 0
+    best_acc = -1.0  # below every accuracy, so epoch 0 sets the best weights
     step = 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

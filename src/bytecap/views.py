@@ -581,8 +581,8 @@ def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
     Output order is source file order, then unit first-packet order, so
     rebuilding the same inputs is deterministic.
     """
-    if not 1 <= n <= 0xFFFFFFFF:
-        raise ValueError(f"sample length {n} must lie in [1, 2^32 - 1] (FTLD's u32 sample_len)")
+    if not SAMPLE_LEN_RULE[0](n):
+        raise ValueError(f"sample length {n} {SAMPLE_LEN_RULE[1]}")
     names = class_catalog(task)
     sources, labels, cells = [], [], []
     for source, label_name in inputs:
@@ -624,6 +624,9 @@ def byte_distribution(ds: DatasetFile) -> dict[str, int]:
     return {name: int(t) for name, t in zip(ds.class_names, totals)}
 
 
+# the sample lengths build_dataset takes: its test, and the rule a refusal states
+SAMPLE_LEN_RULE = (lambda n: 1 <= n <= 0xFFFFFFFF,
+                   "must lie in [1, 2^32 - 1] (FTLD's u32 sample length)")
 _DATASET_MAGIC = b"FTLD"
 _DATASET_VERSION = 1
 _VIEW_CODES = {ViewKind.PACKET: 0, ViewKind.FLOW: 1, ViewKind.SESSION: 2}

@@ -22,7 +22,8 @@ from bytecap.cli import (
     parse_config,
     render_config,
 )
-from bytecap.nn import Checkpoint, Model, PAIRINGS, PROFILES, default_config, save_weights
+from bytecap.nn import (Checkpoint, Model, ModelConfig, PAIRINGS, PROFILES, default_config,
+                        save_weights)
 from bytecap.pcap import read_pcap_records
 from bytecap.synth import SynthClass, binary_synth_classes, synth_classes, synth_corpus
 from bytecap.train import train
@@ -37,6 +38,15 @@ def run_cli(*argv):
 
 # `bytecap <argv>` in a child process
 CLI_MAIN = "import sys; from bytecap.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+# the values each training setting is tried at, as text: floats take all
+# of them, integers the last three
+SETTING_GRID = ["-0.0", "1e-30", repr(1 - 2 ** -53), "-1", "nan", "inf", "-inf", "1e999",
+                "0", "1", "-3"]
+TRAINING_SETTINGS = {"learning_rate": "learning_rate", "beta1": "beta1", "beta2": "beta2",
+                     "epsilon": "epsilon", "epochs": "epochs", "batch": "batch_size",
+                     "seed": "seed"}
 
 
 # each command's arguments besides --config and its settings
@@ -90,6 +100,8 @@ class TestConfigFile:
     def test_defaults_epochs_batch(self):
         cfg = RunConfig()
         assert cfg.epochs == 50 and cfg.batch == 20 and cfg.n == 115
+        for key, field in TRAINING_SETTINGS.items():
+            assert getattr(cfg, key) == getattr(ModelConfig, field), key
 
     @pytest.mark.parametrize("command", sorted(SETTINGS))
     def test_flags_are_the_commands_settings(self, command):
@@ -188,6 +200,41 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: {key} must ") and f"got {value}\n" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, text", [
+        (key, text) for key, field in TRAINING_SETTINGS.items()
+        for text in (SETTING_GRID if isinstance(getattr(ModelConfig, field), float)
+                     else SETTING_GRID[-3:])])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_train_refuses_what_model_config_refuses(self, tmp_path, capsys, key, text, via):
+        field = TRAINING_SETTINGS[key]
+        value = type(getattr(ModelConfig, field))(text)
+        try:
+            replace(default_config("binary"), **{field: value}).validate()
+            rule = None
+        except ValueError as e:
+            assert str(e).startswith(f"{field} must "), e
+            rule = str(e)[len(field):]
+        if via == "flag":
+            flag = "--" + key.replace("_", "-")
+            setting, where = [f"{flag}={text}"], flag
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{key} = {text}\n")
+            setting, where = ["--config", str(conf)], "config line 1"
+        missing = tmp_path / "missing.ftld"
+        assert run_cli("train", str(missing), *setting, "--out", str(tmp_path / "w")) == 1
+        err = capsys.readouterr().err
+        if rule is None:  # accepted: train goes on to read the dataset
+            assert err.endswith(f"No such file or directory: '{missing}'\n"), err
+        else:
+            assert err == f"error: {where}: {key}{rule}\n"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("epochs = 9\n", encoding="utf-8-sig")
+        args = build_parser().parse_args(["train", "d.ftld", "--config", str(conf)])
+        assert effective_config(args, "train").epochs == 9
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     @pytest.mark.parametrize("command", ["synth", "train"])

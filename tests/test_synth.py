@@ -349,11 +349,14 @@ class TestRefusals:
     """A recipe the generator cannot write is refused before `out_dir` is
     created, with a ValueError naming the class or the argument."""
 
-    def refused(self, tmp_path, match, classes=None, **recipe):
+    def refused(self, tmp_path, match, classes=None, seed=0, **recipe):
         out = tmp_path / "corpus"
         with pytest.raises(ValueError, match=match):
-            synth_corpus(out, classes or binary_synth_classes(2), 0, **recipe)
+            synth_corpus(out, classes or binary_synth_classes(2), seed, **recipe)
         assert not out.exists()
+
+    def test_negative_seed(self, tmp_path):
+        self.refused(tmp_path, "expected non-negative integer", seed=-1)
 
     @pytest.mark.parametrize("low, high", [(9, 8), (-1, 8), (0, 256)])
     def test_byte_band_of_a_later_class(self, tmp_path, low, high):
@@ -409,6 +412,13 @@ class TestLabelsFile:
         got = read_labels_file("labels.txt")
         assert got == [("./ sp/benign.pcap", "benign"), ("./ sp/malicious.pcap", "malicious")]
         assert [Path(p).read_bytes() for p, _ in got] == [p.read_bytes() for p, _ in entries]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        entries = synth_corpus(tmp_path, binary_synth_classes(2), 0)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{p},{name}\n" for p, name in entries), encoding="utf-8-sig")
+        assert labels.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_labels_file(labels) == [(str(p), name) for p, name in entries]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(

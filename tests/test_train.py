@@ -54,8 +54,8 @@ def sans_clock(hist):
 
 class TestTrainLoop:
     def test_best_epoch_is_argmax_first_on_tie(self):
-        # at learning rate 0 the weights never move, so every epoch ties
-        cfg = default_config("binary", epochs=4, seed=3, learning_rate=0.0)
+        # at learning rate 1e-30 no float32 weight moves, so every epoch ties
+        cfg = default_config("binary", epochs=4, seed=3, learning_rate=1e-30)
         data = toy_data(24)
         ckpt, hist = train(cfg, data, data)
         assert len({e.val_acc for e in hist.epochs}) == 1
@@ -313,11 +313,26 @@ class TestPairRowCounts:
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             evaluate(ckpt, (x, np.resize(y, shape)))
 
+    @pytest.mark.parametrize("label", [5, -1, 2])
+    def test_labels_outside_the_class_table_are_refused(self, label):
+        # one rule for a DatasetFile and an (X, y) pair
+        ds = byte_dataset("binary", 11)
+        cfg = default_config("binary", epochs=1)
+        ckpt, _ = train(cfg, ds, ds)
+        x, y = toy_data(11)
+        ds.labels[3] = y[3] = label
+        for data in (ds, (x, y)):
+            with pytest.raises(ValueError, match="label index out of range"):
+                evaluate(ckpt, data)
+            with pytest.raises(ValueError, match="label index out of range"):
+                train(cfg, data, (x[:2], y[:2]))
+
 
 @pytest.mark.parametrize("name, value, rule", [
-    ("learning_rate", float("nan"), "must be finite and >= 0"),
-    ("learning_rate", float("inf"), "must be finite and >= 0"),
-    ("learning_rate", -0.01, "must be finite and >= 0"),
+    ("learning_rate", float("nan"), "must be finite and > 0"),
+    ("learning_rate", float("inf"), "must be finite and > 0"),
+    ("learning_rate", -0.01, "must be finite and > 0"),
+    ("learning_rate", 0.0, "must be finite and > 0"),
     ("epsilon", float("nan"), "must be finite and > 0"),
     ("epsilon", 0.0, "must be finite and > 0"),
     ("epsilon", -1e-7, "must be finite and > 0"),
@@ -326,7 +341,8 @@ class TestPairRowCounts:
     ("beta2", float("nan"), r"must lie in \[0, 1\)"),
     ("beta2", 1.5, r"must lie in \[0, 1\)"),
     ("epochs", 0, "must be >= 1"),
-    ("batch_size", -3, "must be >= 1")])
+    ("batch_size", -3, "must be >= 1"),
+    ("seed", -1, "must be >= 0")])
 def test_config_refuses_settings_that_cannot_train(name, value, rule):
     # each of these once trained every weight into NaN, or not at all
     with pytest.raises(ValueError, match=f"{name} {rule}, got {value!r}"):
