@@ -247,8 +247,8 @@ def time_pipelines(corpus, views, n, task, *, category=HeaderCategory.ALL_HEADER
                    pairing: str = "paper", profile: str = "prose") -> TimingReport:
     """Time build/train/test per view plus the stat-baseline, serially.
 
-    All pipelines share the split (a fifth of each class held out for
-    validation, as in `bytecap train`), the epoch count and the batch
+    All pipelines share the split (`views.VAL_FRACTION` of each class held
+    out for validation, as in `bytecap train`), the epoch count and the batch
     size. Phases are disjoint and cover the whole run: build includes
     reading, dissection, unit grouping, sample or feature extraction and
     the split. First, `_warmup` runs the views' CNN config once.

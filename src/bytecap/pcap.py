@@ -10,9 +10,13 @@ header, a capture's records are read in one read sized by the file
 headers walked once (`_walk`): its loop only follows each incl_len, and
 every claim is checked against the bytes read on the header columns it
 collected, after the loop; `PcapReader` yields records from that walk and
-`PcapReader.read_frames` returns its columns. `dissect` and `keys` state
-the rules for one packet; `dissect_frames` applies them to every frame of
-a buffer at once, as numpy columns and packed flow key rows (`FrameColumns`).
+`PcapReader.read_frames` returns its columns. Writing mirrors it:
+`write_frames` writes a capture from columns (a frame buffer, each frame's
+start and length, its timestamps and orig_len), and `write_pcap` adapts a
+list of records to it; each synthetic class's capture is written from
+arrays by `write_frames`. `dissect` and `keys` state the rules for one
+packet; `dissect_frames` applies them to every frame of a buffer at once,
+as numpy columns and packed flow key rows (`FrameColumns`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ LINKTYPE_ETHERNET = 1
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
-SNAPLEN = 65535  # the snaplen write_pcap declares
+SNAPLEN = 65535  # the snaplen write_frames declares
 
 # (byte order prefix, timestamp resolution) keyed by the magic read big-endian.
 _MAGIC_TABLE = {
@@ -286,33 +290,93 @@ def read_pcap_records(path) -> tuple[CaptureMeta, list[PacketRecord]]:
         return r.meta, list(r)
 
 
-_RECORD_HEADER = {order: struct.Struct(order + "IIII") for order in "<>"}
-
-
 def write_pcap(path, records, *, byte_order="<", ts_resolution="micro"):
     """Write records as a classic-pcap Ethernet capture (fixture/corpus writer).
 
     `records` is an iterable of PacketRecord or (ts_sec, ts_frac, data)
     tuples; orig_len defaults to len(data). A record that the reader would
     refuse, one longer than SNAPLEN or with orig_len below len(data),
-    raises ValueError naming its index before the file is created.
+    raises ValueError naming its index before the file is created. The
+    records are joined into one buffer and written by `write_frames`, which
+    states the rest of the refusals.
+    """
+    fields = [_record_fields(rec) for rec in records]
+    ts_sec, ts_frac, cap_len, orig_len = np.array(
+        [(s, f, len(data), orig) for s, f, data, orig in fields], dtype=np.int64).reshape(-1, 4).T
+    write_frames(path, b"".join([data for _, _, data, _ in fields]),
+                 np.cumsum(cap_len) - cap_len, cap_len, ts_sec, ts_frac, orig_len,
+                 byte_order=byte_order, ts_resolution=ts_resolution)
+
+
+# the records are written a chunk at a time, each chunk about this many
+# bytes, so the writer's transients stay bounded whatever the capture's
+# size (and mostly below glibc's 128 KiB mmap threshold, see synth._BLOCK)
+_CHUNK = 1 << 16
+
+
+def write_frames(path, frames, start, cap_len, ts_sec, ts_frac, orig_len, *,
+                 byte_order="<", ts_resolution="micro"):
+    """Write frames from columns as a classic-pcap Ethernet capture: the
+    inverse of `PcapReader.read_frames`, and the one writer of records.
+
+    `frames` is a bytes-like buffer; record i's frame is
+    frames[start[i]:start[i] + cap_len[i]], and its header holds ts_sec[i],
+    ts_frac[i], cap_len[i] and orig_len[i]. The frames lie in the buffer in
+    record order, each at or after the end of the one before, with gaps
+    between them or none. Before the file is created, a ValueError names
+    the first record the reader would refuse, one longer than SNAPLEN or
+    with orig_len below cap_len; failing that, the first with a header
+    field outside 0 to 2**32 - 1, and then the first whose frame overlaps
+    the one before it or is not inside the buffer.
     """
     [magic] = [m for m, form in _MAGIC_TABLE.items() if form == (byte_order, ts_resolution)]
-    fields = [_record_fields(rec) for rec in records]
-    for index, (_, _, data, orig) in enumerate(fields):
-        if len(data) > SNAPLEN:
-            raise ValueError(f"record {index} holds {len(data)} bytes, "
+    frames = np.frombuffer(frames, dtype=np.uint8)
+    start = np.asarray(start, dtype=np.int64)
+    # one row per record, in the order of its header's four fields
+    fields = np.array([ts_sec, ts_frac, cap_len, orig_len], dtype=np.int64).reshape(4, -1).T
+    incl, orig = fields[:, 2], fields[:, 3]
+    refused = (incl > SNAPLEN) | (orig < incl)
+    if refused.any():
+        index = int(refused.argmax())
+        if incl[index] > SNAPLEN:
+            raise ValueError(f"record {index} holds {incl[index]} bytes, "
                              f"more than the file's snaplen {SNAPLEN}")
-        if orig < len(data):
-            raise ValueError(f"record {index} has orig_len {orig}, "
-                             f"below its {len(data)} captured bytes")
-    pack = _RECORD_HEADER[byte_order].pack
-    body = b"".join([part for ts_sec, ts_frac, data, orig in fields
-                     for part in (pack(ts_sec, ts_frac, len(data), orig), data)])
+        raise ValueError(f"record {index} has orig_len {orig[index]}, "
+                         f"below its {incl[index]} captured bytes")
+    unfit = np.flatnonzero((fields >> 32 != 0).any(axis=1))
+    if unfit.size:
+        raise ValueError(f"record {unfit[0]} has (ts_sec, ts_frac, incl_len, orig_len) "
+                         f"{tuple(fields[unfit[0]].tolist())}, not all in 0 to 2**32 - 1")
+    end = start + incl
+    misplaced = np.flatnonzero((start < np.concatenate([[0], end[:-1]])) | (end > len(frames)))
+    if misplaced.size:
+        raise ValueError(f"record {misplaced[0]}'s frame at {start[misplaced[0]]} starts before "
+                         f"the frame before it ends or runs past the {len(frames)} bytes given")
+    heads = fields.astype(byte_order + "u4", order="C").view(np.uint8)  # header bytes per record
+    ends = np.cumsum(RECORD_HEADER_LEN + incl)
+    # each chunk's first record: the first to end past a multiple of _CHUNK
+    firsts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0, _CHUNK),
+                                       side="right"))
     with open(path, "wb") as fp:
         fp.write(struct.pack(">I", magic))
         fp.write(struct.pack(byte_order + "HHiIII", 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
-        fp.write(body)
+        for a, b in zip(firsts.tolist(), firsts[1:].tolist() + [len(incl)]):
+            fp.write(_records(frames, start[a:b], incl[a:b], heads[a:b]))
+
+
+def _records(frames, start, cap_len, heads) -> np.ndarray:
+    """Records as a capture holds them, each row of heads then its frame,
+    for frames that lie in `frames` in order."""
+    odd = np.arange(2 * len(cap_len)) % 2 == 1
+    is_frame = np.repeat(odd, np.column_stack([np.full(len(cap_len), RECORD_HEADER_LEN),
+                                               cap_len]).ravel())
+    out = np.empty(len(is_frame), dtype=np.uint8)
+    out[~is_frame] = heads.ravel()
+    end = start + cap_len
+    gaps = start - np.concatenate([start[:1], end[:-1]])  # bytes between frames
+    in_frame = np.repeat(odd, np.column_stack([gaps, cap_len]).ravel())
+    out[is_frame] = frames[start[0]:end[-1]][in_frame]
+    return out
 
 
 def _record_fields(rec) -> tuple[int, int, bytes, int]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pcap import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, SNAPLEN, write_pcap
+from .pcap import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, SNAPLEN, write_frames
 from .views import class_catalog
 
 
@@ -66,6 +66,7 @@ MAX_PAYLOAD = SNAPLEN - _TCP_FRAME.itemsize  # the longest payload a frame can c
 
 _DPORTS = [80, 443, 8080, 1883, 23]
 _BASE_TS = 1_600_000_000
+_STEP_LOW, _STEP_R = 200, 4800  # a packet's timestamp step: 200 to 4999 microseconds
 # raw generator outputs a pass of `_walk` works on, carried words included;
 # a block's arrays (32 to 64 KiB) stay below glibc's 128 KiB mmap
 # threshold, since larger transients that come and go raise the process's
@@ -142,7 +143,7 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     for cls in classes:
         path = out_dir / f"{_slug(cls.name)}.pcap"
         draws, left = _walk(bitgen, left, cls, packets_per_session, payload_len)
-        write_pcap(path, _frames(*draws))
+        write_frames(path, *_frames(*draws))
         results.append((path, cls.name))
     return results
 
@@ -195,17 +196,17 @@ def _walk(bitgen, left, cls: SynthClass, packets_per_session, payload_len):
     """
     words, pos = left
     count_range = packets_per_session[0], packets_per_session[1] + 1
-    plen_range = payload_len[0], payload_len[1] + 1
+    plen_low, plen_r = payload_len[0], payload_len[1] + 1 - payload_len[0]
+    plen_floor, step_floor = _floor(plen_r), _floor(_STEP_R)
     byte_low, byte_r = cls.byte_low, cls.byte_high + 1 - cls.byte_low
     byte_floor = (256 - byte_r) % byte_r
     draw = _scalar_draw
-    sessions, packets, payloads = [], [], []
+    sessions, passes, payloads = [], [], []
     while len(sessions) < cls.sessions:
         words, pos = words[pos & ~1:], pos & 1
         carried = len(words) // 2  # whole outputs
         more = bitgen.random_raw(_BLOCK - carried if carried < _BLOCK else carried)
         words = np.concatenate([words, more.astype("<u8").view("<u4")])
-        gathered = len(packets)
         # the kept payload bytes, and how many are kept before each word
         # (four 0/1 bytes sum in the top byte of their product with 0x01010101)
         m = words.view(np.uint8).astype(np.uint16) * byte_r
@@ -215,6 +216,7 @@ def _walk(bitgen, left, cls: SynthClass, packets_per_session, payload_len):
         np.cumsum((kept.view("<u4") * np.uint32(0x01010101)) >> np.uint32(24),
                   out=before[1:])
         table, before = memoryview(words), memoryview(before)
+        packets = []  # per packet of this pass: payload length, first kept byte, step
         try:
             while len(sessions) < cls.sessions:
                 cut, mark = pos, len(packets)
@@ -230,28 +232,48 @@ def _walk(bitgen, left, cls: SynthClass, packets_per_session, payload_len):
                 src_mac, dst_mac = table[pos], table[pos + 1]
                 seq_fwd, pos = draw(table, pos + 2, 0, 2**31)
                 seq_rev, pos = draw(table, pos, 0, 2**31)
+                # the payload length and timestamp step take the word at pos
+                # when it is accepted, as _scalar_draw would, and otherwise
+                # leave the draw to it
                 for _ in range(n_pkts):
-                    plen, pos = draw(table, pos, *plen_range)
+                    m = table[pos] * plen_r
+                    if m & 0xFFFFFFFF >= plen_floor:
+                        plen, pos = plen_low + (m >> 32), pos + 1
+                    else:
+                        plen, pos = draw(table, pos, plen_low, plen_low + plen_r)
                     first = 0
                     if plen and byte_r > 1:  # on to the word after the last kept byte's
                         first = before[pos]
                         pos = bisect_right(before, first + plen - 1, pos)
-                    step, pos = draw(table, pos, 200, 5000)
-                    packets.append((plen, first, step))
+                    m = table[pos] * _STEP_R
+                    if m & 0xFFFFFFFF >= step_floor:
+                        step, pos = _STEP_LOW + (m >> 32), pos + 1
+                    else:
+                        step, pos = draw(table, pos, _STEP_LOW, _STEP_LOW + _STEP_R)
+                    packets += plen, first, step
                 sessions.append((n_pkts, udp, src_ip, dst_ip, sport, dport, src_mac,
                                  dst_mac, seq_fwd, seq_rev))
         except IndexError:  # the words ran out inside this session
             pos = cut
             del packets[mark:]
-        plens, firsts, _ = np.array(packets[gathered:], dtype=np.int64).reshape(-1, 3).T
+        passes.append(np.array(packets, dtype=np.int64).reshape(-1, 3).T)
+        plens, firsts, _ = passes[-1]
         ranks = np.repeat(firsts - (np.cumsum(plens) - plens), plens) + np.arange(plens.sum())
         payloads.append(kept_bytes[ranks] if byte_r > 1  # a one-value band takes no word
                         else np.full(len(ranks), byte_low, dtype=np.uint8))
 
     columns = np.array(sessions, dtype=np.int64).reshape(-1, 10).T
-    plens, _, steps = np.array(packets, dtype=np.int64).reshape(-1, 3).T
+    plens, _, steps = np.concatenate(passes, axis=1)
     return ((columns, plens, np.concatenate(payloads), steps),
             (words[pos & ~1:].copy(), pos & 1))
+
+
+def _floor(r: int) -> int:
+    """Lemire's rejection floor: a scalar draw over r values rejects a word
+    w while (w * r) mod 2**32 is below it. For r = 1, whose draw takes no
+    word, it is above every such value, so a loop that tries a word first
+    leaves a one-value draw to _scalar_draw."""
+    return (2**32 - r) % r if r > 1 else 2**32
 
 
 def _scalar_draw(words, pos: int, low: int, high: int) -> tuple[int, int]:
@@ -260,8 +282,9 @@ def _scalar_draw(words, pos: int, low: int, high: int) -> tuple[int, int]:
     r = high - low
     if r == 1:
         return low, pos
+    floor = _floor(r)
     m = words[pos] * r
-    while m & 0xFFFFFFFF < (2**32 - r) % r:
+    while m & 0xFFFFFFFF < floor:
         pos += 1
         m = words[pos] * r
     return low + (m >> 32), pos + 1
@@ -285,8 +308,10 @@ def _part_mask(lengths, part) -> np.ndarray:
     return np.repeat(np.arange(len(lengths)) % 3 == part, lengths)
 
 
-def _frames(sessions, plen, payload, steps) -> list[tuple[int, int, memoryview]]:
-    """The (ts_sec, ts_usec, frame) records one class's draws make.
+def _frames(sessions, plen, payload, steps) -> tuple[np.ndarray, ...]:
+    """The records one class's draws make, as `write_frames` takes them
+    after the path: (frames, start, frame_len, ts_sec, ts_usec, frame_len),
+    frame i being frames[start[i]:start[i] + frame_len[i]], captured whole.
 
     Packets alternate direction within a session, its initiator first.
     TCP sequence and ack numbers run on per direction from the drawn
@@ -366,9 +391,7 @@ def _frames(sessions, plen, payload, steps) -> list[tuple[int, int, memoryview]]
     words[at + _word("ip_sum")] = _fold(sums[:, 1])
     words[at + np.where(udp, _word("l4_sum", _UDP_FRAME), _word("l4_sum"))] = l4_sum
 
-    frames = memoryview(buf)
-    return [(s, u, frames[a:a + n]) for s, u, a, n in
-            zip(ts_sec.tolist(), ts_usec.tolist(), start.tolist(), frame_len.tolist())]
+    return buf, start, frame_len, ts_sec, ts_usec, frame_len
 
 
 def _keeps_name(name: str) -> bool:

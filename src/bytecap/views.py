@@ -741,7 +741,10 @@ def read_dataset(path) -> DatasetFile:
                        data=records[:, 2:], labels=labels)
 
 
-def split_indices(labels, val_fraction: float = 0.2,
+VAL_FRACTION = 0.2  # the share of each class held out for validation by default
+
+
+def split_indices(labels, val_fraction: float = VAL_FRACTION,
                   seed: int = 0) -> tuple[list[int], list[int]]:
     """Stratified (train, val) index split with a seeded shuffle.
 
@@ -767,7 +770,7 @@ def split_indices(labels, val_fraction: float = 0.2,
     return train_idx, val_idx
 
 
-def train_val_split(ds: DatasetFile, val_fraction: float = 0.2,
+def train_val_split(ds: DatasetFile, val_fraction: float = VAL_FRACTION,
                     seed: int = 0) -> tuple[DatasetFile, DatasetFile]:
     """Stratified dataset split; see split_indices for the rules."""
     train_idx, val_idx = split_indices(ds.labels, val_fraction, seed)

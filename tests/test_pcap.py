@@ -23,8 +23,10 @@ from bytecap.pcap import (
     read_pcap,
     read_pcap_records,
     session_rows,
+    write_frames,
     write_pcap,
 )
+from bytecap import pcap
 from bytecap.views import Capture
 from conftest import arp_frame, ipv4_frame, ipv6_frame, needs_dev_fd, read_through_pipe
 
@@ -191,6 +193,99 @@ class TestWritePcap:
         meta, [rec] = read_pcap_records(p)
         assert meta.snaplen == 65535 and rec.data == b"\3" * 65535
 
+
+
+def laid_out(frames, layout, rng):
+    """(buffer, start) holding `frames` in order: back to back, each padded
+    to an even length as synthesis lays them, or 0 to 40 bytes apart."""
+    gaps = {"contiguous": [0] * len(frames), "even-pads": [len(f) & 1 for f in frames],
+            "wide-gaps": [rng.randrange(41) for _ in frames]}[layout]
+    buf, start = bytearray(rng.randbytes(rng.randrange(5))), []
+    for frame, gap in zip(frames, gaps):
+        start.append(len(buf))
+        buf += frame + rng.randbytes(gap)
+    return bytes(buf), start
+
+
+class TestWriteFrames:
+    """write_frames, the columnar writer write_pcap adapts record lists to."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 700], ids=["chunk", "chunk1", "chunk700"])
+    @pytest.mark.parametrize("layout", ["contiguous", "even-pads", "wide-gaps"])
+    @pytest.mark.parametrize("order,resolution", [
+        ("<", "micro"), (">", "micro"), ("<", "nano"), (">", "nano")])
+    def test_roundtrip(self, tmp_path, monkeypatch, order, resolution, layout, chunk):
+        if chunk:
+            monkeypatch.setattr(pcap, "_CHUNK", chunk)
+        rng = random.Random(f"{order}{resolution}{layout}{chunk}")
+        frames = [rng.randbytes(rng.choice([0, 1, 13, 60, 61, 1500])) for _ in range(40)]
+        frames[7] = rng.randbytes(65535)
+        want = [PacketRecord(i, rng.randrange(2**32), rng.randrange(2**32), len(f),
+                             len(f) + rng.choice([0, 0, 1, 9000, 2**32 - 1 - len(f)]), f)
+                for i, f in enumerate(frames)]
+        buf, start = laid_out(frames, layout, rng)
+        p = tmp_path / "cols.pcap"
+        write_frames(p, np.frombuffer(buf, dtype=np.uint8), start,
+                     *zip(*[(r.cap_len, r.ts_sec, r.ts_frac, r.orig_len) for r in want]),
+                     byte_order=order, ts_resolution=resolution)
+        meta, back = read_pcap_records(p)
+        assert (meta.byte_order, meta.ts_resolution, meta.snaplen) == (order, resolution, 65535)
+        assert back == want
+        with read_pcap(p) as r:
+            got, got_start, got_len = r.read_frames()
+        assert got_len.tolist() == [len(f) for f in frames]
+        assert [got[a:a + n].tobytes() for a, n in zip(got_start.tolist(), got_len.tolist())] \
+            == frames
+
+    def test_no_records(self, tmp_path):
+        p = tmp_path / "empty.pcap"
+        write_frames(p, b"", [], [], [], [], [])
+        assert read_pcap_records(p)[1] == [] and p.stat().st_size == 24
+
+    @pytest.mark.parametrize("bad,match", [
+        ({"cap_len": 65536, "orig_len": 65536}, "record 2 holds 65536 bytes, more than "
+         "the file's snaplen 65535"),
+        ({"orig_len": 9}, "record 2 has orig_len 9, below its 10 captured bytes"),
+    ], ids=["past-snaplen", "orig-below-data"])
+    @pytest.mark.parametrize("entry", ["write_frames", "write_pcap"])
+    def test_refuses_what_the_reader_refuses(self, tmp_path, entry, bad, match):
+        # record 2 is the first bad one; record 4 is bad both ways
+        rows = [dict(cap_len=10, orig_len=10) for _ in range(6)]
+        rows[2].update(bad)
+        rows[4] = dict(cap_len=70000, orig_len=3)
+        data = [b"\5" * row["cap_len"] for row in rows]
+        p = tmp_path / "refused.pcap"
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            if entry == "write_pcap":
+                write_pcap(p, [PacketRecord(i, 0, 0, len(d), row["orig_len"], d)
+                               for i, (d, row) in enumerate(zip(data, rows))])
+            else:
+                lengths = [len(d) for d in data]
+                write_frames(p, b"".join(data), np.cumsum([0] + lengths[:-1]), lengths,
+                             [0] * 6, [0] * 6, [row["orig_len"] for row in rows])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("records,match", [
+        ([(0, 0, b"a"), (-1, 0, b"b")], r"record 1 has \(ts_sec, ts_frac, incl_len, "
+         r"orig_len\) \(-1, 0, 1, 1\), not all in 0 to 2\*\*32 - 1"),
+        ([(0, 2**32, b"")], r"record 0 has .* \(0, 4294967296, 0, 0\)"),
+    ], ids=["negative-ts_sec", "ts_frac-past-32-bits"])
+    def test_refuses_a_field_a_header_cannot_hold(self, tmp_path, records, match):
+        p = tmp_path / "unfit.pcap"
+        with pytest.raises(ValueError, match=match):
+            write_pcap(p, records)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("start,match", [
+        ([0, 3], "record 1's frame at 3 starts before the frame before it ends"),
+        ([0, 5], "record 1's frame at 5 .* runs past the 8 bytes given"),
+        ([-1, 4], "record 0's frame at -1"),
+    ], ids=["overlap", "past-end", "before-buffer"])
+    def test_refuses_a_frame_outside_its_place(self, tmp_path, start, match):
+        p = tmp_path / "misplaced.pcap"
+        with pytest.raises(ValueError, match=match):
+            write_frames(p, bytes(range(8)), start, [4, 4], [0, 0], [0, 0], [4, 4])
+        assert not p.exists()
 
 def outcome(read, blob, path, through_pipe):
     """read(path) of `blob` from a file or a pipe: its result, or the error's

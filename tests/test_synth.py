@@ -305,6 +305,50 @@ def test_walk_follows_generator_calls(monkeypatch, block, pending, band, packets
         assert stream.tolist() == [twin.integers(0, 2**32, dtype=np.uint64) for _ in stream]
 
 
+def pcg64_with_output(k, output):
+    """A PCG64 bit generator whose raw output k (from 0) is `output`. PCG64
+    steps its 128-bit state s to s * MULT + inc, then outputs its high half
+    xor its low half rotated right by the state's top six bits; so pick the
+    high half, solve for the low half, and step back k + 1 times."""
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, 0xDA3E39CB94B95BDB
+    high = 0x5DEECE66D1234567
+    rot = high >> 58
+    state = high << 64 | high ^ ((output << rot | output >> (64 - rot)) & (2**64 - 1))
+    for _ in range(k + 1):
+        state = (state - inc) * pow(mult, -1, 2**128) % 2**128
+    check, bitgen = np.random.PCG64(), np.random.PCG64()
+    check.state = bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                  "state": {"state": state, "inc": inc}}
+    assert check.random_raw(k + 1)[k] == output
+    return bitgen
+
+
+@pytest.mark.parametrize("half, drawn", [(0, (0, 3)), (1, (200, 5000))],
+                         ids=["payload-length", "timestamp-step"])
+def test_walk_draws_past_a_rejected_word(monkeypatch, half, drawn):
+    # Lemire's rule rejects a word of 0 for any range whose size is not a
+    # power of two. The first session of one packet and a one-value band
+    # takes words 0-9; then the payload length draw (3 values) starts at
+    # word 10, the low half of output 5, and the step draw at the word after
+    # the length's. Output 5 has its low or its high half 0.
+    rejected = []
+
+    def spy(words, pos, low, high):
+        if high - low > 1 and words[pos] == 0:
+            rejected.append((low, high))
+        return _scalar_draw(words, pos, low, high)
+
+    monkeypatch.setattr(synth, "_scalar_draw", spy)
+    cls, recipe = SynthClass("zero", 7, 7, 3), ((1, 1), (0, 2))
+    output = 0x9E3779B9 << 32 * (1 - half)
+    (columns, plens, _, steps), _ = _walk(pcg64_with_output(5, output),
+                                          (np.zeros(0, dtype="<u4"), 0), cls, *recipe)
+    want_sessions, want_plens, _, want_steps = twin_draws(
+        np.random.Generator(pcg64_with_output(5, output)), cls, *recipe)
+    assert rejected == [drawn]
+    assert as_twin_draws(columns) == want_sessions
+    assert plens.tolist() == want_plens and steps.tolist() == want_steps
+
 @pytest.mark.parametrize("low, high", [(0, 2**31 + 1), (5, 3 * 2**30 + 5), (0, 2**32 - 1),
                                        (200, 5000), (9, 10)])
 def test_scalar_draw_follows_generator_integers(low, high):
