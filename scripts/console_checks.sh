@@ -144,6 +144,31 @@ except ValueError as e:
     print(e)')"
 test "$(cat "$work/lr0.err")" = "error: --learning-rate: $rule"
 test ! -e "$work/lr0.ftlw"
+# a flag's text is converted as a config line's is: a value of the wrong
+# type or an unknown choice exits 1 with the text parse_config gives that
+# line, after the flag's name (argparse's usage error would exit 2)
+line_text() {
+  python -c 'import sys
+from bytecap.cli import parse_config
+try:
+    parse_config(sys.argv[2], sys.argv[1])
+except ValueError as e:
+    print(str(e).removeprefix("config line 1: "))' "$@"
+}
+set +e
+bytecap train "$work/session.ftld" --epochs x --out "$work/x.ftlw" 2> "$work/x.err"
+status=$?
+set -e
+test "$status" -eq 1
+test "$(cat "$work/x.err")" = "error: --epochs: $(line_text train 'epochs = x')"
+test ! -e "$work/x.ftlw"
+set +e
+bytecap build --labels "$work/corpus/labels.txt" --view bogus --out "$work/bogus.ftld" 2> "$work/bogus.err"
+status=$?
+set -e
+test "$status" -eq 1
+test "$(cat "$work/bogus.err")" = "error: --view: $(line_text build 'view = bogus')"
+test ! -e "$work/bogus.ftld"
 # a config file saved with a leading byte-order mark reads as one without
 printf '\357\273\277epochs = 1\n' > "$work/bom.conf"
 bytecap train "$work/session.ftld" --config "$work/bom.conf" --out "$work/bom.ftlw"

@@ -2,7 +2,11 @@
 
 Each command takes only the settings it reads (`SETTINGS`), as flags and
 as config-file keys. Options compose from defaults, then a flat key=value
-config file, then command-line flags (flags win). The command's effective
+config file, then command-line flags (flags win). argparse only collects
+each flag's text; that text and a config line's pass through one
+converter (`convert_setting`), so a bad value is one `error:` line with
+exit status 1 whichever way it came, and only a flag the command does not
+take is argparse's usage error (exit status 2). The command's effective
 settings are echoed on stderr at the start of every run; stdout carries
 only data.
 """
@@ -96,27 +100,34 @@ _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 # the ModelConfig field each training setting sets, and each setting's range
 _FIELDS = {("batch" if f == "batch_size" else f): f for f in SETTING_RULES}
 _RULES = {"n": SAMPLE_LEN_RULE} | {key: SETTING_RULES[f] for key, f in _FIELDS.items()}
+_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
+               "yes": True, "no": False}
 
 
-def _choice(key: str, value: str, where: str) -> str:
-    if value not in CHOICES[key]:
+def convert_setting(key: str, text: str, where: str):
+    """The value of setting `key` from its text, a flag's or a config
+    line's: checked as a choice (`CHOICES`), then as the setting's type,
+    then against the range it takes (`_RULES`). Each refusal is a
+    ValueError naming `where` the text came from, the same after that
+    prefix for a flag and a config line. Every setting passes here before
+    a command reads or writes a file."""
+    if key in CHOICES and text not in CHOICES[key]:
         raise ValueError(f"{where}: {key} must be one of {', '.join(CHOICES[key])}, "
-                         f"got {value!r}")
-    return value
-
-
-def _in_range(key: str, value, where: str):
-    """value, if it lies in the range its setting takes (`_RULES`); the
-    refusal names `where` the value came from. Every setting passes here
-    before a command reads or writes a file."""
+                         f"got {text!r}")
+    ty = _TYPES[key]
+    if ty is bool:
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError(f"{where}: bad boolean {text!r}")
+        return _BOOL_WORDS[text.lower()]
+    try:
+        value = ty(text)
+    except ValueError:  # int() or float() of a text that is not one
+        kind = "an integer" if ty is int else "a number"
+        raise ValueError(f"{where}: {key} must be {kind}, got {text!r}") from None
     ok, rule = _RULES.get(key, (None, None))
     if ok and not ok(value):
         raise ValueError(f"{where}: {key} {rule}, got {value!r}")
     return value
-
-
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
 
 
 def parse_config(text: str, command: str) -> dict:
@@ -134,20 +145,7 @@ def parse_config(text: str, command: str) -> dict:
         where = f"config line {line_no}"
         if key not in SETTINGS[command]:
             raise ValueError(f"{where}: unknown key {key!r}")
-        if key in CHOICES:
-            _choice(key, value, where)
-        ty = _TYPES[key]
-        if ty is bool:
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"{where}: bad boolean {value!r}")
-            out[key] = _BOOL_WORDS[value.lower()]
-            continue
-        try:
-            typed = ty(value)
-        except ValueError:  # int() or float() of a value that is not one
-            kind = "an integer" if ty is int else "a number"
-            raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
-        out[key] = _in_range(key, typed, where)
+        out[key] = convert_setting(key, value, where)
     return out
 
 
@@ -164,12 +162,13 @@ def render_config(cfg: RunConfig, command: str) -> str:
 
 
 def effective_config(args, command: str) -> RunConfig:
-    """The command's defaults <- config file <- flags."""
+    """The command's defaults <- config file <- flags, each flag's text
+    converted as a config line's is."""
     cfg = replace(RunConfig(), **COMMAND_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
         cfg = replace(cfg, **parse_config(read_utf8_text(args.config), command))
     flags = {name: getattr(args, name, None) for name in SETTINGS[command]}
-    return replace(cfg, **{k: _in_range(k, v, "--" + k.replace("_", "-"))
+    return replace(cfg, **{k: convert_setting(k, v, "--" + k.replace("_", "-"))
                            for k, v in flags.items() if v is not None})
 
 
@@ -337,10 +336,12 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_bench(cfg: RunConfig, args) -> int:
     if not cfg.labels:
         raise ValueError("bench needs --labels <file>")
-    views = [ViewKind(_choice("view", v.strip(), "--views"))
+    views = [ViewKind(convert_setting("view", v.strip(), "--views"))
              for v in args.views.split(",") if v.strip()]
     if not views:
         raise ValueError(f"--views names no view, got {args.views!r}")
+    if len(set(views)) < len(views):  # one timing row per pipeline
+        raise ValueError(f"--views: a view is named more than once, got {args.views!r}")
     corpus = read_labels_file(cfg.labels)
     report = bench_mod.time_pipelines(
         corpus, views, cfg.n, cfg.task,
@@ -354,13 +355,16 @@ def cmd_bench(cfg: RunConfig, args) -> int:
 
 
 def _add_settings(p: argparse.ArgumentParser, command: str):
+    """The command's flags. Each stores its setting's text, and a switch
+    the text "true", for `effective_config` to convert."""
     p.add_argument("--config")
     for name in SETTINGS[command]:
         flag = "--" + name.replace("_", "-")
         if _TYPES[name] is bool:
-            p.add_argument(flag, dest=name, action="store_const", const=True)
+            p.add_argument(flag, dest=name, action="store_const", const="true")
         else:
-            p.add_argument(flag, dest=name, type=_TYPES[name], choices=CHOICES.get(name))
+            p.add_argument(flag, dest=name, metavar="{" + ",".join(CHOICES[name]) + "}"
+                           if name in CHOICES else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

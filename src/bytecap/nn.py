@@ -27,6 +27,11 @@ fresh buffer of that layout and returns per-layer views of it.
 output depends on (`Model.read_length`), so every windowed layer computes
 exactly the positions the next layer reads, then scales uint8 bytes to [0,1].
 
+A model takes the losses in `LOSSES`, whose order is FTLW's loss codes,
+and input lengths by `views.SAMPLE_LEN_RULE`; `ModelConfig.validate`
+checks both, so `Model`, `train` and `save_weights` refuse a bad one
+before any file is opened, and `load_weights` as a WeightsFormatError.
+
 The default profile reproduces the reference shape column
 18x64 -> 3x64 -> 1x64 -> 64 -> {2|12} from a length-115 input.
 """
@@ -42,7 +47,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._bounded import field_reader, read_rest
-from .views import class_catalog, scale_bytes
+from .views import check_sample_len, class_catalog, scale_bytes
 
 _EPS = 1e-7  # probability clamp for cross-entropy
 
@@ -89,14 +94,13 @@ LayerSpec = Union[Conv1dSpec, MaxPool1dSpec, GlobalAvgPoolSpec, DenseSpec]
 # Layer kinds: one forward and one backward each, on batched arrays
 
 def _apply_activation(z, activation):
-    if activation == "none":
-        return z
+    """A dense activation that `_plan_layer` has accepted, applied to `z`."""
     if activation == "softmax":
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
     if activation == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {activation!r}")
+    return z  # "none"
 
 
 def _conv_forward(spec, params, a, need_cache):
@@ -307,6 +311,8 @@ def _check_params(layer: LayerPlan, tensors, where: str):
 
 LOSS_BCE = "binary_cross_entropy"
 LOSS_CCE = "categorical_cross_entropy"
+# the losses a model takes, in FTLW code order (a loss's code is its index)
+LOSSES = (LOSS_BCE, LOSS_CCE)
 # the range each training setting takes: its test, and the rule a refusal
 # states as "<setting> <rule>, got <value>"
 SETTING_RULES = {
@@ -336,7 +342,9 @@ class ModelConfig:
     seed: int = 0
 
     def plan(self) -> list[LayerPlan]:
-        """Walk the layer stack once; raises ShapeError if the algebra fails."""
+        """Walk the layer stack once; raises ShapeError if the input length
+        breaks `views.SAMPLE_LEN_RULE` or the algebra fails."""
+        check_sample_len(self.input_len, ShapeError, "input length")
         plan = []
         shape: tuple = (self.input_len, 1)
         for i, spec in enumerate(self.layers):
@@ -351,10 +359,12 @@ class ModelConfig:
     def validate(self) -> list[LayerPlan]:
         """The layer plan of a well-formed model; raises ShapeError otherwise,
         or ValueError naming the first training setting outside its range
-        (`SETTING_RULES`)."""
+        (`SETTING_RULES`) or a loss not in `LOSSES`."""
         for name, (ok, rule) in SETTING_RULES.items():
             if not ok(getattr(self, name)):
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"loss must be one of {', '.join(LOSSES)}, got {self.loss!r}")
         plan = self.plan()
         if not self.layers or not isinstance(self.layers[-1], DenseSpec):
             raise ShapeError("model must end with a dense layer")
@@ -708,8 +718,6 @@ _WEIGHTS_MAGIC = b"FTLW"
 # v2 adds a loss byte after the header; it is written only when the loss is
 # not the one v1 infers from the class count, so every v1 file stays v1
 _WEIGHTS_VERSIONS = (1, 2)
-_LOSS_CODES = {LOSS_BCE: 0, LOSS_CCE: 1}
-_LOSS_FROM_CODE = {v: k for k, v in _LOSS_CODES.items()}
 _KIND_FROM_CODE = {kind.code: (spec_type, kind) for spec_type, kind in _KINDS.items()}
 _ACT_CODES = {"none": 0, "relu": 1, "softmax": 2, "sigmoid": 3}
 _ACT_FROM_CODE = {v: k for k, v in _ACT_CODES.items()}
@@ -739,7 +747,7 @@ def save_weights(path, ckpt: Checkpoint):
         fp.write(_WEIGHTS_MAGIC)
         fp.write(struct.pack("<HIH", 1 if v1 else 2, cfg.input_len, len(cfg.layers)))
         if not v1:
-            fp.write(struct.pack("<B", _LOSS_CODES[cfg.loss]))
+            fp.write(struct.pack("<B", LOSSES.index(cfg.loss)))
         for layer in plan:
             values = (getattr(layer.spec, name) for name in layer.kind.fields)
             fp.write(struct.pack("<B", layer.kind.code))
@@ -771,9 +779,9 @@ def load_weights(path) -> Checkpoint:
         loss = None  # version 1: inferred from the class count below
         if version == 2:
             (code,) = struct.unpack("<B", field(1, "while reading loss"))
-            if code not in _LOSS_FROM_CODE:
+            if code >= len(LOSSES):
                 raise WeightsFormatError(f"{path}: unknown loss code {code}")
-            loss = _LOSS_FROM_CODE[code]
+            loss = LOSSES[code]
 
         layers: list[LayerSpec] = []
         for i in range(layer_count):

@@ -36,7 +36,10 @@ FTLD records are written and read as one (N, 2 + sample_len) byte
 matrix and `tensors()` is a cast. A reader takes the header one named
 field at a time into a `DatasetHeader`, then the rest of the file as the
 records (`_bounded.read_rest`), which only then meet the sample count
-the header claims. Class names are `class_catalog`'s.
+the header claims. Class names are `class_catalog`'s. The sample lengths
+a dataset takes are one rule, `SAMPLE_LEN_RULE`, which `build_dataset`,
+`Capture.assemble`, `write_dataset` and the FTLD reader check through
+`check_sample_len`, as `nn.ModelConfig` does for a model's input length.
 `DatasetFile.samples` is a read-only sequence of `Sample(label, data)`
 rows built on access, kept for the benchmark harness and other callers
 that walk samples one at a time.
@@ -499,8 +502,7 @@ class Capture:
         piece fills its row, the window matrix is the output. Any other
         cell places every piece by one boolean scatter.
         """
-        if n < 1:
-            raise ValueError("sample length must be >= 1")
+        check_sample_len(n)
         order, rows, first = self.units(view, include_non_ip)
         head, tail = (a[order] for a in self._cuts(cat))
         start = self.start[order]
@@ -581,8 +583,7 @@ def build_dataset(inputs: Sequence[tuple[object, str]], view: ViewKind,
     Output order is source file order, then unit first-packet order, so
     rebuilding the same inputs is deterministic.
     """
-    if not SAMPLE_LEN_RULE[0](n):
-        raise ValueError(f"sample length {n} {SAMPLE_LEN_RULE[1]}")
+    check_sample_len(n)
     names = class_catalog(task)
     sources, labels, cells = [], [], []
     for source, label_name in inputs:
@@ -624,9 +625,19 @@ def byte_distribution(ds: DatasetFile) -> dict[str, int]:
     return {name: int(t) for name, t in zip(ds.class_names, totals)}
 
 
-# the sample lengths build_dataset takes: its test, and the rule a refusal states
+# the sample lengths a dataset or a model takes: its test, and the rule a
+# refusal states (FTLD's sample length and FTLW's input length are both u32)
 SAMPLE_LEN_RULE = (lambda n: 1 <= n <= 0xFFFFFFFF,
                    "must lie in [1, 2^32 - 1] (FTLD's u32 sample length)")
+
+
+def check_sample_len(n: int, error=ValueError, name: str = "sample length"):
+    """Raise `error(message)`, the message stating SAMPLE_LEN_RULE, unless
+    `n` obeys it."""
+    if not SAMPLE_LEN_RULE[0](n):
+        raise error(f"{name} {n} {SAMPLE_LEN_RULE[1]}")
+
+
 _DATASET_MAGIC = b"FTLD"
 _DATASET_VERSION = 1
 _VIEW_CODES = {ViewKind.PACKET: 0, ViewKind.FLOW: 1, ViewKind.SESSION: 2}
@@ -652,8 +663,7 @@ def write_dataset(path, ds: DatasetFile):
     count = len(ds.labels)
     if ds.data.shape != (count, ds.sample_len):
         raise ValueError("sample length does not match dataset sample_len")
-    if ds.sample_len > 0xFFFFFFFF:
-        raise ValueError(f"sample length {ds.sample_len} exceeds FTLD's u32 sample_len")
+    check_sample_len(ds.sample_len)
     if not 1 <= len(ds.class_names) <= 0xFFFF:
         raise ValueError(f"{len(ds.class_names)} class names, FTLD holds 1 to 65535")
     names = [name.encode("utf-8") for name in ds.class_names]
@@ -702,6 +712,7 @@ def _read_header(fp, path) -> DatasetHeader:
         raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
     if view_code not in _VIEW_FROM_CODE or cat_code not in _CATEGORY_FROM_CODE:
         raise DatasetFormatError(f"{path}: unknown view/category codes")
+    check_sample_len(sample_len, lambda message: DatasetFormatError(f"{path}: {message}"))
     if class_count == 0:
         raise DatasetFormatError(f"{path}: empty class table")
     names = []

@@ -79,10 +79,17 @@ class TestConfigFile:
         ("build", "n", "lots", "an integer"), ("synth", "sessions", "", "an integer"),
         ("train", "learning_rate", "fast", "a number"),
         ("train", "beta1", "0,9", "a number")])
-    def test_value_of_the_wrong_type_names_line_and_key(self, command, key, value, kind):
+    def test_value_of_the_wrong_type_names_line_and_key(self, capsys, command, key, value,
+                                                         kind):
+        text = f"{key} must be {kind}, got {value!r}"
         with pytest.raises(ValueError) as exc:
             parse_config(f"# a comment\n{key} = {value}\n", command)
-        assert str(exc.value) == f"config line 2: {key} must be {kind}, got {value!r}"
+        assert str(exc.value) == f"config line 2: {text}"
+        # the same text as a flag, after the flag's name
+        flag = "--" + key.replace("_", "-")
+        positional = ["d.ftld"] if command == "train" else []
+        assert run_cli(command, *positional, f"{flag}={value}") == 1
+        assert capsys.readouterr().err == f"error: {flag}: {text}\n"
 
     def test_comments_and_blank_lines(self):
         values = parse_config("# comment\n\nview = packet  # trailing\n", "build")
@@ -175,6 +182,21 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"error: {where}" in err and "'bogus'" in err
+        if conf:  # the same value as a flag: the same text after the flag's name
+            key, value = conf.split(" = ")
+            assert run_cli(command, "--labels", str(cli_corpus / "labels.txt"),
+                           "--out", str(tmp_path / "out"), f"--{key}", value) == 1
+            assert capsys.readouterr().err == err.replace(f"error: {where}:", f"error: --{key}:")
+
+    def test_repeated_view_is_an_error(self, cli_corpus, monkeypatch, capsys):
+        # one timing row per pipeline: refused before any capture is read
+        monkeypatch.setattr(cli, "read_labels_file",
+                            lambda *a: pytest.fail("read the labels file"))
+        rc = run_cli("bench", "--labels", str(cli_corpus / "labels.txt"),
+                     "--views", "session,flow, session")
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(
+            "error: --views: a view is named more than once, got 'session,flow, session'\n")
 
     @pytest.mark.parametrize("command, key, value", [
         ("build", "n", "0"), ("build", "n", str(2 ** 32)), ("bench", "n", "-1"),
@@ -508,11 +530,15 @@ class TestBuild:
 
     def test_non_dataset_output_is_overwritten(self, cli_corpus, tmp_path):
         out = tmp_path / "notes.ftld"
-        out.write_text("not a dataset\n")
-        rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
-                     "--n", "64", "--out", str(out))
-        assert rc == 0
-        assert read_dataset(out).sample_len == 64
+        # text, and an FTLD header claiming sample length 0, which no
+        # dataset has
+        for blob in (b"not a dataset\n",
+                     b"FTLD" + struct.pack("<HBBIHH6sQ", 1, 0, 0, 0, 1, 6, b"benign", 0)):
+            out.write_bytes(blob)
+            rc = run_cli("build", "--labels", str(cli_corpus / "labels.txt"),
+                         "--n", "64", "--out", str(out))
+            assert rc == 0
+            assert read_dataset(out).sample_len == 64
 
     def test_include_non_ip_flag_accepted(self, cli_corpus, tmp_path):
         out = tmp_path / "ni.ftld"

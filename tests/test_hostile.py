@@ -3,14 +3,16 @@ with bytes flipped, either parses or raises that module's typed error, from
 a regular file and from a pipe; the two text inputs, a config file and a
 labels file, either parse or raise ValueError."""
 
+import argparse
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bytecap.cli import SETTINGS, parse_config
+from bytecap.cli import SETTINGS, RunConfig, effective_config, parse_config
 from bytecap.nn import (
     Checkpoint,
     Conv1dSpec,
@@ -116,15 +118,24 @@ def test_pcap_parses_or_raises_typed(tmp_path):
                            (PcapFormatError, TruncatedCaptureError), 300)
 
 
+def claiming_length_zero(blob, at):
+    """`blob` with the u32 length field at byte `at` set to 0."""
+    out = bytearray(blob)
+    struct.pack_into("<I", out, at, 0)
+    return bytes(out)
+
+
 def test_ftld_parses_or_raises_typed(tmp_path):
-    check_parses_or_raises(tmp_path, read_dataset, [ftld_blob(tmp_path)],
+    blob = ftld_blob(tmp_path)
+    check_parses_or_raises(tmp_path, read_dataset, [blob, claiming_length_zero(blob, 8)],
                            DatasetFormatError, 150)
 
 
 def test_ftlw_parses_or_raises_typed(tmp_path):
     blobs = [ftlw_blob(tmp_path, loss)
              for loss in ("binary_cross_entropy", "categorical_cross_entropy")]
-    check_parses_or_raises(tmp_path, load_weights, blobs, WeightsFormatError, 200)
+    check_parses_or_raises(tmp_path, load_weights, blobs + [claiming_length_zero(blobs[0], 6)],
+                           WeightsFormatError, 200)
 
 
 CONFIG_KEYS = sorted({key for keys in SETTINGS.values() for key in keys})
@@ -158,6 +169,22 @@ def test_config_text_parses_or_raises_value_error(command_text):
     except ValueError:
         return
     assert set(values) <= set(SETTINGS[command])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SETTINGS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.sampled_from(SETTINGS[command]),
+    st.sampled_from(CONFIG_VALUES) | st.text(max_size=12))))
+def test_flag_text_parses_or_raises_value_error(command_key_text):
+    """The config values, given as a flag's text, either convert to the
+    setting's type or raise ValueError."""
+    command, key, text = command_key_text
+    args = argparse.Namespace(config=None, **{key: text})
+    try:
+        cfg = effective_config(args, command)
+    except ValueError:
+        return
+    assert type(getattr(cfg, key)) is type(getattr(RunConfig(), key))
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])

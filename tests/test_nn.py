@@ -1,6 +1,7 @@
 """Kernel math: layer forwards, finite-difference gradient oracles, Adam,
 and the weights file."""
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -885,6 +886,32 @@ class TestWeightsFile:
         p2 = tmp_path / "l2.ftlw"
         save_weights(p2, back)
         assert p2.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("input_len", 0, r"input length 0 must lie in \[1, 2\^32 - 1\]"),
+        ("input_len", 2 ** 32, r"input length 4294967296 must lie in \[1, 2\^32 - 1\]"),
+        ("loss", "mse", "loss must be one of binary_cross_entropy, "
+                        "categorical_cross_entropy, got 'mse'")])
+    def test_config_outside_its_rules_refused_before_any_file(self, tmp_path, field, value,
+                                                              message):
+        # save_weights once wrote 4 bytes, then raised struct.error, for the
+        # long input, and 12 bytes, then raised KeyError, for the unknown loss
+        cfg = dataclasses.replace(default_config("binary"), **{field: value})
+        weights = Model(default_config("binary")).copy_weights()
+        p = tmp_path / "w.ftlw"
+        for refuse in (cfg.validate, lambda: Model(cfg),
+                       lambda: save_weights(p, Checkpoint(cfg, weights, 0, 0.0))):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+        assert not p.exists()
+
+    def test_input_length_zero_refused(self, tmp_path):
+        # one dense layer: the only stack whose shape rules pass a length-0 input
+        p = tmp_path / "zero.ftlw"
+        p.write_bytes(b"FTLW" + struct.pack("<HIH", 1, 0, 1) + struct.pack("<BIB", 3, 2, 2)
+                      + struct.pack("<2f", 0, 0) + struct.pack("<If", 0, 0.0))
+        with pytest.raises(WeightsFormatError, match=r"input length 0 must lie in \[1, "):
+            load_weights(p)
 
     def test_unknown_loss_code_rejected(self, tmp_path):
         cfg = default_config("binary", pairing="standard")

@@ -513,6 +513,13 @@ class TestCapture:
                 assert len(cap.units(view, include_non_ip)[2]) == len(
                     split_view(filter_packets(pairs, view, include_non_ip), view))
 
+    @pytest.mark.parametrize("n", [0, 2 ** 32])
+    def test_assemble_refuses_what_the_sample_length_rule_refuses(self, tmp_path, n):
+        path = tmp_path / "one.pcap"
+        write_pcap(path, [(0, 0, ipv4_frame())])
+        with pytest.raises(ValueError, match=rf"^sample length {n} must lie in \[1, 2\^32 - 1\]"):
+            Capture.read(path).assemble(ViewKind.PACKET, ALL, n)
+
     @pytest.mark.parametrize("repeat", [1, 100])  # 100: past a pipe's 64 KiB buffer
     @needs_dev_fd
     def test_read_through_pipe_matches_file(self, tmp_path, repeat):
@@ -760,6 +767,13 @@ class TestDatasetIO:
         p = tmp_path / "claim.ftld"
         p.write_bytes(blob + struct.pack("<Q", 1) + b"\x00" * 16)
         return p
+
+    @pytest.mark.parametrize("read", [read_dataset, read_dataset_header])
+    def test_sample_length_zero_refused(self, tmp_path, read):
+        p = self.header_only(tmp_path, 0)
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^{p}: sample length 0 must lie in \[1, 2\^32 - 1\]"):
+            read(p)
 
     def test_claimed_size_checked_before_reading(self, tmp_path):
         p = self.header_only(tmp_path, 1 << 24)
@@ -1034,8 +1048,10 @@ class TestDatasetArrays:
         ([str(i) for i in range(65_536)], 2, "65536 class names, FTLD holds 1 to 65535"),
         (["benign", "\u00e9" * 32_768], 2,
          "class name 1 is 65536 UTF-8 bytes, FTLD holds at most 65535"),
-        (["benign"], 2 ** 32, "sample length 4294967296 exceeds FTLD's u32 sample_len"),
-    ], ids=["no-class", "too-many-classes", "long-class-name", "sample-len-past-u32"])
+        (["benign"], 2 ** 32, r"sample length 4294967296 must lie in \[1, 2\^32 - 1\]"),
+        (["benign"], 0, r"sample length 0 must lie in \[1, 2\^32 - 1\]"),
+    ], ids=["no-class", "too-many-classes", "long-class-name", "sample-len-past-u32",
+            "sample-len-zero"])
     def test_write_refuses_headers_ftld_cannot_hold(self, tmp_path, class_names, sample_len,
                                                      message):
         """What read_dataset would refuse, or FTLD's u16 and u32 fields
