@@ -25,7 +25,9 @@ rate (unit `1/s`). Each end-to-end metric also gets two flags: `gain`, the
 change won at least 9 in 10 of the pairs and its median beats the base's
 by more than the base's q3 - q1; and `within_bound`, the change's median
 is no worse than the base's by more than the metric's `bound` times the
-base's median.
+base's median. The script ends by printing one line per end-to-end
+metric (both medians, the base's quartiles, wins, `gain` and
+`within_bound`) and one with `digests_equal` and `all_correct`.
 """
 
 from __future__ import annotations
@@ -97,6 +99,20 @@ def summary(pairs: list[dict]) -> dict:
             "all_correct": all(p[side]["correct"] for p in pairs for side in ("base", "change"))}
 
 
+def summary_lines(summ: dict) -> list[str]:
+    """One line per end-to-end metric of `BENCHMARK.json`, then one with
+    `digests_equal` and `all_correct`."""
+    lines = []
+    for name in BOUND:
+        m = summ["metrics"][name]
+        lines.append(f"{name}: base {m['base_median']:.4f} change {m['change_median']:.4f} "
+                     f"base q1 {m['base_q1']:.4f} q3 {m['base_q3']:.4f} "
+                     f"wins {m['change_wins']}/{m['pairs']} gain {m['gain']} "
+                     f"within_bound {m['within_bound']}")
+    lines.append(f"digests_equal {summ['digests_equal']} all_correct {summ['all_correct']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
@@ -127,7 +143,7 @@ def main(argv=None) -> int:
         seed_entry["traced"] = {side: [pair[side]["per_layer"] for pair in traced]
                                 for side in checkouts}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(json.dumps(seed_entry["summary"]["metrics"]["wall_ref_s"]))
+    print("\n".join(summary_lines(seed_entry["summary"])))
     return 0
 
 

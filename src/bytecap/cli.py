@@ -100,8 +100,8 @@ _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 # the ModelConfig field each training setting sets, and each setting's range
 _FIELDS = {("batch" if f == "batch_size" else f): f for f in SETTING_RULES}
 _RULES = {"n": SAMPLE_LEN_RULE} | {key: SETTING_RULES[f] for key, f in _FIELDS.items()}
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
+_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
+               "1": True, "0": False}
 
 
 def convert_setting(key: str, text: str, where: str):
@@ -117,7 +117,8 @@ def convert_setting(key: str, text: str, where: str):
     ty = _TYPES[key]
     if ty is bool:
         if text.lower() not in _BOOL_WORDS:
-            raise ValueError(f"{where}: bad boolean {text!r}")
+            raise ValueError(f"{where}: {key} must be one of {', '.join(_BOOL_WORDS)}, "
+                             f"got {text!r}")
         return _BOOL_WORDS[text.lower()]
     try:
         value = ty(text)

@@ -18,10 +18,19 @@ backward routes each window's gradient to the first position equal to the
 max; global_avg_pool1d its input shape; dense its flattened input.
 
 A model's parameters have one stored form, the flat vector
-`Model.flat_params` (layers in plan order, weight then bias, row-major):
-`Model.params` are views into it, `Checkpoint.weights` is a copy of it and
-FTLW's tensor block is its bytes. Backward writes every gradient into one
-fresh buffer of that layout and returns per-layer views of it.
+`Model.flat_params` (layers in plan order, weight then bias, row-major),
+and `ModelConfig.plan()` states once where each parameter lies in it
+(`LayerPlan.param_slices`): `Model.params` are views into it,
+`Checkpoint.weights` is a copy of it and FTLW's tensor block is its bytes.
+Backward writes every gradient into one buffer of that layout.
+
+The public calls check their input: `Model.forward` the sample shape,
+`loss_and_grad` the label range, `adam_step` the step index; and
+`flat_backward` returns a fresh buffer and `adam_step` allocates its own
+scratch. Each wraps a core that checks and allocates none of that
+(`Model._forward`, `_loss_and_grad`, `Model._backward`, `_adam_update`).
+`train.train` checks its sets once, then runs the cores on one gradient
+buffer and one pair of Adam scratch arrays.
 
 `Model.forward` first cuts each batch to the leading input positions the
 output depends on (`Model.read_length`), so every windowed layer computes
@@ -96,8 +105,8 @@ LayerSpec = Union[Conv1dSpec, MaxPool1dSpec, GlobalAvgPoolSpec, DenseSpec]
 def _apply_activation(z, activation):
     """A dense activation that `_plan_layer` has accepted, applied to `z`."""
     if activation == "softmax":
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+        return e / np.add.reduce(e, axis=-1, keepdims=True)
     if activation == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
     return z  # "none"
@@ -136,7 +145,7 @@ def _conv_backward(spec, params, cache, g, grads, need_dx):
     gflat = g.reshape(bsz * l_out, f)
     # xflat columns are (k, c); dw[f, (k, c)] lands contiguous
     np.matmul(gflat.T, xflat, out=dw.reshape(f, -1))
-    np.sum(g, axis=(0, 1), out=db)
+    np.add.reduce(g, axis=(0, 1), out=db)
     if not need_dx:
         return None
     contrib = (gflat @ w.reshape(f, -1)).reshape(bsz, l_out, *w.shape[1:])  # (B, L_out, K, C)
@@ -205,7 +214,7 @@ def _dense_backward(spec, params, cache, g, grads, need_dx):
     w, _ = params
     dw, db = grads
     np.matmul(g.T, xflat, out=dw)
-    np.sum(g, axis=0, out=db)
+    np.add.reduce(g, axis=0, out=db)
     return (g @ w).reshape(in_shape) if need_dx else None
 
 
@@ -262,17 +271,20 @@ _KINDS = {
 
 
 class LayerPlan(NamedTuple):
-    """One layer of a validated config: its kind and shapes."""
+    """One layer of a validated config: its kind, shapes and the place of
+    its parameters in the flat parameter vector."""
 
     spec: LayerSpec
     kind: LayerKind
     out_shape: tuple
     param_shapes: tuple  # (weight shape, bias shape), or () if none
+    param_slices: tuple  # the slice of the flat vector each parameter fills
 
 
-def _plan_layer(spec, shape: tuple, last: bool, where: str) -> LayerPlan:
+def _plan_layer(spec, shape: tuple, last: bool, where: str, offset: int = 0) -> LayerPlan:
     """The plan of `spec` run on one sample of `shape`, as the final layer
-    or not; raises ShapeError, prefixed with `where`, if it cannot run."""
+    or not, with its parameters from `offset` on in the flat vector; raises
+    ShapeError, prefixed with `where`, if it cannot run."""
     kind = _KINDS.get(type(spec))
     if kind is None:
         raise ShapeError(f"{where}: unknown spec {spec!r}")
@@ -298,7 +310,17 @@ def _plan_layer(spec, shape: tuple, last: bool, where: str) -> LayerPlan:
     shape = kind.out(spec, shape)
     if min(shape) < 1:
         raise ShapeError(f"{where}: collapsed to empty output")
-    return LayerPlan(spec, kind, shape, kind.params(spec, in_shape))
+    param_shapes = kind.params(spec, in_shape)
+    slices = []
+    for size in map(math.prod, param_shapes):
+        slices.append(slice(offset, offset + size))
+        offset += size
+    return LayerPlan(spec, kind, shape, param_shapes, tuple(slices))
+
+
+def _param_count(plan) -> int:
+    """The length of the flat parameter vector of `plan`."""
+    return sum(s.stop - s.start for layer in plan for s in layer.param_slices)
 
 
 def _check_params(layer: LayerPlan, tensors, where: str):
@@ -342,13 +364,15 @@ class ModelConfig:
     seed: int = 0
 
     def plan(self) -> list[LayerPlan]:
-        """Walk the layer stack once; raises ShapeError if the input length
-        breaks `views.SAMPLE_LEN_RULE` or the algebra fails."""
+        """Walk the layer stack once, laying each layer's parameters after
+        the previous layer's in the flat vector; raises ShapeError if the
+        input length breaks `views.SAMPLE_LEN_RULE` or the algebra fails."""
         check_sample_len(self.input_len, ShapeError, "input length")
         plan = []
         shape: tuple = (self.input_len, 1)
         for i, spec in enumerate(self.layers):
-            plan.append(_plan_layer(spec, shape, i == len(self.layers) - 1, f"layer {i}"))
+            plan.append(_plan_layer(spec, shape, i == len(self.layers) - 1, f"layer {i}",
+                                    _param_count(plan)))
             shape = plan[-1].out_shape
         return plan
 
@@ -483,10 +507,11 @@ def dense_forward(x, w, b, activation: str = "none"):
 def loss_and_grad(pred, labels, loss: str, activation: str):
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
-    `pred` holds post-activation probabilities; the gradient is pushed back
-    through the stated output activation analytically. Probabilities are
-    clamped to [1e-7, 1-1e-7] inside the logs (with matching zero gradient
-    where the clamp is active, so finite differences agree).
+    `pred` holds post-activation probabilities, (C,) or (B, C); the
+    gradient is pushed back through the stated output activation
+    analytically. Probabilities are clamped to [1e-7, 1-1e-7] inside the
+    logs (with matching zero gradient where the clamp is active, so finite
+    differences agree). A label outside [0, C) raises ValueError.
 
     Each row's labelled probability is picked by index, with no one-hot
     matrix: CCE reads only that entry and BCE swaps it into the (1 - p)
@@ -494,10 +519,17 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
     textbook y*log(p) + (1-y)*log(1-p) formula bit for bit.
     """
     pred2, squeeze = _batched(pred, 2)
-    batch, classes = pred2.shape
     labels = np.asarray(labels).reshape(-1)
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError(f"label index out of range [0, {classes})")
+    if labels.size and (labels.min() < 0 or labels.max() >= pred2.shape[1]):
+        raise ValueError(f"label index out of range [0, {pred2.shape[1]})")
+    loss_value, dz = _loss_and_grad(pred2, labels, loss, activation)
+    return loss_value, (dz[0] if squeeze else dz)
+
+
+def _loss_and_grad(pred2, labels, loss: str, activation: str):
+    """`loss_and_grad`'s core, for a (B, C) batch and B labels in [0, C)
+    that the caller has checked: `train()`'s loop calls it directly."""
+    batch, classes = pred2.shape
     at = np.arange(0, batch * classes, classes) + labels  # flat, row-major
     p = np.minimum(np.maximum(pred2, _EPS), 1.0 - _EPS)  # np.clip, less overhead
     picked = p.take(at)
@@ -509,7 +541,7 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
         q = 1.0 - p
         terms = np.log(q)
         terms.put(at, np.log(picked))
-        per_sample = -terms.sum(axis=1) / classes
+        per_sample = -np.add.reduce(terms, axis=1) / classes
         dldp = np.divide(1.0, q, out=q)
         dldp.put(at, -1.0 / picked)
         dldp /= classes
@@ -518,7 +550,7 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
     dldp *= (pred2 > _EPS) & (pred2 < 1.0 - _EPS)
 
     if activation == "softmax":
-        inner = (dldp * pred2).sum(axis=1, keepdims=True)
+        inner = np.add.reduce(dldp * pred2, axis=1, keepdims=True)
         dz = pred2 * (dldp - inner)
     elif activation == "sigmoid":
         dz = dldp * pred2 * (1.0 - pred2)
@@ -529,7 +561,7 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
 
     dz /= batch
     # np.mean's own arithmetic, without its overhead
-    return float(per_sample.dtype.type(per_sample.sum() / batch)), (dz[0] if squeeze else dz)
+    return float(per_sample.dtype.type(np.add.reduce(per_sample) / batch)), dz
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +612,7 @@ class Model:
         self.dtype = dtype
         self._plan = config.validate()
         self.read_length = _read_length(self._plan, config.input_len)
-        self.flat_params = np.zeros(sum(math.prod(shape) for layer in self._plan
-                                        for shape in layer.param_shapes), dtype=dtype)
+        self.flat_params = np.zeros(_param_count(self._plan), dtype=dtype)
         self.params = self._carve(self.flat_params)
         if weights is None:
             _fresh_params(self.params, np.random.default_rng(config.seed))
@@ -600,12 +631,22 @@ class Model:
         positions only, so the caches hold exactly what each layer reads.
         After the cut a uint8 batch is scaled by `views.scale_bytes`, as
         `DatasetFile.tensors()` is, then any batch is cast to `dtype`."""
+        return self._forward(self._batch(x), want_cache)
+
+    def _batch(self, x) -> np.ndarray:
+        """`x` as a (B, input_len, 1) array, without a copy; ShapeError
+        unless its samples are (input_len, 1), or (input_len,) in a 2-D `x`."""
         a = np.asarray(x)
         if a.ndim == 2:
             a = a[..., None]
         if a.shape[1:] != (self.config.input_len, 1):
             raise ShapeError(f"input samples of shape {a.shape[1:]} != model "
                              f"input shape {(self.config.input_len, 1)}")
+        return a
+
+    def _forward(self, a, want_cache: bool):
+        """`forward`'s core, for a batch `_batch` has checked: cut it to
+        `read_length`, scale it and run the plan."""
         a = a[:, :self.read_length]
         a = (scale_bytes(a) if a.dtype == np.uint8 else a).astype(self.dtype, copy=False)
         caches = []
@@ -618,13 +659,17 @@ class Model:
         """dLoss/dParams from dLoss/dLogits, as one fresh flat buffer laid out
         like `flat_params`."""
         flat = np.empty_like(self.flat_params)
-        grads = self._carve(flat)
-        g = np.asarray(dlogits, dtype=self.dtype)
+        self._backward(caches, np.asarray(dlogits, dtype=self.dtype), self._carve(flat))
+        return flat
+
+    def _backward(self, caches, g, grads):
+        """`flat_backward`'s core: writes the gradients into `grads`, the
+        per-layer views `_carve` makes of a flat buffer, from `g`, the
+        dLoss/dLogits of `dtype` that the forward pass behind `caches` led to."""
         for i in range(len(self._plan) - 1, -1, -1):
             layer = self._plan[i]
             g = layer.kind.backward(layer.spec, self.params[i], caches[i], g,
                                     grads[i], i > 0)
-        return flat
 
     def backward(self, caches, dlogits):
         """Parameter gradients (same nesting as params) from dLoss/dLogits:
@@ -633,14 +678,9 @@ class Model:
 
     def _carve(self, flat) -> list[list[np.ndarray]]:
         """Per-layer views, in plan order, into a flat parameter-sized buffer."""
-        views, off = [], 0
-        for layer in self._plan:
-            views.append([])
-            for shape in layer.param_shapes:
-                size = math.prod(shape)
-                views[-1].append(flat[off:off + size].reshape(shape))
-                off += size
-        return views
+        return [[flat[at].reshape(shape) for at, shape in zip(layer.param_slices,
+                                                              layer.param_shapes)]
+                for layer in self._plan]
 
     def set_weights(self, weights: np.ndarray):
         """Copy `weights`, a vector shaped like `flat_params`, into it."""
@@ -676,17 +716,25 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state, t: int,
     if t < 1:
         raise ValueError("Adam step index is 1-based")
     for p, g, (m, v) in zip(params, grads, state):
-        s, r = np.empty_like(p), np.empty_like(p)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=s)
-        m *= np.abs(m, out=s) >= np.finfo(m.dtype).tiny
-        v *= beta2
-        v += np.multiply(1.0 - beta2, np.square(g, out=s), out=s)
-        np.multiply(lr, np.divide(m, 1.0 - beta1 ** t, out=s), out=s)
-        np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=r), out=r)
-        r += eps
-        p -= np.divide(s, r, out=s)
+        _adam_update(p, g, m, v, t, lr, beta1, beta2, eps,
+                     (np.empty_like(p), np.empty_like(p)), np.finfo(m.dtype).tiny)
     return params
+
+
+def _adam_update(p, g, m, v, t, lr, beta1, beta2, eps, scratch, tiny):
+    """`adam_step`'s core for one array `p` with its gradient and moments:
+    `scratch` is two arrays shaped like `p`, `tiny` the dtype's smallest
+    normal number. `train()`'s loop calls it with scratch it allocates once."""
+    s, r = scratch
+    m *= beta1
+    m += np.multiply(1.0 - beta1, g, out=s)
+    m *= np.abs(m, out=s) >= tiny
+    v *= beta2
+    v += np.multiply(1.0 - beta2, np.square(g, out=s), out=s)
+    np.multiply(lr, np.divide(m, 1.0 - beta1 ** t, out=s), out=s)
+    np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=r), out=r)
+    r += eps
+    p -= np.divide(s, r, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +786,7 @@ def save_weights(path, ckpt: Checkpoint):
     the file."""
     cfg = ckpt.config
     plan = cfg.validate()
-    count = sum(math.prod(shape) for layer in plan for shape in layer.param_shapes)
+    count = _param_count(plan)
     if np.size(ckpt.weights) != count:
         raise ShapeError(f"checkpoint holds {np.size(ckpt.weights)} weights, "
                          f"its config {count} parameters")
@@ -809,7 +857,7 @@ def load_weights(path) -> Checkpoint:
         except ShapeError as e:
             raise WeightsFormatError(f"{path}: {e}") from None
 
-        blocks = [field(sum(math.prod(shape) for shape in layer.param_shapes) * 4,
+        blocks = [field(_param_count([layer]) * 4,
                         f"while reading layer {i} ({layer.kind.name}) tensor")
                   for i, layer in enumerate(plan) if layer.param_shapes]
         weights = np.frombuffer(b"".join(blocks), dtype="<f4").astype(np.float32)

@@ -1,4 +1,9 @@
-"""Training loop with best-epoch weight retention, plus evaluation metrics."""
+"""Training loop with best-epoch weight retention, plus evaluation metrics.
+
+`train` checks each set once, and its loop then runs `nn`'s step cores,
+which check nothing; `train_step`, `evaluate` and `predict` go through the
+public calls, each checking its own input.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +18,8 @@ from .nn import (
     Checkpoint,
     Model,
     ModelConfig,
+    _adam_update,
+    _loss_and_grad,
     adam_init,
     adam_step,
     loss_and_grad,
@@ -154,10 +161,17 @@ def train(config: ModelConfig, train_data, val_data, *,
     """Run the epoch loop and return the best-validation-accuracy weights.
 
     Each set is a DatasetFile or an (X, y) pair, one label per row. Batches
-    of either go to `Model.forward` as held, a DatasetFile's as uint8 bytes
-    that `forward` scales, so no copy of a set is made, the memory beyond
+    of either go to the model as held, a DatasetFile's as uint8 bytes that
+    the forward pass scales, so no copy of a set is made, the memory beyond
     the sets is bounded by the batch, and the result equals training on
     `tensors()` bit for bit.
+
+    The sets are checked once, here, for what `train_step`'s public calls
+    would check in each batch: row and label counts, the input length and
+    sample shape, and the label range. Each step then runs those calls'
+    cores (`Model._forward`, `nn._loss_and_grad`, `Model._backward`,
+    `nn._adam_update`) on one gradient buffer and one pair of Adam scratch
+    arrays, and gives the bits of `train_step`.
 
     Shuffling is seeded per config; batches keep the trailing partial batch.
     With early_stop the loop ends once validation accuracy hits 1.0 (the
@@ -174,7 +188,13 @@ def train(config: ModelConfig, train_data, val_data, *,
         warnings.warn(f"classes {missing} absent from training set")
 
     model = Model(config)
-    state = adam_init([model.flat_params])  # per-layer arrays are views into it
+    x_train, x_val = model._batch(x_train), model._batch(x_val)
+    [(m, v)] = adam_init([model.flat_params])  # per-layer arrays are views into it
+    grad = np.empty_like(model.flat_params)
+    grads = model._carve(grad)
+    scratch = (np.empty_like(grad), np.empty_like(grad))
+    tiny = np.finfo(model.dtype).tiny
+    activation = model.final_activation
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     best_acc = -1.0  # below every accuracy, so epoch 0 sets the best weights
@@ -186,11 +206,15 @@ def train(config: ModelConfig, train_data, val_data, *,
         epoch_correct = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            yb = y_train[idx]
             step += 1
-            batch_loss, probs = train_step(model, state, step, xb, yb)
+            probs, caches = model._forward(x_train[idx], True)
+            batch_loss, dlogits = _loss_and_grad(probs, yb, config.loss, activation)
+            model._backward(caches, dlogits, grads)
+            _adam_update(model.flat_params, grad, m, v, step, config.learning_rate,
+                         config.beta1, config.beta2, config.epsilon, scratch, tiny)
             epoch_loss += batch_loss * len(yb)
-            epoch_correct += int((probs.argmax(axis=1) == yb).sum())
+            epoch_correct += np.count_nonzero(probs.argmax(axis=1) == yb)
         val_loss, val_acc = _loss_acc(model, x_val, y_val, config.loss)
         history.epochs.append(EpochStats(
             epoch=epoch,

@@ -628,7 +628,8 @@ def byte_distribution(ds: DatasetFile) -> dict[str, int]:
 # the sample lengths a dataset or a model takes: its test, and the rule a
 # refusal states (FTLD's sample length and FTLW's input length are both u32)
 SAMPLE_LEN_RULE = (lambda n: 1 <= n <= 0xFFFFFFFF,
-                   "must lie in [1, 2^32 - 1] (FTLD's u32 sample length)")
+                   "must lie in [1, 2^32 - 1] (the u32 sample length of FTLD and input "
+                   "length of FTLW)")
 
 
 def check_sample_len(n: int, error=ValueError, name: str = "sample length"):

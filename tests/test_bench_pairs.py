@@ -32,7 +32,11 @@ def runs(monkeypatch, tmp_path):
         if trace:
             report["per_layer"] = {"trace.overhead_s": {"unit": "s", "value": wall}}
         else:
+            # the change holds 30 MB more than the base's 60: past peak_rss_mb's bound
+            rss = 90.0 if side == "change" else 60.0
             report["metrics"] = {"wall_ref_s": {"unit": "s", "value": wall},
+                                 "setup_s": {"unit": "s", "value": 0.5},
+                                 "peak_rss_mb": {"unit": "MB", "value": rss},
                                  "eval_samples_per_s": {"unit": "1/s", "value": 1 / wall}}
         return report
 
@@ -70,6 +74,23 @@ def test_each_seed_keeps_its_pairs_summary_and_traced_metrics(tmp_path, runs):
         # lower wins for a time, higher for a rate
         assert summary["metrics"]["wall_ref_s"]["change_wins"] == pairs
         assert summary["metrics"]["eval_samples_per_s"]["change_wins"] == pairs
+
+
+def test_ends_with_one_line_per_end_to_end_metric(tmp_path, runs, capsys):
+    assert main(tmp_path, "--seed", "1", "--pairs", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the four runs' progress lines, then the summary
+    assert len(lines) == 4 + 4
+    wall, setup, rss, checks = lines[4:]
+    # walls: base 2.01 and 2.04, change 1.02 and 1.03
+    assert wall.startswith("wall_ref_s: base 2.0250 change 1.0250 base q1 ")
+    assert wall.endswith(" wins 2/2 gain True within_bound True")
+    assert setup.startswith("setup_s: base 0.5000 change 0.5000 ")
+    assert setup.endswith(" wins 0/2 gain False within_bound True")
+    assert rss == ("peak_rss_mb: base 60.0000 change 90.0000 base q1 60.0000 q3 60.0000 "
+                   "wins 0/2 gain False within_bound False")
+    assert checks == "digests_equal True all_correct True"
+    assert [line.split(":")[0] for line in lines[4:7]] == list(bench_pairs.BOUND)
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

@@ -252,6 +252,20 @@ class TestConfigFile:
         else:
             assert err == f"error: {where}: {key}{rule}\n"
 
+    @pytest.mark.parametrize("command, key", [("build", "include_non_ip"),
+                                              ("train", "early_stop")])
+    def test_bad_boolean_names_its_key(self, tmp_path, capsys, command, key):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"# switches\n{key} = maybe\n")
+        missing = str(tmp_path / "missing")
+        own = {"build": ["--labels", missing], "train": [missing]}[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *own, "--config", str(conf), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config line 2: {key} must be one of true, false, yes, no, 1, 0, "
+            f"got 'maybe'\n")
+        assert not out.exists()
+
     def test_byte_order_mark_is_dropped(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("epochs = 9\n", encoding="utf-8-sig")
@@ -423,8 +437,8 @@ class TestBuild:
         labels.write_text("")
         out = tmp_path / "none.ftld"
         assert run_cli("build", "--labels", str(labels), "--n", n, "--out", str(out)) == 1
-        assert f"error: --n: n must lie in [1, 2^32 - 1] (FTLD's u32 sample length), got {n}" \
-            in capsys.readouterr().err
+        assert (f"error: --n: n must lie in [1, 2^32 - 1] (the u32 sample length of FTLD "
+                f"and input length of FTLW), got {n}") in capsys.readouterr().err
         assert not out.exists()
         # build_dataset keeps its own check for callers that bypass the CLI
         with pytest.raises(ValueError, match=rf"sample length {n} must lie in \[1, 2\^32 - 1\]"):

@@ -3,6 +3,7 @@
 import importlib
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from bytecap import nn
 from bytecap.nn import Checkpoint, default_config, load_weights, save_weights
-from bytecap.train import evaluate, metrics_from_confusion, predict, train
+from bytecap.train import EVAL_BATCH, evaluate, metrics_from_confusion, predict, train
 from bytecap.views import (
     DatasetFile,
     HeaderCategory,
@@ -172,14 +173,89 @@ class TestOracleKernels:
             return ((tmp_path / name).read_bytes(),
                     [(e.train_loss, e.train_acc, e.val_loss, e.val_acc) for e in history.epochs])
 
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
         shipped = run("shipped.ftlw")
         with monkeypatch.context() as m:
             conv = nn._KINDS[nn.Conv1dSpec]
-            m.setitem(nn._KINDS, nn.Conv1dSpec, conv._replace(forward=oracle_conv_forward,
-                                                              backward=oracle_conv_backward))
-            m.setattr(train_module, "loss_and_grad", oracle_loss_and_grad)
+            m.setitem(nn._KINDS, nn.Conv1dSpec, conv._replace(
+                forward=counted("conv forward", oracle_conv_forward),
+                backward=counted("conv backward", oracle_conv_backward)))
+            # the step calls the loss core, the validation pass the checked call
+            m.setattr(train_module, "_loss_and_grad",
+                      counted("step loss", oracle_loss_and_grad))
+            m.setattr(train_module, "loss_and_grad",
+                      counted("validation loss", oracle_loss_and_grad))
             oracle = run("oracle.ftlw")
         assert shipped == oracle
+        # 160 rows at batch 20 are 8 steps, 40 validation rows one forward pass;
+        # each runs both convolutions
+        assert calls == {"step loss": 8, "validation loss": 1,
+                         "conv forward": 2 * (8 + 1), "conv backward": 2 * 8}
+
+
+def public_train(cfg, train_data, val_data):
+    """`train()` written as a loop over the public checked calls: its best
+    weights and its history without the clock."""
+    def rows(data):
+        return (data.data, data.labels) if isinstance(data, DatasetFile) else data
+
+    (x, y), (x_val, y_val) = rows(train_data), rows(val_data)
+    model = nn.Model(cfg)
+    state = nn.adam_init([model.flat_params])
+    rng = np.random.default_rng(cfg.seed)
+    history, best_acc, step = [], -1.0, 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        loss_sum, correct = 0.0, 0
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            step += 1
+            probs, caches = model.forward(x[idx], want_cache=True)
+            loss, dlogits = nn.loss_and_grad(probs, y[idx], cfg.loss, model.final_activation)
+            nn.adam_step([model.flat_params], [model.flat_backward(caches, dlogits)], state,
+                         step, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+                         eps=cfg.epsilon)
+            loss_sum += loss * len(idx)
+            correct += int((probs.argmax(axis=1) == y[idx]).sum())
+        val_loss, val_correct = 0.0, 0
+        for start in range(0, len(y_val), EVAL_BATCH):
+            yb = y_val[start:start + EVAL_BATCH]
+            probs = model.forward(x_val[start:start + EVAL_BATCH])
+            loss, _ = nn.loss_and_grad(probs, yb, cfg.loss, model.final_activation)
+            val_loss += loss * len(yb)
+            val_correct += int((probs.argmax(axis=1) == yb).sum())
+        val_acc = val_correct / len(y_val)
+        history.append((epoch, loss_sum / len(y), correct / len(y),
+                        val_loss / len(y_val), val_acc))
+        if val_acc > best_acc:
+            best_acc, best_weights = val_acc, model.copy_weights()
+    return best_weights, history
+
+
+class TestCoresAsPublicCalls:
+    """`train()` runs the step's cores on sets it has checked once; it gives
+    the bits of the public calls, each checking its own input."""
+
+    @pytest.mark.parametrize("task,pairing", [("binary", "paper"), ("multi", "paper"),
+                                              ("binary", "standard")])
+    @pytest.mark.parametrize("source", ["dataset", "pair"])
+    def test_train_equals_a_loop_of_public_calls(self, task, pairing, source):
+        # 173 rows at batch 20 end in a partial batch of 13
+        cfg = default_config(task, pairing=pairing, epochs=2, seed=6)
+        train_ds, val_ds = byte_dataset(task, 173, seed=3), byte_dataset(task, 300, seed=4)
+        if source == "pair":
+            train_ds, val_ds = train_ds.tensors(), val_ds.tensors()
+        ckpt, history = train(cfg, train_ds, val_ds)
+        weights, public_history = public_train(cfg, train_ds, val_ds)
+        assert sans_clock(history) == public_history
+        assert ckpt.weights.tobytes() == weights.tobytes()
 
 
 class TestByteRows:
@@ -295,6 +371,18 @@ class TestPairRowCounts:
         rows = x.reshape(-1) if rank == 1 else x[..., None]
         with pytest.raises(ValueError, match=f"got a {rank}-dim array"):
             train(default_config("binary", epochs=1), (rows, y), (x, y))
+
+    def test_train_refuses_samples_of_another_shape_before_any_step(self, monkeypatch):
+        # the loop's cores check nothing: train checks each set's sample shape first
+        x, y = toy_data(6)
+        two = np.repeat(x, 2, axis=2)
+        cfg = default_config("binary", epochs=1)
+        monkeypatch.setattr(train_module, "_loss_and_grad",
+                            lambda *a: pytest.fail("a step ran"))
+        for sets in ((two, y), (x, y)), ((x, y), (two, y)):
+            with pytest.raises(nn.ShapeError, match=re.escape(
+                    "input samples of shape (115, 2) != model input shape (115, 1)")):
+                train(cfg, *sets)
 
     @pytest.mark.parametrize("shape", [(6, 1), (6, 2), (1, 6)])
     def test_train_refuses_labels_that_are_not_one_dim(self, shape):
