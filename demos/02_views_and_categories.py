@@ -8,8 +8,8 @@ category keeps from a single frame (`Capture.assemble`).
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
+# bytecap before numpy: importing it sets the BLAS thread count, which
+# numpy reads once, when it is first imported (see the README)
 from bytecap import (
     Capture,
     HeaderCategory,
@@ -19,6 +19,8 @@ from bytecap import (
     byte_distribution,
     synth_corpus,
 )
+
+import numpy as np
 
 work = Path(tempfile.mkdtemp())
 corpus = synth_corpus(work, binary_synth_classes(8), seed=1)

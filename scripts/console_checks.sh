@@ -78,21 +78,33 @@ bytecap build --labels "$work/corpus/labels.txt" --out /dev/stdout | cmp - "$wor
 # stderr and no history file is made beside /dev/stdout
 bytecap train "$work/session.ftld" --epochs 1 --out /dev/stdout | cmp - "$work/model.ftlw"
 test ! -e /dev/stdout.history.jsonl
-bytecap bench --labels "$work/corpus/labels.txt" --epochs 1 --views session --out "$work/bench.csv"
+# `bytecap bench` with the given arguments, its stderr shown and then
+# checked: no line may be a Warning, as the warm-up trains on a row of
+# every class and the timed sets hold every class
+bench_warns_of_nothing() {
+  local status=0
+  bytecap bench "$@" 2> "$work/bench.err" || status=$?
+  cat "$work/bench.err" >&2
+  if grep -qF Warning "$work/bench.err"; then echo "bytecap bench $* warned" >&2; exit 1; fi
+  return "$status"
+}
+bench_warns_of_nothing --labels "$work/corpus/labels.txt" --epochs 1 --views session --out "$work/bench.csv"
 test -s "$work/bench.csv"
 # so may bench's: stdout, a pipe here, holds only the CSV, its header and
 # one row per pipeline, and the table goes to stderr
-csv="$(bytecap bench --labels "$work/corpus/labels.txt" --epochs 1 --views session --out /dev/stdout)"
+csv="$(bench_warns_of_nothing --labels "$work/corpus/labels.txt" --epochs 1 --views session --out /dev/stdout)"
 test "$(printf '%s\n' "$csv" | wc -l)" -eq 3
 test "$(printf '%s\n' "$csv" | head -n 1)" = "pipeline,build_s,train_s,test_s,accuracy"
 # the table profile at its own input length, warm-up included
-bytecap bench --labels "$work/corpus/labels.txt" --profile table --n 20 --epochs 1 --views session
+bench_warns_of_nothing --labels "$work/corpus/labels.txt" --profile table --n 20 --epochs 1 --views session
 # train takes its task from the dataset's class table: a multi corpus
 # trains without --task, and train refuses the flag as one it does not read
 bytecap synth --task multi --sessions 2 --out "$work/multi"
 bytecap build --labels "$work/multi/labels.txt" --task multi --out "$work/multi.ftld"
 bytecap train "$work/multi.ftld" --epochs 1 --out "$work/multi.ftlw"
 bytecap eval "$work/multi.ftld" "$work/multi.ftlw"
+# and benches: the warm-up's rows cover all 12 classes
+bench_warns_of_nothing --labels "$work/multi/labels.txt" --task multi --epochs 1 --views session
 set +e
 bytecap train "$work/multi.ftld" --epochs 1 --task binary --out "$work/task.ftlw" 2> "$work/task.err"
 status=$?

@@ -29,8 +29,10 @@ The public calls check their input: `Model.forward` the sample shape,
 `flat_backward` returns a fresh buffer and `adam_step` allocates its own
 scratch. Each wraps a core that checks and allocates none of that
 (`Model._forward`, `_loss_and_grad`, `Model._backward`, `_adam_update`).
-`train.train` checks its sets once, then runs the cores on one gradient
-buffer and one pair of Adam scratch arrays.
+The `train` module checks each set once, then runs only the cores on it:
+`train`'s steps, on one gradient buffer and one pair of Adam scratch
+arrays; its validation pass, the forward and loss cores; `evaluate`, the
+forward core. Only `predict`, given one raw sample, calls `Model.forward`.
 
 `Model.forward` first cuts each batch to the leading input positions the
 output depends on (`Model.read_length`), so every windowed layer computes
@@ -528,7 +530,8 @@ def loss_and_grad(pred, labels, loss: str, activation: str):
 
 def _loss_and_grad(pred2, labels, loss: str, activation: str):
     """`loss_and_grad`'s core, for a (B, C) batch and B labels in [0, C)
-    that the caller has checked: `train()`'s loop calls it directly."""
+    that the caller has checked: `train()`'s steps and validation pass
+    call it directly."""
     batch, classes = pred2.shape
     at = np.arange(0, batch * classes, classes) + labels  # flat, row-major
     p = np.minimum(np.maximum(pred2, _EPS), 1.0 - _EPS)  # np.clip, less overhead

@@ -327,9 +327,13 @@ def write_frames(path, frames, start, cap_len, ts_sec, ts_frac, orig_len, *,
     the first record the reader would refuse, one longer than SNAPLEN or
     with orig_len below cap_len; failing that, the first with a header
     field outside 0 to 2**32 - 1, and then the first whose frame overlaps
-    the one before it or is not inside the buffer.
+    the one before it or is not inside the buffer. A `byte_order` or
+    `ts_resolution` no classic-pcap magic states is refused first.
     """
-    [magic] = [m for m, form in _MAGIC_TABLE.items() if form == (byte_order, ts_resolution)]
+    magic = {form: m for m, form in _MAGIC_TABLE.items()}.get((byte_order, ts_resolution))
+    if magic is None:
+        raise ValueError(f"byte_order must be '<' or '>' and ts_resolution 'micro' or "
+                         f"'nano', got {byte_order!r} and {ts_resolution!r}")
     frames = np.frombuffer(frames, dtype=np.uint8)
     start = np.asarray(start, dtype=np.int64)
     # one row per record, in the order of its header's four fields

@@ -1,8 +1,9 @@
 """Training loop with best-epoch weight retention, plus evaluation metrics.
 
-`train` checks each set once, and its loop then runs `nn`'s step cores,
-which check nothing; `train_step`, `evaluate` and `predict` go through the
-public calls, each checking its own input.
+One rule: a set is checked once, by `_rows_and_labels`, and then only
+`nn`'s cores run on it, which check nothing. `train`'s steps, its
+per-epoch validation pass (`_loss_acc`) and `evaluate` all run that way;
+`predict`, given one raw sample, goes through the public `Model.forward`.
 """
 
 from __future__ import annotations
@@ -10,20 +11,11 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nn import (
-    Checkpoint,
-    Model,
-    ModelConfig,
-    _adam_update,
-    _loss_and_grad,
-    adam_init,
-    adam_step,
-    loss_and_grad,
-)
+from .nn import Checkpoint, Model, ModelConfig, _adam_update, _loss_and_grad
 from .views import DatasetFile
 
 EVAL_BATCH = 256
@@ -99,38 +91,37 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _rows_and_labels(data, input_len: int, class_count: int):
-    """Model input rows, (N, L) or (N, L, 1), and int64 labels, each in
-    [0, class_count): a DatasetFile's uint8 bytes as held, or an (X, y)
-    pair's X as given, uncast."""
+def _rows_and_labels(data, model: Model):
+    """A set's rows as the (N, L, 1) view `Model._batch` makes, uncast and
+    uncopied (a DatasetFile's uint8 bytes as held, an (X, y) pair's X as
+    given), and its int64 labels, one per row, each in [0, class_count):
+    checked here once, so the cores may run on any slice of them."""
+    cfg = model.config
     if isinstance(data, DatasetFile):
-        if data.sample_len != input_len:
+        if data.sample_len != cfg.input_len:
             raise ValueError(f"dataset sample length {data.sample_len} != "
-                             f"model input length {input_len}")
-        if len(data.class_names) != class_count:
+                             f"model input length {cfg.input_len}")
+        if len(data.class_names) != cfg.class_count:
             raise ValueError(f"dataset has {len(data.class_names)} classes, "
-                             f"model expects {class_count}")
-        data = data.data.reshape(-1, input_len), data.labels
+                             f"model expects {cfg.class_count}")
+        data = data.data.reshape(-1, cfg.input_len), data.labels
     x, y = data
-    x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
-    if x.ndim not in (2, 3):
-        raise ValueError(f"input rows must be (N, L) or (N, L, 1), got a {x.ndim}-dim array")
+    x, y = model._batch(x), np.asarray(y, dtype=np.int64)
     if y.ndim != 1:
         raise ValueError(f"labels must be 1-dim (N,), got shape {y.shape}")
     if len(x) != len(y):
         raise ValueError(f"{len(x)} input rows but {len(y)} labels")
-    if x.shape[1] != input_len:
-        raise ValueError(f"input length {x.shape[1]} != model input length {input_len}")
-    if y.size and (y.min() < 0 or y.max() >= class_count):
+    if y.size and (y.min() < 0 or y.max() >= cfg.class_count):
         raise ValueError("label index out of range")
     return x, y
 
 
 def _forward_batches(model: Model, x):
-    """(rows, probabilities) for each EVAL_BATCH-row slice of `x`, in order."""
+    """(rows, probabilities) for each EVAL_BATCH-row slice of `x`, rows
+    `_rows_and_labels` has checked, in order."""
     for start in range(0, len(x), EVAL_BATCH):
         rows = slice(start, start + EVAL_BATCH)
-        yield rows, model.forward(x[rows])
+        yield rows, model._forward(x[rows], False)
 
 
 def _loss_acc(model: Model, x, y, loss: str) -> tuple[float, float]:
@@ -138,22 +129,11 @@ def _loss_acc(model: Model, x, y, loss: str) -> tuple[float, float]:
     correct = 0
     for rows, probs in _forward_batches(model, x):
         yb = y[rows]
-        batch_loss, _ = loss_and_grad(probs, yb, loss, model.final_activation)
+        batch_loss, _ = _loss_and_grad(probs, yb, loss, model.final_activation)
         total_loss += batch_loss * len(yb)
         correct += int((probs.argmax(axis=1) == yb).sum())
     n = len(y)
     return total_loss / n, correct / n
-
-
-def train_step(model: Model, state, step: int, xb, yb) -> tuple[float, np.ndarray]:
-    """One in-place Adam step on a batch; `state` is `adam_init([model.flat_params])`,
-    `step` is 1-based. Returns the batch loss and the pre-update probabilities."""
-    cfg = model.config
-    probs, caches = model.forward(xb, want_cache=True)
-    loss, dlogits = loss_and_grad(probs, yb, cfg.loss, model.final_activation)
-    adam_step([model.flat_params], [model.flat_backward(caches, dlogits)], state, step,
-              lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.epsilon)
-    return loss, probs
 
 
 def train(config: ModelConfig, train_data, val_data, *,
@@ -166,20 +146,22 @@ def train(config: ModelConfig, train_data, val_data, *,
     the sets is bounded by the batch, and the result equals training on
     `tensors()` bit for bit.
 
-    The sets are checked once, here, for what `train_step`'s public calls
-    would check in each batch: row and label counts, the input length and
-    sample shape, and the label range. Each step then runs those calls'
-    cores (`Model._forward`, `nn._loss_and_grad`, `Model._backward`,
-    `nn._adam_update`) on one gradient buffer and one pair of Adam scratch
-    arrays, and gives the bits of `train_step`.
+    The sets are checked once, here, for what the public calls would
+    check in each batch: row and label counts, the sample shape and the
+    label range. Each step then runs those calls' cores (`Model._forward`,
+    `nn._loss_and_grad`, `Model._backward`, `nn._adam_update`) on one
+    gradient buffer and one pair of Adam scratch arrays, and each
+    validation pass `Model._forward` and `nn._loss_and_grad`; the result
+    equals, bit for bit, a loop over the public calls.
 
     Shuffling is seeded per config; batches keep the trailing partial batch.
     With early_stop the loop ends once validation accuracy hits 1.0 (the
     metric's maximum); otherwise all epochs run and the best epoch's
     weights are returned either way.
     """
-    x_train, y_train = _rows_and_labels(train_data, config.input_len, config.class_count)
-    x_val, y_val = _rows_and_labels(val_data, config.input_len, config.class_count)
+    model = Model(config)
+    x_train, y_train = _rows_and_labels(train_data, model)
+    x_val, y_val = _rows_and_labels(val_data, model)
     if len(y_train) == 0 or len(y_val) == 0:
         raise ValueError("train and validation sets must be non-empty")
     present = np.unique(y_train)
@@ -187,9 +169,8 @@ def train(config: ModelConfig, train_data, val_data, *,
         missing = sorted(set(range(config.class_count)) - set(present.tolist()))
         warnings.warn(f"classes {missing} absent from training set")
 
-    model = Model(config)
-    x_train, x_val = model._batch(x_train), model._batch(x_val)
-    [(m, v)] = adam_init([model.flat_params])  # per-layer arrays are views into it
+    # Adam's moments, and the gradient buffer whose per-layer views are `grads`
+    m, v = np.zeros_like(model.flat_params), np.zeros_like(model.flat_params)
     grad = np.empty_like(model.flat_params)
     grads = model._carve(grad)
     scratch = (np.empty_like(grad), np.empty_like(grad))
@@ -264,20 +245,30 @@ def metrics_from_confusion(confusion, class_names=None) -> MetricsReport:
 def evaluate(ckpt: Checkpoint, data) -> MetricsReport:
     """Run the checkpoint over a dataset and tabulate the confusion matrix.
 
-    `data` is a DatasetFile or an (X, y) pair, fed EVAL_BATCH rows at a time
-    to the checkpoint's shared model (as in `predict`), a DatasetFile's as
-    uint8 bytes that `Model.forward` scales: no float32 copy is made.
+    `data` is a DatasetFile or an (X, y) pair, checked once and then fed
+    EVAL_BATCH rows at a time to the core of the checkpoint's shared model
+    (as in `predict`), a DatasetFile's as uint8 bytes that the forward pass
+    scales: no float32 copy is made.
     """
-    cfg = ckpt.config
-    x, y = _rows_and_labels(data, cfg.input_len, cfg.class_count)
     model = ckpt.shared_model()
-    c = cfg.class_count
+    x, y = _rows_and_labels(data, model)
+    c = ckpt.config.class_count
     pred = np.zeros(len(y), dtype=np.int64)
     for rows, probs in _forward_batches(model, x):
         pred[rows] = probs.argmax(axis=1)  # ties: lowest class
     cm = np.bincount(y * c + pred, minlength=c * c).reshape(c, c)
     names = data.class_names if isinstance(data, DatasetFile) else None
     return metrics_from_confusion(cm, names)
+
+
+def _warmup(config: ModelConfig):
+    """One discarded epoch of `train` on one random uint8 row per class of
+    `config`, labelled 0 to C-1, so every class is present: first-use costs
+    are then paid here, not in a timed phase."""
+    classes = config.class_count
+    rows = (np.random.default_rng(0).integers(0, 256, (classes, config.input_len),
+                                              dtype=np.uint8), np.arange(classes))
+    train(replace(config, epochs=1), rows, rows)
 
 
 def predict(ckpt: Checkpoint, sample_bytes: bytes) -> tuple[int, np.ndarray]:

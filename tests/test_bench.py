@@ -1,6 +1,9 @@
 """Feature-vector recipe and the timing harness."""
 
+import importlib
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from bytecap.views import (
     split_view,
 )
 from conftest import arp_frame, ipv4_frame, ipv6_frame
+
+train_module = importlib.import_module("bytecap.train")  # the package re-exports train()
 
 _DECAYS = (0.01, 0.1, 0.5, 1.0, 5.0)
 
@@ -412,7 +417,27 @@ class TestTimePipelines:
                        epochs=1, batch=7, seed=2)
         cnn = default_config("binary", profile, input_len=n, epochs=1, batch_size=7, seed=2)
         assert warmed == [cnn]
-        assert trained[0] == cnn
+        # the warm-up's own training is not one of the timed pipelines' calls
+        assert trained == [cnn, replace(cnn, input_len=FEATURE_COUNT, layers=cnn.layers[-1:])]
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_warmup_trains_one_epoch_on_a_uint8_row_of_every_class(self, monkeypatch, task):
+        cfg = default_config(task, epochs=5, batch_size=7, seed=2)
+        calls = []
+        real = train_module.train
+
+        def recording(config, train_data, val_data, **kwargs):
+            calls.append((config, train_data))
+            return real(config, train_data, val_data, **kwargs)
+
+        monkeypatch.setattr(train_module, "train", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no class may be absent from the rows
+            bench._warmup(cfg)
+        [(config, (x, y))] = calls
+        assert config == replace(cfg, epochs=1)
+        assert x.dtype == np.uint8 and x.shape == (cfg.class_count, cfg.input_len)
+        assert np.array_equal(y, np.arange(cfg.class_count))
 
     @pytest.mark.parametrize("task", sorted(TASKS))
     @pytest.mark.parametrize("profile", sorted(PROFILES))

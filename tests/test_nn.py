@@ -630,7 +630,7 @@ class TestGradients:
         second = [a for layer in model.backward(caches, d2) for a in layer]
         assert not any(np.shares_memory(a, first) for a in second)
         assert np.array_equal(first, kept)
-        # the per-layer views lie in the flat buffer train_step hands to Adam
+        # the per-layer views lie in the flat buffer a caller hands to adam_step
         flat = model.flat_backward(caches, d2)
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in second]))
 

@@ -1,6 +1,7 @@
 """Reader, dissector and key tests against hand-written byte fixtures."""
 
 import random
+import re
 import struct
 import tracemalloc
 
@@ -263,6 +264,22 @@ class TestWriteFrames:
                 lengths = [len(d) for d in data]
                 write_frames(p, b"".join(data), np.cumsum([0] + lengths[:-1]), lengths,
                              [0] * 6, [0] * 6, [row["orig_len"] for row in rows])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("form", [("=", "micro"), ("little", "micro"), ("<", "milli"),
+                                      (">", None)], ids=["native", "word", "milli", "none"])
+    @pytest.mark.parametrize("entry", ["write_frames", "write_pcap"])
+    def test_refuses_a_form_no_magic_states(self, tmp_path, entry, form):
+        order, resolution = form
+        p = tmp_path / "unstated.pcap"
+        with pytest.raises(ValueError, match=re.escape(
+                f"byte_order must be '<' or '>' and ts_resolution 'micro' or 'nano', "
+                f"got {order!r} and {resolution!r}")):
+            if entry == "write_pcap":
+                write_pcap(p, [(0, 0, b"abcd")], byte_order=order, ts_resolution=resolution)
+            else:
+                write_frames(p, b"abcd", [0], [4], [0], [0], [4], byte_order=order,
+                             ts_resolution=resolution)
         assert not p.exists()
 
     @pytest.mark.parametrize("records,match", [

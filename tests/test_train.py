@@ -104,7 +104,8 @@ class TestTrainLoop:
     def test_shape_mismatch_rejected(self):
         cfg = default_config("binary", epochs=1)
         x, y = toy_data(10, input_len=64)
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=re.escape(
+                "input samples of shape (64, 1) != model input shape (115, 1)")):
             train(cfg, (x, y), (x, y))
 
     def test_empty_set_rejected(self):
@@ -187,17 +188,13 @@ class TestOracleKernels:
             m.setitem(nn._KINDS, nn.Conv1dSpec, conv._replace(
                 forward=counted("conv forward", oracle_conv_forward),
                 backward=counted("conv backward", oracle_conv_backward)))
-            # the step calls the loss core, the validation pass the checked call
-            m.setattr(train_module, "_loss_and_grad",
-                      counted("step loss", oracle_loss_and_grad))
-            m.setattr(train_module, "loss_and_grad",
-                      counted("validation loss", oracle_loss_and_grad))
+            # the step and the validation pass both call the loss core
+            m.setattr(train_module, "_loss_and_grad", counted("loss", oracle_loss_and_grad))
             oracle = run("oracle.ftlw")
         assert shipped == oracle
         # 160 rows at batch 20 are 8 steps, 40 validation rows one forward pass;
         # each runs both convolutions
-        assert calls == {"step loss": 8, "validation loss": 1,
-                         "conv forward": 2 * (8 + 1), "conv backward": 2 * 8}
+        assert calls == {"loss": 8 + 1, "conv forward": 2 * (8 + 1), "conv backward": 2 * 8}
 
 
 def public_train(cfg, train_data, val_data):
@@ -256,6 +253,31 @@ class TestCoresAsPublicCalls:
         weights, public_history = public_train(cfg, train_ds, val_ds)
         assert sans_clock(history) == public_history
         assert ckpt.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("task", ["binary", "multi"])
+    def test_validation_pass_and_evaluate_call_no_public_call(self, task, monkeypatch):
+        # 300 validation rows make one full EVAL_BATCH slice and a partial one
+        cfg = default_config(task, epochs=2, seed=6)
+        train_ds, val_ds = byte_dataset(task, 173, seed=3), byte_dataset(task, 300, seed=4)
+
+        def fail(*args, **kwargs):
+            pytest.fail("a public call ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(nn.Model, "forward", fail)
+            m.setattr(nn, "loss_and_grad", fail)
+            m.setattr(train_module, "loss_and_grad", fail, raising=False)
+            ckpt, history = train(cfg, train_ds, val_ds)
+            report = evaluate(ckpt, val_ds)
+        weights, public_history = public_train(cfg, train_ds, val_ds)
+        assert sans_clock(history) == public_history
+        assert ckpt.weights.tobytes() == weights.tobytes()
+        model = nn.Model(cfg, weights=weights)
+        pred = np.concatenate([model.forward(val_ds.data[start:start + EVAL_BATCH]).argmax(axis=1)
+                               for start in range(0, 300, EVAL_BATCH)])
+        c = cfg.class_count
+        want = np.bincount(val_ds.labels * c + pred, minlength=c * c).reshape(c, c)
+        assert np.array_equal(report.confusion, want)
 
 
 class TestByteRows:
@@ -367,9 +389,11 @@ class TestPairRowCounts:
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_rank_outside_two_and_three_is_refused(self, rank):
+        # Model._batch's refusal: a sample is what follows the row axis
         x, y = toy_data(6)
         rows = x.reshape(-1) if rank == 1 else x[..., None]
-        with pytest.raises(ValueError, match=f"got a {rank}-dim array"):
+        with pytest.raises(nn.ShapeError, match=re.escape(
+                f"input samples of shape {rows.shape[1:]} != model input shape (115, 1)")):
             train(default_config("binary", epochs=1), (rows, y), (x, y))
 
     def test_train_refuses_samples_of_another_shape_before_any_step(self, monkeypatch):
