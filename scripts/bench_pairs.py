@@ -25,14 +25,19 @@ rate (unit `1/s`). Each end-to-end metric also gets two flags: `gain`, the
 change won at least 9 in 10 of the pairs and its median beats the base's
 by more than the base's q3 - q1; and `within_bound`, the change's median
 is no worse than the base's by more than the metric's `bound` times the
-base's median. The script ends by printing one line per end-to-end
-metric (both medians, the base's quartiles, wins, `gain` and
-`within_bound`) and one with `digests_equal` and `all_correct`.
+base's median. Each seed's `trees` records, per side, which source was
+measured: a sha256 over the path and bytes of every `src/bytecap/**/*.py`
+file of that checkout, in sorted path order, so a change not yet
+committed is named too. The script ends by printing one line per
+end-to-end metric (both medians, the base's quartiles, wins, `gain` and
+`within_bound`), one with `digests_equal` and `all_correct`, and one with
+both trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +50,17 @@ TRACED_PAIRS = 3
 BENCHMARK = json.loads((HERE / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+
+
+def tree_digest(checkout: Path) -> str:
+    """sha256 over each `src/bytecap/**/*.py` file of `checkout`, in sorted
+    path order: its path below the checkout, its size and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "bytecap").glob("**/*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -99,9 +115,9 @@ def summary(pairs: list[dict]) -> dict:
             "all_correct": all(p[side]["correct"] for p in pairs for side in ("base", "change"))}
 
 
-def summary_lines(summ: dict) -> list[str]:
+def summary_lines(summ: dict, trees: dict) -> list[str]:
     """One line per end-to-end metric of `BENCHMARK.json`, then one with
-    `digests_equal` and `all_correct`."""
+    `digests_equal` and `all_correct`, then one with both sides' trees."""
     lines = []
     for name in BOUND:
         m = summ["metrics"][name]
@@ -110,6 +126,7 @@ def summary_lines(summ: dict) -> list[str]:
                      f"wins {m['change_wins']}/{m['pairs']} gain {m['gain']} "
                      f"within_bound {m['within_bound']}")
     lines.append(f"digests_equal {summ['digests_equal']} all_correct {summ['all_correct']}")
+    lines.append(f"trees base {trees['base']} change {trees['change']}")
     return lines
 
 
@@ -133,17 +150,19 @@ def main(argv=None) -> int:
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     entry = record.setdefault(args.workload, {})
     checkouts = {"base": base, "change": HERE}
+    trees = {side: tree_digest(path) for side, path in checkouts.items()}
     pairs = [{side: {k: report[k] for k in KEPT + ("correct",)}
               for side, report in pair.items()}
              for pair in run_pairs(checkouts, args.workload, args.seed, args.pairs, 0)]
     seed_entry = entry[f"seed{args.seed}"] = {
-        "seconds": BENCHMARK["run_seconds"], "pairs": pairs, "summary": summary(pairs)}
+        "seconds": BENCHMARK["run_seconds"], "pairs": pairs, "summary": summary(pairs),
+        "trees": trees}
     if args.traced:
         traced = run_pairs(checkouts, args.workload, args.seed, TRACED_PAIRS, 1)
         seed_entry["traced"] = {side: [pair[side]["per_layer"] for pair in traced]
                                 for side in checkouts}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print("\n".join(summary_lines(seed_entry["summary"])))
+    print("\n".join(summary_lines(seed_entry["summary"], trees)))
     return 0
 
 

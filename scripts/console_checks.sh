@@ -141,21 +141,24 @@ if bytecap synth --seed -1 --out "$work/neg" 2> "$work/neg.err"; then
 fi
 grep "^error:" "$work/neg.err" | grep -F -- "--seed"
 test ! -e "$work/neg"
-# a training setting out of range is refused with the rule
-# ModelConfig.validate states, after the flag's name
+# a training setting out of range is refused with the rule a ModelConfig
+# states when it is made, after the flag's name
 set +e
 bytecap train "$work/session.ftld" --learning-rate 0 --out "$work/lr0.ftlw" 2> "$work/lr0.err"
 status=$?
 set -e
 test "$status" -eq 1
-rule="$(python -c 'from dataclasses import replace
+refusal() { python -c "from dataclasses import replace
 from bytecap.nn import default_config
 try:
-    replace(default_config(), learning_rate=0.0).validate()
+    $1
 except ValueError as e:
-    print(e)')"
+    print(e)"; }
+rule="$(refusal 'replace(default_config(), learning_rate=0.0)')"
 test "$(cat "$work/lr0.err")" = "error: --learning-rate: $rule"
 test ! -e "$work/lr0.ftlw"
+# default_config's own overrides make the config, which refuses them alike
+test "$(refusal 'default_config(learning_rate=0)')" = "${rule%, got *}, got 0"
 # a flag's text is converted as a config line's is: a value of the wrong
 # type or an unknown choice exits 1 with the text parse_config gives that
 # line, after the flag's name (argparse's usage error would exit 2)

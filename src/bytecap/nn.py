@@ -39,9 +39,10 @@ output depends on (`Model.read_length`), so every windowed layer computes
 exactly the positions the next layer reads, then scales uint8 bytes to [0,1].
 
 A model takes the losses in `LOSSES`, whose order is FTLW's loss codes,
-and input lengths by `views.SAMPLE_LEN_RULE`; `ModelConfig.validate`
-checks both, so `Model`, `train` and `save_weights` refuse a bad one
-before any file is opened, and `load_weights` as a WeightsFormatError.
+and input lengths by `views.SAMPLE_LEN_RULE`. A `ModelConfig` refuses a
+bad one, setting or layer stack when it is made, directly or by
+`dataclasses.replace`, so none reaches `Model`, `train` or `save_weights`;
+`load_weights` refuses a file that states one as a WeightsFormatError.
 
 The default profile reproduces the reference shape column
 18x64 -> 3x64 -> 1x64 -> 64 -> {2|12} from a length-115 input.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -273,7 +274,7 @@ _KINDS = {
 
 
 class LayerPlan(NamedTuple):
-    """One layer of a validated config: its kind, shapes and the place of
+    """One layer of a config's plan: its kind, shapes and the place of
     its parameters in the flat parameter vector."""
 
     spec: LayerSpec
@@ -365,6 +366,23 @@ class ModelConfig:
     epochs: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        """Refuse, naming it, the first setting outside `SETTING_RULES` or a
+        loss not in `LOSSES` (ValueError), or a stack `plan` refuses or that
+        does not end in a dense layer of one unit per class (ShapeError)."""
+        for name, (ok, rule) in SETTING_RULES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"loss must be one of {', '.join(LOSSES)}, got {self.loss!r}")
+        plan = self.plan()
+        if not self.layers or not isinstance(self.layers[-1], DenseSpec):
+            raise ShapeError("model must end with a dense layer")
+        if plan[-1].out_shape != (self.class_count,):
+            raise ShapeError(
+                f"final dense units {plan[-1].out_shape} != class count {self.class_count}"
+            )
+
     def plan(self) -> list[LayerPlan]:
         """Walk the layer stack once, laying each layer's parameters after
         the previous layer's in the flat vector; raises ShapeError if the
@@ -379,26 +397,8 @@ class ModelConfig:
         return plan
 
     def output_shapes(self) -> list[tuple]:
-        """Shape after each layer; raises ShapeError if the algebra fails."""
+        """Shape after each layer, the last one unit per class."""
         return [layer.out_shape for layer in self.plan()]
-
-    def validate(self) -> list[LayerPlan]:
-        """The layer plan of a well-formed model; raises ShapeError otherwise,
-        or ValueError naming the first training setting outside its range
-        (`SETTING_RULES`) or a loss not in `LOSSES`."""
-        for name, (ok, rule) in SETTING_RULES.items():
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {', '.join(LOSSES)}, got {self.loss!r}")
-        plan = self.plan()
-        if not self.layers or not isinstance(self.layers[-1], DenseSpec):
-            raise ShapeError("model must end with a dense layer")
-        if plan[-1].out_shape != (self.class_count,):
-            raise ShapeError(
-                f"final dense units {plan[-1].out_shape} != class count {self.class_count}"
-            )
-        return plan
 
 
 # each stock profile's input length and two convolutions; every profile
@@ -428,7 +428,8 @@ def default_config(task: str = "binary", profile: str = "prose",
     """The stock model: `PROFILES[profile]`'s input length and two convs
     around a max pool (5, 5), then a global average pool and one dense unit
     per class of `task`, activated and paired by `pairing_for`. `overrides`
-    replace ModelConfig fields before the config is validated."""
+    set ModelConfig fields; the config refuses what it would refuse made
+    from them directly."""
     class_count = len(class_catalog(task))
     activation, loss = pairing_for(task, pairing)
     if profile not in PROFILES:
@@ -441,12 +442,8 @@ def default_config(task: str = "binary", profile: str = "prose",
         GlobalAvgPoolSpec(),
         DenseSpec(class_count, activation),
     )
-    cfg = ModelConfig(input_len=input_len, layers=layers, loss=loss,
-                      class_count=class_count)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return ModelConfig(**{"input_len": input_len, "layers": layers, "loss": loss,
+                          "class_count": class_count, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +610,7 @@ class Model:
     def __init__(self, config: ModelConfig, dtype=np.float32, weights=None):
         self.config = config
         self.dtype = dtype
-        self._plan = config.validate()
+        self._plan = config.plan()
         self.read_length = _read_length(self._plan, config.input_len)
         self.flat_params = np.zeros(_param_count(self._plan), dtype=dtype)
         self.params = self._carve(self.flat_params)
@@ -788,7 +785,7 @@ def save_weights(path, ckpt: Checkpoint):
     ShapeError before the file is opened, since load_weights would refuse
     the file."""
     cfg = ckpt.config
-    plan = cfg.validate()
+    plan = cfg.plan()
     count = _param_count(plan)
     if np.size(ckpt.weights) != count:
         raise ShapeError(f"checkpoint holds {np.size(ckpt.weights)} weights, "
@@ -853,12 +850,12 @@ def load_weights(path) -> Checkpoint:
         if not layers or not isinstance(layers[-1], DenseSpec):
             raise WeightsFormatError(f"{path}: weights file does not end with a dense layer")
         class_count = layers[-1].units
-        config = ModelConfig(input_len=input_len, layers=tuple(layers),
-                             loss=loss or _v1_loss(class_count), class_count=class_count)
         try:
-            plan = config.validate()
+            config = ModelConfig(input_len=input_len, layers=tuple(layers),
+                                 loss=loss or _v1_loss(class_count), class_count=class_count)
         except ShapeError as e:
             raise WeightsFormatError(f"{path}: {e}") from None
+        plan = config.plan()
 
         blocks = [field(_param_count([layer]) * 4,
                         f"while reading layer {i} ({layer.kind.name}) tensor")

@@ -18,19 +18,29 @@ from .pcap import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, SNAPLEN, write_frames
 from .views import class_catalog
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthClass:
-    """Byte-distribution parameters for one traffic class."""
+    """Byte-distribution parameters for one traffic class; a class that
+    breaks a rule below is refused, naming it, with a ValueError when made."""
 
-    name: str
+    name: str  # not empty, and kept by a labels line (`_keeps_name`)
     byte_low: int  # payload bytes drawn uniformly from [byte_low, byte_high]
-    byte_high: int
-    sessions: int
+    byte_high: int  # 0 <= byte_low <= byte_high <= 255
+    sessions: int  # >= 1
 
     def __post_init__(self):
         if self.sessions < 1:
             raise ValueError(f"class {self.name!r}: sessions must be >= 1, "
                              f"got {self.sessions}")
+        if not _keeps_name(self.name):
+            raise ValueError(f"class {self.name!r}: a class name cannot hold ',', a line "
+                             "feed or a carriage return, nor start or end with white space")
+        if not self.name:
+            raise ValueError("class '': a class needs a name")
+        if not 0 <= self.byte_low <= self.byte_high <= 255:
+            raise ValueError(f"class {self.name!r}: payload bytes must satisfy "
+                             f"0 <= byte_low <= byte_high <= 255, "
+                             f"got {self.byte_low} and {self.byte_high}")
 
 
 def synth_classes(task: str, sessions: int) -> list[SynthClass]:
@@ -79,26 +89,17 @@ def _slug(name: str) -> str:
 
 
 def _check_recipe(classes, packets_per_session, payload_len):
-    """Refuse, naming the class or argument, a recipe the generator cannot
-    write as asked."""
+    """Refuse, naming the classes or argument, a recipe the generator cannot
+    write as asked, by the rules no one class states."""
     if len(classes) < 2:
         raise ValueError("a corpus needs at least 2 classes")
     named = {}  # file name -> class name
     for cls in classes:
-        if not _keeps_name(cls.name):
-            raise ValueError(f"class {cls.name!r}: a class name cannot hold ',', a line "
-                             "feed or a carriage return, nor start or end with white space")
-        if not cls.name:
-            raise ValueError("class '': a class needs a name")
         slug = _slug(cls.name)
         if slug in named:
             raise ValueError(f"classes {named[slug]!r} and {cls.name!r} would both "
                              f"be written to {slug}.pcap")
         named[slug] = cls.name
-        if not 0 <= cls.byte_low <= cls.byte_high <= 255:
-            raise ValueError(f"class {cls.name!r}: payload bytes must satisfy "
-                             f"0 <= byte_low <= byte_high <= 255, "
-                             f"got {cls.byte_low} and {cls.byte_high}")
     lo, hi = packets_per_session
     if not 1 <= lo <= hi:
         raise ValueError(f"packets_per_session must satisfy 1 <= lo <= hi, "
@@ -128,11 +129,11 @@ def synth_corpus(out_dir, classes: list[SynthClass], seed: int = 0, *,
     columns over the class (`_frames`). The bytes are the same for every
     seed as when each frame was packed on its own.
 
-    Before `out_dir` is created, a ValueError naming the class or argument
-    refuses a class byte band outside 0 <= byte_low <= byte_high <= 255, a
-    `packets_per_session` outside 1 <= lo <= hi, a `payload_len` outside
-    0 <= lo <= hi <= MAX_PAYLOAD, a class name a labels line cannot keep
-    (`_keeps_name`) or that is empty, and two names that give one file name.
+    Each class has checked its own band, name and sessions when it was
+    made. Before `out_dir` is created, a ValueError naming the classes or
+    argument refuses fewer than two classes, two names that give one file
+    name, a `packets_per_session` outside 1 <= lo <= hi and a `payload_len`
+    outside 0 <= lo <= hi <= MAX_PAYLOAD.
     """
     _check_recipe(classes, packets_per_session, payload_len)
     bitgen = np.random.default_rng(seed).bit_generator

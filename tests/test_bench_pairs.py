@@ -80,8 +80,8 @@ def test_ends_with_one_line_per_end_to_end_metric(tmp_path, runs, capsys):
     assert main(tmp_path, "--seed", "1", "--pairs", "2") == 0
     lines = capsys.readouterr().out.splitlines()
     # the four runs' progress lines, then the summary
-    assert len(lines) == 4 + 4
-    wall, setup, rss, checks = lines[4:]
+    assert len(lines) == 4 + 5
+    wall, setup, rss, checks, trees = lines[4:]
     # walls: base 2.01 and 2.04, change 1.02 and 1.03
     assert wall.startswith("wall_ref_s: base 2.0250 change 1.0250 base q1 ")
     assert wall.endswith(" wins 2/2 gain True within_bound True")
@@ -90,7 +90,42 @@ def test_ends_with_one_line_per_end_to_end_metric(tmp_path, runs, capsys):
     assert rss == ("peak_rss_mb: base 60.0000 change 90.0000 base q1 60.0000 q3 60.0000 "
                    "wins 0/2 gain False within_bound False")
     assert checks == "digests_equal True all_correct True"
+    record = json.loads((tmp_path / "BENCH.json").read_text())["train-infer"]["seed1"]
+    assert trees == f"trees base {record['trees']['base']} change {record['trees']['change']}"
     assert [line.split(":")[0] for line in lines[4:7]] == list(bench_pairs.BOUND)
+
+
+def write_tree(root, files):
+    for name, data in files.items():
+        path = root / "src" / "bytecap" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_tree_digest_names_the_source_each_side_measured(tmp_path):
+    files = {"__init__.py": b"", "nn.py": b"x = 1\n", "sub/deep.py": b"y = 2\n"}
+    one, two = (write_tree(tmp_path / name, files) for name in ("one", "two"))
+    (two / "src" / "bytecap" / "notes.txt").write_text("not source")
+    digest = bench_pairs.tree_digest(one)
+    assert len(digest) == 64 and bench_pairs.tree_digest(two) == digest
+    # one changed byte, in a file below a subdirectory too
+    for name, data in (("nn.py", b"x = 2\n"), ("sub/deep.py", b"y = 3\n")):
+        changed = write_tree(tmp_path / f"changed-{name[:3]}", {**files, name: data})
+        assert bench_pairs.tree_digest(changed) != digest
+    # a file's bytes cannot move into its neighbour's unnoticed
+    moved = write_tree(tmp_path / "moved", {**files, "__init__.py": b"x", "nn.py": b" = 1\n"})
+    assert bench_pairs.tree_digest(moved) != digest
+
+
+def test_each_seed_records_both_trees(tmp_path, runs):
+    write_tree(tmp_path / "base", {"nn.py": b"old\n"})
+    write_tree(tmp_path / "this", {"nn.py": b"new\n"})
+    assert main(tmp_path, "--pairs", "1") == 0
+    trees = json.loads((tmp_path / "BENCH.json").read_text())["train-infer"]["seed1"]["trees"]
+    assert trees == {side: bench_pairs.tree_digest(tmp_path / name)
+                     for side, name in (("base", "base"), ("change", "this"))}
+    assert trees["base"] != trees["change"]
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

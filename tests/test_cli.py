@@ -232,7 +232,7 @@ class TestConfigFile:
         field = TRAINING_SETTINGS[key]
         value = type(getattr(ModelConfig, field))(text)
         try:
-            replace(default_config("binary"), **{field: value}).validate()
+            replace(default_config("binary"), **{field: value})
             rule = None
         except ValueError as e:
             assert str(e).startswith(f"{field} must "), e
@@ -658,11 +658,11 @@ class TestTrainEval:
         assert run_cli("train", str(dataset), flag, value, "--out", str(w)) == 1
         assert f"error: {flag}: {flag[2:]} must be >= 1, got {value}" in capsys.readouterr().err
         assert not w.exists()
-        # train keeps its own check, under the ModelConfig field's name
+        # a ModelConfig refuses it when made, under the field's name, so no
+        # config that holds it reaches train
         ds = read_dataset(dataset)
-        cfg = replace(default_config("binary", input_len=ds.sample_len), **{name: int(value)})
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
-            train(cfg, ds, ds)
+            replace(default_config("binary", input_len=ds.sample_len), **{name: int(value)})
 
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "1e999"),

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bytecap import nn
 from bytecap.nn import (
@@ -607,9 +609,8 @@ class TestGradients:
 
     def test_hidden_dense_activation_rejected(self):
         # its backward would skip the sigmoid's derivative
-        cfg = tiny_config([DenseSpec(4, "sigmoid"), DenseSpec(2, "softmax")], LOSS_CCE, 2, 6)
         with pytest.raises(ShapeError, match="layer 0: a dense layer before the last"):
-            cfg.validate()
+            tiny_config([DenseSpec(4, "sigmoid"), DenseSpec(2, "softmax")], LOSS_CCE, 2, 6)
 
     def test_zero_upstream_gives_zero_grads(self):
         cfg = default_config("binary")
@@ -897,19 +898,21 @@ class TestWeightsFile:
         ("input_len", 0, f"input length 0 {INPUT_LEN_RULE}"),
         ("input_len", 2 ** 32, f"input length 4294967296 {INPUT_LEN_RULE}"),
         ("loss", "mse", "loss must be one of binary_cross_entropy, "
-                        "categorical_cross_entropy, got 'mse'")])
-    def test_config_outside_its_rules_refused_before_any_file(self, tmp_path, field, value,
-                                                              message):
+                        "categorical_cross_entropy, got 'mse'"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("layers", (), "model must end with a dense layer"),
+        ("layers", (MaxPool1dSpec(0, 1), DenseSpec(2, "softmax")),
+         "layer 0: max_pool1d pool and stride must be >= 1, got 0/1"),
+        ("class_count", 3, r"final dense units \(2,\) != class count 3")])
+    def test_config_outside_its_rules_refused_before_any_file(self, field, value, message):
         # save_weights once wrote 4 bytes, then raised struct.error, for the
-        # long input, and 12 bytes, then raised KeyError, for the unknown loss
-        cfg = dataclasses.replace(default_config("binary"), **{field: value})
-        weights = Model(default_config("binary")).copy_weights()
-        p = tmp_path / "w.ftlw"
-        for refuse in (cfg.validate, lambda: Model(cfg),
-                       lambda: save_weights(p, Checkpoint(cfg, weights, 0, 0.0))):
+        # long input, and 12 bytes, then raised KeyError, for the unknown loss;
+        # now no such config is made, so none reaches Model or save_weights
+        cfg = default_config("binary")
+        for refuse in (lambda: dataclasses.replace(cfg, **{field: value}),
+                       lambda: ModelConfig(**{**vars(cfg), field: value})):
             with pytest.raises(ValueError, match=message):
                 refuse()
-        assert not p.exists()
 
     def test_input_length_zero_refused(self, tmp_path):
         # one dense layer: the only stack whose shape rules pass a length-0 input
@@ -1051,6 +1054,71 @@ class TestWeightsFile:
                 + struct.pack("<BIB", 3, 2, 2) + b"\x00" * 64)
         assert self.refusal(tmp_path, blob, through_pipe) == \
             "truncated while reading layer 0 (conv1d) tensor"
+
+
+# each training setting: some values in its range, some outside it
+SETTING_VALUES = {
+    name: [-1, 0, 1, 2] if isinstance(getattr(ModelConfig, name), int)
+    else [-1.0, 0.0, 0.5, 1.0, 2.0, float("nan"), float("inf")]
+    for name in nn.SETTING_RULES}
+
+
+@st.composite
+def config_draws(draw):
+    """ModelConfig arguments: a stack of up to three of the four layer kinds
+    with sizes and strides 0-5 and any activation name, then most often a
+    dense layer of one unit per class, and settings in and out of range."""
+    size = st.sampled_from([1, 2, 3, 4, 5, 0])
+    act = st.sampled_from(["none", "relu", "softmax", "sigmoid", "tanh"])
+    spec = st.one_of(st.builds(Conv1dSpec, size, size, size, act),
+                     st.builds(MaxPool1dSpec, size, size),
+                     st.just(GlobalAvgPoolSpec()), st.builds(DenseSpec, size, act))
+    class_count = draw(st.integers(1, 3))
+    layers = draw(st.lists(spec, max_size=3))
+    if draw(st.sampled_from([True, True, True, False])):
+        layers.append(DenseSpec(draw(st.sampled_from([class_count] * 3 + [0, 5])), draw(act)))
+    # most often every setting at its default
+    changed = draw(st.sampled_from([None] * len(SETTING_VALUES) + sorted(SETTING_VALUES)))
+    return {"input_len": draw(st.sampled_from(range(1, 31))), "layers": tuple(layers),
+            "loss": draw(st.sampled_from(nn.LOSSES * 3 + ("mse",))),
+            "class_count": class_count,
+            **({changed: draw(st.sampled_from(SETTING_VALUES[changed]))} if changed else {})}
+
+
+def test_config_refuses_when_made_or_runs_end_to_end(tmp_path):
+    # a config that is made trains one step and round-trips its weights;
+    # one that could not is refused by ModelConfig itself
+    made = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(config_draws())
+    def check(kwargs):
+        try:
+            cfg = ModelConfig(**kwargs)
+        except ValueError:  # ShapeError too
+            return
+        model = Model(cfg)
+        rng = np.random.default_rng(len(made))
+        x = rng.integers(0, 256, (3, cfg.input_len), dtype=np.uint8)
+        y = rng.integers(0, cfg.class_count, 3)
+        probs, caches = model.forward(x, want_cache=True)
+        loss, dlogits = loss_and_grad(probs, y, cfg.loss, model.final_activation)
+        grad = model.flat_backward(caches, dlogits)
+        assert np.isfinite(loss) and grad.shape == model.flat_params.shape
+        p = tmp_path / "w.ftlw"
+        save_weights(p, Checkpoint(cfg, model.copy_weights(), 0, 0.0))
+        back = load_weights(p)
+        assert np.array_equal(back.weights, model.flat_params)
+        assert back.config == ModelConfig(cfg.input_len, cfg.layers, cfg.loss,
+                                          cfg.class_count)
+        assert np.array_equal(Model(back.config, weights=back.weights).forward(x), probs)
+        made.append(cfg)
+
+    check()
+    assert len(made) >= 30  # the draws are not all refused
+    # and every kind ran in some config that was made
+    assert {type(spec) for cfg in made for spec in cfg.layers} == {
+        Conv1dSpec, MaxPool1dSpec, GlobalAvgPoolSpec, DenseSpec}
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

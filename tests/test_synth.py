@@ -4,6 +4,7 @@ same list. Also the raw-word rules of a class's draws against the
 `Generator` calls themselves, and the refusals of recipes the generator
 cannot write."""
 
+import dataclasses
 import hashlib
 import re
 import struct
@@ -390,13 +391,17 @@ def test_synth_classes_band_every_byte_once(task):
 
 
 class TestRefusals:
-    """A recipe the generator cannot write is refused before `out_dir` is
-    created, with a ValueError naming the class or the argument."""
+    """A class refuses its own band, name and sessions when made; a recipe
+    the generator cannot write is refused before `out_dir` is created. Each
+    refusal is a ValueError naming the class or the argument."""
 
     def refused(self, tmp_path, match, classes=None, seed=0, **recipe):
+        # `classes` makes the classes, inside the check: a class refuses its
+        # own band and name when made, the recipe's other rules synth_corpus
         out = tmp_path / "corpus"
         with pytest.raises(ValueError, match=match):
-            synth_corpus(out, classes or binary_synth_classes(2), seed, **recipe)
+            synth_corpus(out, classes() if classes else binary_synth_classes(2), seed,
+                         **recipe)
         assert not out.exists()
 
     def test_negative_seed(self, tmp_path):
@@ -404,10 +409,9 @@ class TestRefusals:
 
     @pytest.mark.parametrize("low, high", [(9, 8), (-1, 8), (0, 256)])
     def test_byte_band_of_a_later_class(self, tmp_path, low, high):
-        classes = [SynthClass("fine", 0, 255, 1), SynthClass("bad", low, high, 1)]
         self.refused(tmp_path, "class 'bad': payload bytes must satisfy "
                                f"0 <= byte_low <= byte_high <= 255, got {low} and {high}",
-                     classes)
+                     lambda: [SynthClass("fine", 0, 255, 1), SynthClass("bad", low, high, 1)])
 
     @pytest.mark.parametrize("names, match", [
         (["a b", "a_b"], "classes 'a b' and 'a_b' would both be written to a_b.pcap"),
@@ -422,8 +426,8 @@ class TestRefusals:
     ], ids=["one-slug", "case", "comma", "line-feed", "carriage-return", "leading-space",
             "trailing-tab", "empty"])
     def test_class_names_a_corpus_cannot_keep_apart(self, tmp_path, names, match):
-        classes = [SynthClass(name, 0, 255, 2) for name in names]
-        self.refused(tmp_path, re.escape(match), classes)
+        self.refused(tmp_path, re.escape(match),
+                     lambda: [SynthClass(name, 0, 255, 2) for name in names])
 
     @pytest.mark.parametrize("packets", [(0, 0), (0, 3), (5, 4)])
     def test_packets_per_session(self, tmp_path, packets):
@@ -434,6 +438,30 @@ class TestRefusals:
     def test_payload_len(self, tmp_path, payload):
         self.refused(tmp_path, f"payload_len must satisfy 0 <= lo <= hi <= {SNAPLEN - 54}, "
                                f"got {re.escape(str(payload))}", payload_len=payload)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"byte_low": 9, "byte_high": 8}, "class 'web': payload bytes must satisfy "
+                                          "0 <= byte_low <= byte_high <= 255, got 9 and 8"),
+        ({"byte_high": 256}, "class 'web': payload bytes must satisfy "
+                             "0 <= byte_low <= byte_high <= 255, got 0 and 256"),
+        ({"byte_low": -1}, "class 'web': payload bytes must satisfy "
+                           "0 <= byte_low <= byte_high <= 255, got -1 and 255"),
+        ({"name": "web,cam"}, "class 'web,cam': a class name cannot hold ','"),
+        ({"name": "web\n"}, "class 'web\\n': a class name cannot hold ','"),
+        ({"name": ""}, "class '': a class needs a name"),
+        ({"sessions": 0}, "class 'web': sessions must be >= 1, got 0")],
+        ids=["band-reversed", "band-high", "band-low", "comma", "line-feed", "empty",
+             "sessions"])
+    def test_a_class_refuses_its_own_rules_when_made_or_replaced(self, fields, match):
+        good = SynthClass("web", 0, 255, 2)
+        for make in (lambda: dataclasses.replace(good, **fields),
+                     lambda: SynthClass(**{**vars(good), **fields})):
+            with pytest.raises(ValueError, match=re.escape(match)):
+                make()
+        # and none can be changed after it is made
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            good.sessions = 0
+        assert good == SynthClass("web", 0, 255, 2)
 
     def test_longest_payload_is_written(self, tmp_path):
         classes = [SynthClass("a", 0, 0, 1), SynthClass("b", 1, 1, 1)]
